@@ -1,12 +1,10 @@
-// E-engine: round throughput of the execution engine vs. thread count,
-// and of the async RoundProgram scheduler vs. strict three-phase rounds.
+// E-engine: round throughput of the execution engine vs. thread count.
 //
 // Workload: the shared routing storm (bench/engine_storm.hpp) over a
 // paper-shaped cluster built for a generator graph with >= 1M edges, run
 // two ways per executor: imperatively (one run_round call per round — the
-// pre-program dataflow, never overlapped) and as one RoundProgram of
-// machine-independent steps (the scheduler may fuse every delivery with
-// the next round's compute; async on/off is A/B'd at each thread count).
+// pre-program dataflow) and as one RoundProgram of machine-independent
+// steps.
 // Every configuration must produce bit-identical inbox fingerprints and
 // identical ledger round/word totals; the bench aborts if any executor
 // disagrees.
@@ -47,12 +45,11 @@ int main(int argc, char** argv) {
       argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 6;
 
   arbor::bench::banner(
-      "E-engine: round throughput vs. thread count and scheduler mode",
+      "E-engine: round throughput vs. thread count",
       "Claim: the flat-buffer parallel engine sustains >= 2x the round "
-      "throughput of the serial reference executor at 8 threads, and the "
-      "async RoundProgram scheduler adds further throughput over strict "
-      "three-phase rounds — with bit-identical inboxes and identical "
-      "ledger totals in every mode.");
+      "throughput of the serial reference executor at 8 threads — with "
+      "bit-identical inboxes and identical ledger totals in every mode, "
+      "run imperatively or as one RoundProgram.");
 
   arbor::util::SplitRng rng(7);
   const arbor::graph::Graph g = arbor::graph::gnm(n, m, rng);
@@ -79,14 +76,8 @@ int main(int argc, char** argv) {
       {"parallel(2)", ExecutionPolicy::parallel(2), false},
       {"parallel(4)", ExecutionPolicy::parallel(4), false},
       {"parallel(8)", ExecutionPolicy::parallel(8), false},
-      {"parallel(4)/strict", ExecutionPolicy::parallel(4).with_async(false),
-       true},
-      {"parallel(4)/async", ExecutionPolicy::parallel(4).with_async(true),
-       true},
-      {"parallel(8)/strict", ExecutionPolicy::parallel(8).with_async(false),
-       true},
-      {"parallel(8)/async", ExecutionPolicy::parallel(8).with_async(true),
-       true},
+      {"parallel(4)/program", ExecutionPolicy::parallel(4), true},
+      {"parallel(8)/program", ExecutionPolicy::parallel(8), true},
       // The storm as a distributed program across worker runtimes behind
       // the src/net/ transport — same fingerprints and ledger totals, real
       // address-space isolation (tcp = separate OS processes + sockets).
@@ -111,11 +102,9 @@ int main(int argc, char** argv) {
   tracer.force_metrics(true);
 
   arbor::bench::Table table({"executor", "ms", "rounds/s", "Mwords/s",
-                             "speedup", "overlapped", "fingerprint"});
+                             "speedup", "fingerprint"});
   StormOutcome serial_out;
   double speedup_at_8 = 0;
-  double async_vs_strict_at_8 = 0;
-  double strict8_secs = 0;
   for (const Config& config : configs) {
     ClusterConfig cfg = base;
     cfg.execution = config.policy;
@@ -147,12 +136,6 @@ int main(int argc, char** argv) {
       }
       if (!config.program && config.policy.threads == 8)
         speedup_at_8 = serial_out.secs / out.secs;
-      if (config.program && config.policy.threads == 8) {
-        if (config.policy.async_rounds)
-          async_vs_strict_at_8 = strict8_secs / out.secs;
-        else
-          strict8_secs = out.secs;
-      }
     }
     char fp[32];
     std::snprintf(fp, sizeof(fp), "%016llx",
@@ -161,8 +144,7 @@ int main(int argc, char** argv) {
     table.add_row({config.name, arbor::bench::fmt(out.secs * 1e3, 1),
                    arbor::bench::fmt(out.rounds / out.secs, 1),
                    arbor::bench::fmt(out.words_moved / out.secs / 1e6, 2),
-                   arbor::bench::fmt(speedup, 2),
-                   arbor::bench::fmt(out.overlapped), fp});
+                   arbor::bench::fmt(speedup, 2), fp});
     const arbor::bench::Percentiles lat =
         arbor::bench::metric_percentiles("round_us");
     report.row()
@@ -173,12 +155,10 @@ int main(int argc, char** argv) {
                             : cfg.transport.workers)
         .set("mode", config.program ? "program" : "imperative")
         .set("threads", config.policy.effective_threads())
-        .set("async", config.policy.async_rounds && config.program)
         .set("ms", out.secs * 1e3)
         .set("rounds_per_sec", out.rounds / out.secs)
         .set("mwords_per_sec", out.words_moved / out.secs / 1e6)
         .set("speedup_vs_serial", speedup)
-        .set("overlapped_rounds", out.overlapped)
         .set("peak_traffic", out.peak_traffic)
         .set("fingerprint", std::string(fp))
         .set("round_us_p50", lat.p50)
@@ -190,10 +170,7 @@ int main(int argc, char** argv) {
   std::printf("\nspeedup at 8 threads vs serial: %.2fx (target >= 2x on "
               "multicore hardware)\n",
               speedup_at_8);
-  std::printf("async vs strict scheduler at parallel(8): %.2fx\n",
-              async_vs_strict_at_8);
   report.meta("speedup_at_8", speedup_at_8);
-  report.meta("async_vs_strict_at_8", async_vs_strict_at_8);
 
   // -------- splitter strategy A/B: the word sample sort program at
   // several cluster widths, coordinator vs. splitter relay tree. The

@@ -59,7 +59,6 @@ struct StormOutcome {
   std::size_t ledger_rounds = 0;
   std::size_t peak_traffic = 0;
   std::size_t engine_width = 1;  ///< actual worker width (after hw clamp)
-  std::size_t overlapped = 0;    ///< rounds fused by the async scheduler
   std::uint64_t fingerprint = 0;
 };
 
@@ -104,9 +103,7 @@ inline StormOutcome run_storm(const std::vector<std::vector<mpc::Word>>& slabs,
 /// independent steps instead of `rounds` imperative run_round calls. The
 /// messages are identical (each step depends only on the immutable slabs
 /// and its round index), so fingerprints and ledger totals must match
-/// run_storm exactly — but here the scheduler may fuse every delivery with
-/// the next round's compute, which is what bench_engine_scaling A/Bs via
-/// ExecutionPolicy::async_rounds. The program is the shared
+/// run_storm exactly. The program is the shared
 /// net::make_storm_program build; on a cluster whose config selects the
 /// loopback/tcp transport it ships with its RemoteSpec and executes
 /// across the worker group instead (the "multiprocess" bench rows).
@@ -132,7 +129,7 @@ inline StormOutcome run_storm_program(
                             : net::make_storm_program(st);
 
   const auto start = std::chrono::steady_clock::now();
-  const auto stats = cluster.run_program(program);
+  cluster.run_program(program);
   out.secs = std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                            start)
                  .count();
@@ -141,7 +138,6 @@ inline StormOutcome run_storm_program(
   out.rounds = cluster.rounds_executed();
   out.ledger_rounds = ledger.total_rounds();
   out.peak_traffic = ledger.peak_round_traffic();
-  out.overlapped = stats.overlapped;
   out.fingerprint = inbox_fingerprint(cluster);
   return out;
 }

@@ -8,9 +8,11 @@
 #                                        # builds the 'tsan' preset and runs
 #                                        # engine_test, level0_programs_test,
 #                                        # level1_distributed_test, net_test,
-#                                        # trace_test, check_test (overlapped
-#                                        # deliver+compute AND pooled-context
-#                                        # reuse must be provably race-free)
+#                                        # trace_test, check_test (pooled
+#                                        # compute + zero-copy scatter staging
+#                                        # on a real 4-thread pool AND
+#                                        # pooled-context reuse must be
+#                                        # provably race-free)
 #   scripts/check.sh --mp                # multi-process smoke stage only:
 #                                        # driver + 2 local arbor-worker
 #                                        # processes over loopback TCP run
@@ -178,7 +180,9 @@ if [[ "${1:-}" == "--tsan" ]]; then
   cmake --build build-tsan -j"${JOBS}" \
     --target engine_test level0_programs_test level1_distributed_test \
              net_test trace_test check_test arbor-worker
-  echo "== tsan: engine_test =="
+  echo "== tsan: engine_test (Scheduler.Pooled*WithRealThreads drive the"
+  echo "         parallel compute and the pooled scatter staging on an"
+  echo "         unclamped 4-thread pool) =="
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/engine_test
   echo "== tsan: level0_programs_test (DeterminismMatrix's parallel(4)"
   echo "         rows drive the worker-staged zero-copy direct scatter:"

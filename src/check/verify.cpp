@@ -26,11 +26,11 @@ void verify_steps(const engine::RoundProgram& program) {
 
   // A step NAME is a ledger label; reusing one across steps is legal and
   // deliberate (sample sort charges every tree level to the same label).
-  // What a name must not do is flip kind: the scheduler picks the fused
-  // vs strict phase sequence per step, and a label that is sometimes
-  // independent and sometimes a barrier makes every per-label diagnostic
-  // (ledger peaks, round_us histograms, cap violations) ambiguous about
-  // which schedule produced it.
+  // What a name must not do is flip kind: the kind decides whether the
+  // checked-execution Monitor replays the step under an adversarial
+  // machine order, and a label that is sometimes independent and sometimes
+  // a barrier makes every per-label race diagnostic ambiguous about which
+  // contract the step was held to.
   std::map<std::string, engine::StepKind> kinds;
   for (std::size_t i = 0; i < program.steps.size(); ++i) {
     const engine::ProgramStep& step = program.steps[i];

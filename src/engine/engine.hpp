@@ -1,7 +1,7 @@
 // Parallel round executor for Cluster-style synchronous MPC rounds.
 //
 // The Engine bundles the worker pool and a Scheduler (scheduler.hpp — the
-// actual three-phase / overlapped executor) but holds no per-cluster state;
+// actual round executor) but holds no per-cluster state;
 // RoundState (round_state.hpp, owned by each Cluster) carries the inboxes
 // and outbox banks. One Engine may therefore be shared by several clusters,
 // as long as calls into it are serialized — the scheduler's reentrancy
@@ -64,21 +64,10 @@ class Engine {
     return pool_ ? pool_->size() : 1;
   }
 
-  /// Matching RoundState representation for this engine's policy: flat
-  /// word arenas everywhere except checked execution, which keeps the
-  /// nested per-message vectors of the original reference executor (the
-  /// representation the framework tests were written against, preserved
-  /// where determinism is being verified rather than speed measured).
-  RoundState make_state(std::size_t machines) const {
-    return RoundState(machines, !policy_.check);
-  }
-
   /// Execute a RoundProgram: every step is one synchronous round (capacity
-  /// caps enforced on both sides), with delivery of round r overlapped into
-  /// the compute of round r+1 where the program and policy allow (see
-  /// scheduler.hpp). `first_round_index` only feeds error messages;
-  /// `on_round` fires once per completed round for ledger charging. Not
-  /// thread-safe: serialize calls per Engine.
+  /// caps enforced on both sides; see scheduler.hpp). `first_round_index`
+  /// only feeds error messages; `on_round` fires once per completed round
+  /// for ledger charging. Not thread-safe: serialize calls per Engine.
   ProgramStats run_program(RoundState& state, std::size_t capacity,
                            std::size_t first_round_index,
                            const RoundProgram& program,

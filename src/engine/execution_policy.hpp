@@ -1,14 +1,12 @@
 // How a cluster executes its synchronous rounds.
 //
-// serial() steps machines one after another on the calling thread in
-// strict three-phase rounds — the reference ORDER semantics the framework
-// tests were written against (its flat pool-less rounds ride the
-// scheduler's zero-copy route+deliver pass). parallel(k) partitions
-// machines across k worker threads and overlaps delivery with the next
-// compute where the program allows. checked() additionally keeps the
-// original nested per-message-vector inbox representation while the
-// Monitor verifies the step contracts. All modes produce bit-identical
-// inboxes and ledger totals (tests/engine_test.cpp).
+// serial() steps machines one after another on the calling thread — the
+// reference ORDER semantics the framework tests were written against.
+// parallel(k) partitions machines across k worker threads. checked() runs
+// every compute phase through the Monitor, which verifies the step
+// contracts. Every mode delivers through the scheduler's one zero-copy
+// route+deliver pass and produces bit-identical inboxes and ledger totals
+// (tests/engine_test.cpp).
 #pragma once
 
 #include <cstddef>
@@ -23,19 +21,11 @@ struct ExecutionPolicy {
   Mode mode = Mode::kSerial;
   std::size_t threads = 1;
 
-  /// Overlap delivery of round r with compute of round r+1 inside
-  /// RoundPrograms whose next step is machine-independent (see
-  /// engine/program.hpp). Bit-identical to strict three-phase execution —
-  /// inboxes, fingerprints, and ledger totals all agree — so it defaults
-  /// on; flip it off to A/B the overlap (bench_engine_scaling does). The
-  /// serial reference executor ignores it and always runs strict.
-  bool async_rounds = true;
-
   /// Checked execution (src/check/): every compute phase runs through the
   /// model-race Monitor, which verifies the StepFn ownership contracts and
   /// replays machine-independent steps under an adversarial machine order.
-  /// Forces strict (non-overlapped) single-threaded compute so violations
-  /// are deterministic; outputs stay bit-identical to an unchecked run.
+  /// Forces single-threaded compute so violations are deterministic;
+  /// outputs stay bit-identical to an unchecked run.
   /// Off by default and zero-cost when off.
   bool check = false;
 
@@ -58,13 +48,6 @@ struct ExecutionPolicy {
   }
 
   bool is_parallel() const noexcept { return mode == Mode::kParallel; }
-
-  /// Same policy with asynchronous round overlap forced on or off.
-  ExecutionPolicy with_async(bool on) const noexcept {
-    ExecutionPolicy p = *this;
-    p.async_rounds = on;
-    return p;
-  }
 
   /// Same policy with checked execution forced on or off.
   ExecutionPolicy with_check(bool on) const noexcept {

@@ -4,9 +4,9 @@
 // The engine never materializes a std::vector per message: an Inbox is one
 // Word arena plus an (offset, length) record per message, both reused across
 // rounds (clear() keeps capacity). Step functions and tests access messages
-// through InboxView/MessageView, which also adapt the serial reference
-// executor's nested vector-of-vectors storage — so the same program text
-// runs unchanged on either executor.
+// through InboxView/MessageView, which read the flat arena and the
+// scheduler's zero-copy ScatterInbox alike — so the same program text runs
+// unchanged over either.
 #pragma once
 
 #include <algorithm>
@@ -49,7 +49,7 @@ struct Inbox {
 };
 
 /// One machine's received messages as spans into the sender arenas — the
-/// zero-copy inbox the scheduler's routing-table-free delivery produces.
+/// zero-copy inbox the scheduler's delivery produces.
 /// The spans alias the frozen outbox bank of the round that delivered
 /// them, so they stay valid for exactly one round (the banks alternate);
 /// the scheduler materializes them into flat Inboxes at program end, which
@@ -96,19 +96,16 @@ class MessageView {
 };
 
 /// Read-only view over one machine's inbox, independent of whether the
-/// storage is a flat arena (engine) or nested vectors (serial reference).
+/// storage is a flat arena or scatter spans.
 class InboxView {
  public:
   InboxView() = default;
   explicit InboxView(const Inbox& flat) : flat_(&flat) {}
   explicit InboxView(const ScatterInbox& scatter) : scatter_(&scatter) {}
-  explicit InboxView(const std::vector<std::vector<Word>>& nested)
-      : nested_(&nested) {}
 
   std::size_t size() const noexcept {
     if (flat_) return flat_->message_count();
     if (scatter_) return scatter_->msgs.size();
-    if (nested_) return nested_->size();
     return 0;
   }
   bool empty() const noexcept { return size() == 0; }
@@ -116,8 +113,7 @@ class InboxView {
   MessageView operator[](std::size_t i) const {
     ARBOR_DCHECK(i < size());
     if (flat_) return MessageView(flat_->message(i));
-    if (scatter_) return MessageView(scatter_->msgs[i]);
-    return MessageView(std::span<const Word>((*nested_)[i]));
+    return MessageView(scatter_->msgs[i]);
   }
   MessageView front() const { return (*this)[0]; }
 
@@ -125,10 +121,7 @@ class InboxView {
   std::size_t total_words() const noexcept {
     if (flat_) return flat_->word_count();
     if (scatter_) return scatter_->words;
-    std::size_t total = 0;
-    if (nested_)
-      for (const auto& msg : *nested_) total += msg.size();
-    return total;
+    return 0;
   }
 
   class iterator {
@@ -165,7 +158,6 @@ class InboxView {
  private:
   const Inbox* flat_ = nullptr;
   const ScatterInbox* scatter_ = nullptr;
-  const std::vector<std::vector<Word>>* nested_ = nullptr;
 };
 
 }  // namespace arbor::engine

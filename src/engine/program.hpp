@@ -2,14 +2,11 @@
 // Scheduler executes.
 //
 // A protocol used to drive Cluster::run_round imperatively, one lambda per
-// round, with a hard barrier between every compute, route, and deliver
-// phase. A RoundProgram instead declares the whole protocol up front as a
-// sequence of step descriptors, which lets the scheduler pipeline phases:
-// when the NEXT step is tagged machine-independent, the delivery of round r
-// and the compute of round r+1 run fused in one parallel phase (see
-// scheduler.hpp). Programs are also the single choke point a future
-// multi-process backend needs — a program is data, an ad-hoc lambda chain
-// is not.
+// round. A RoundProgram instead declares the whole protocol up front as a
+// sequence of step descriptors, each tagged with the contract its step
+// function keeps (StepKind — checked execution verifies the tag). Programs
+// are also the single choke point the multi-process backend needs — a
+// program is data, an ad-hoc lambda chain is not.
 #pragma once
 
 #include <cstddef>
@@ -47,7 +44,10 @@ namespace arbor::engine {
 using StepFn =
     std::function<void(std::size_t, const InboxView&, Sender&)>;
 
-/// How a step may be scheduled relative to the previous round's delivery.
+/// Which contract a step function keeps. Execution is identical for both
+/// kinds — every step is one synchronous round — but checked execution
+/// replays machine-independent steps under an adversarial machine order
+/// (check/monitor.hpp) to prove the tag honest.
 enum class StepKind : std::uint8_t {
   /// MACHINE-INDEPENDENT CONTRACT (strictly stronger than the StepFn
   /// concurrency contract above): machine m's invocation depends only on
@@ -57,14 +57,12 @@ enum class StepKind : std::uint8_t {
   ///   (c) shared state that is immutable for the whole program.
   /// In particular it must NOT read per-machine state written by OTHER
   /// machines' step invocations, nor global aggregates updated between
-  /// rounds. Under this contract the scheduler may start machine m's
-  /// compute as soon as m's inbox is delivered, while other machines'
-  /// deliveries of the previous round are still in flight.
+  /// rounds. Under this contract machine m's output is the same whatever
+  /// order the machines run in.
   kMachineIndependent,
-  /// The step needs the previous round fully delivered on every machine
-  /// before any compute starts (e.g. it reads state a continue callback or
-  /// another machine's step maintains). Executed with the strict
-  /// three-phase compute/route/deliver sequence.
+  /// The step may read state a continue callback or another machine's
+  /// earlier step maintains, so it relies on the previous round being
+  /// fully committed on every machine before any compute starts.
   kBarrier,
 };
 
@@ -258,10 +256,6 @@ struct RoundStats {
 struct ProgramStats {
   std::size_t rounds = 0;      ///< rounds fully executed (delivered)
   std::size_t passes = 0;      ///< passes over the step list
-  /// Rounds whose compute ran fused with the previous round's delivery
-  /// (asynchronous overlap). 0 under the serial policy, for barrier steps,
-  /// and when ExecutionPolicy::async_rounds is off.
-  std::size_t overlapped = 0;
 };
 
 }  // namespace arbor::engine

@@ -1,12 +1,11 @@
 // Per-cluster message state: inboxes, and double-buffered outboxes.
 //
-// Checked execution keeps inboxes as nested per-message vectors (the
-// original reference representation); everything else keeps them as flat
-// arenas. Both reuse storage across rounds.
-// Outboxes come in two banks: strict execution only ever touches the front
-// bank, while the scheduler's overlapped phase computes round r+1 into the
-// back bank while round r's delivery is still reading the front one (the
-// back bank is allocated lazily, so serial/strict states pay nothing).
+// Inboxes are flat word arenas that reuse storage across rounds. Inside a
+// running program the scheduler's zero-copy delivery replaces them with
+// ScatterInboxes — spans into the outbox bank of the round that sent them —
+// so outboxes come in two banks: each round's compute writes the front
+// bank, and the banks flip at delivery so the next compute writes the
+// other one while the delivered spans stay valid.
 #pragma once
 
 #include <array>
@@ -23,29 +22,21 @@
 namespace arbor::engine {
 
 struct RoundState {
-  RoundState(std::size_t machines, bool flat)
-      : flat_inboxes(flat ? machines : 0),
-        nested_inboxes(flat ? 0 : machines),
-        is_flat(flat) {
-    outbox_banks[0].resize(machines);
+  explicit RoundState(std::size_t machines) : flat_inboxes(machines) {
+    for (std::vector<Outbox>& bank : outbox_banks) bank.resize(machines);
   }
 
   std::size_t num_machines() const noexcept { return outbox_banks[0].size(); }
 
   InboxView inbox(std::size_t m) const {
-    if (!is_flat) return InboxView(nested_inboxes[m]);
     if (scatter_active) return InboxView(scatter_inboxes[m]);
     return InboxView(flat_inboxes[m]);
   }
 
   /// Words currently queued in machine `m`'s inbox.
   std::size_t inbox_words(std::size_t m) const noexcept {
-    if (is_flat)
-      return scatter_active ? scatter_inboxes[m].words
-                            : flat_inboxes[m].word_count();
-    std::size_t total = 0;
-    for (const auto& msg : nested_inboxes[m]) total += msg.size();
-    return total;
+    return scatter_active ? scatter_inboxes[m].words
+                          : flat_inboxes[m].word_count();
   }
 
   /// Deliver `payload` into machine `dst`'s inbox outside of any round
@@ -61,10 +52,7 @@ struct RoundState {
                         std::to_string(queued) + " > " +
                         std::to_string(capacity) + " words in preload");
     ARBOR_DCHECK(!scatter_active);  // programs materialize before returning
-    if (is_flat)
-      flat_inboxes[dst].append(payload);
-    else
-      nested_inboxes[dst].emplace_back(payload.begin(), payload.end());
+    flat_inboxes[dst].append(payload);
   }
 
   /// Drop every queued message, keeping arena capacity (Inbox::clear
@@ -75,12 +63,10 @@ struct RoundState {
   void clear_inboxes() noexcept {
     for (Inbox& inbox : flat_inboxes) inbox.clear();
     for (ScatterInbox& inbox : scatter_inboxes) inbox.clear();
-    for (auto& inbox : nested_inboxes) inbox.clear();
     scatter_active = false;
   }
 
-  /// Outbox bank the current round's compute writes and the current round's
-  /// route/deliver phases read.
+  /// Outbox bank the current round's compute writes and its delivery reads.
   std::vector<Outbox>& front_outboxes() noexcept {
     return outbox_banks[front];
   }
@@ -88,21 +74,12 @@ struct RoundState {
     return outbox_banks[front];
   }
 
-  /// The spare bank for the scheduler's overlapped deliver+compute phase.
-  /// Allocated on first use; call from the scheduling thread before any
-  /// parallel region writes into it.
-  std::vector<Outbox>& back_outboxes() {
-    std::vector<Outbox>& bank = outbox_banks[1 - front];
-    if (bank.size() != num_machines()) bank.resize(num_machines());
-    return bank;
-  }
-
-  /// Swap banks after an overlapped phase: the just-computed back bank
-  /// becomes the front bank the next round routes from.
+  /// Swap banks after a delivery: the delivered bank stays frozen for the
+  /// next round's reads, and the other one takes that round's sends.
   void flip() noexcept { front = 1 - front; }
 
   std::vector<Inbox> flat_inboxes;
-  /// Zero-copy inboxes for the scheduler's routing-table-free delivery:
+  /// Zero-copy inboxes the scheduler's delivery produces:
   /// spans into the frozen outbox bank of the round that delivered them.
   /// `scatter_active` selects which representation inbox(m) reads; the
   /// scheduler materializes scatter contents into flat_inboxes (and drops
@@ -110,10 +87,8 @@ struct RoundState {
   /// program only ever sees the flat representation.
   std::vector<ScatterInbox> scatter_inboxes;
   bool scatter_active = false;
-  std::vector<std::vector<std::vector<Word>>> nested_inboxes;
   std::array<std::vector<Outbox>, 2> outbox_banks;
   std::size_t front = 0;
-  bool is_flat;
 };
 
 }  // namespace arbor::engine

@@ -1,55 +1,33 @@
-// Executes RoundPrograms over a RoundState, overlapping rounds when the
-// program allows it.
+// Executes RoundPrograms over a RoundState, one synchronous round per step.
 //
-// Strict execution (the original three-phase round, still used for barrier
-// steps, the serial policy, and single-step programs):
+// Every round is two phases:
 //
 //   compute — machines are partitioned into contiguous blocks, one per
 //             worker thread; each machine's step function writes into its
-//             own flat Outbox (no sharing, no locks).
-//   route   — a single pass over the outbox records counts per-destination
-//             words, validates the receiver-side traffic cap once per
-//             machine, and builds a routing table grouped by destination
-//             (a stable counting sort by dst) for the phases that need
-//             destination-grouped access.
-//   deliver — destinations are partitioned across the workers; each worker
-//             copies the payloads for its destinations out of the source
-//             arenas into the destination Inbox arenas.
+//             own flat Outbox (no sharing, no locks). Checked execution
+//             runs the phase through the Monitor instead, single-threaded.
+//   deliver — a zero-copy pass (route_and_deliver_direct) counts the
+//             per-destination volume, validates the receiver-side caps,
+//             and records span references into the frozen outbox bank
+//             (ScatterInbox); the banks flip, and the next compute reads
+//             the spans where they lie — no payload word moves.
 //
-// Unchecked flat execution collapses route and deliver into a zero-copy
-// pass (route_and_deliver_direct) that skips the payload copy entirely: it
-// counts volume, validates the caps, and records span references into the
-// frozen outbox bank (ScatterInbox); the banks flip, and the next compute
-// reads the spans where they lie — the same (source asc, send order)
-// delivery order with zero words moved. Pool-less (serial) rounds do it in
-// ONE source-major pass with no routing table; parallel rounds first build
-// the destination-grouped routing table (route(), which also validates the
-// receiver caps with the exact strict-path error text before any inbox
-// mutation), then stage each destination's spans from worker threads —
-// destinations are disjoint, so the staging is lock-free. The final
-// round's spans are materialized into flat inboxes before run() returns,
-// so only the scheduler ever observes the scatter representation.
-//
-// Asynchronous overlap: when the NEXT step of the program is tagged
-// machine-independent (see program.hpp for the contract), the deliver phase
-// of round r and the compute phase of round r+1 run fused in ONE parallel
-// phase. Each worker, for each machine m in its block, first copies m's
-// round-r messages out of the frozen front outbox bank into m's inbox, then
-// immediately runs round r+1's step for m, writing into the back outbox
-// bank; the banks flip at the phase barrier. Machine m's compute therefore
-// starts as soon as m's own inbox is complete — other machines' deliveries
-// may still be in flight — which halves the barrier count per round and
-// overlaps copy-dominated delivery with compute. No writes are shared: the
-// front bank is read-only during the fused phase, inbox m and back-bank
-// slot m are touched only by the worker that owns machine m.
+// Pool-less rounds deliver in ONE source-major pass with no routing table.
+// Under a pool, route() first builds the destination-grouped routing table
+// (a stable counting sort by dst, which also validates the receiver caps)
+// and worker threads then stage each destination's spans — destinations
+// are disjoint, so the staging is lock-free. The caps are validated with
+// the same error text, before any inbox mutation, on both sides of the
+// split, so a violating round leaves the previous round's inboxes current.
+// The final round's spans are materialized into flat inboxes before run()
+// returns, so only the scheduler ever observes the scatter representation.
 //
 // Delivery order is (source machine asc, send order) for every destination
-// in both modes — exactly the order the serial reference executor produces —
-// so inboxes, fingerprints, and ledger totals are bit-identical across
-// {serial, parallel} × {async on, off} (tests/engine_test.cpp,
+// on both sides of the split — exactly the order the serial reference
+// executor produces — so inboxes, fingerprints, and ledger totals are
+// bit-identical across {serial, parallel, checked} (tests/engine_test.cpp,
 // tests/level0_programs_test.cpp). Traffic accounting is computed from
-// per-machine totals in the route phase, so it is exact under concurrency
-// without atomics.
+// per-machine totals, so it is exact under concurrency without atomics.
 #pragma once
 
 #include <cstddef>
@@ -71,12 +49,10 @@ class Monitor;  // check/monitor.hpp
 namespace arbor::engine {
 
 /// Per-round commit hook: invoked once per round when the round is
-/// committed — compute done, caps validated, traffic stats final. Under
-/// strict execution that is after the round's delivery; under async
-/// overlap the round's delivery may still be in flight (it runs fused
-/// with the next compute), so the hook must not inspect inboxes — it is
-/// for accounting (clusters charge their ledgers here), and the charged
-/// totals are identical in every mode, including mid-program throws.
+/// committed — compute done, caps validated, traffic stats final, inboxes
+/// delivered. It is for accounting (clusters charge their ledgers here),
+/// and the charged totals are identical in every mode, including
+/// mid-program throws.
 using RoundHook = std::function<void(const RoundStats&)>;
 
 class Scheduler {
@@ -106,33 +82,35 @@ class Scheduler {
   void compute(RoundState& state, std::size_t capacity,
                const ProgramStep& step, check::Monitor* monitor,
                FetchCache* fetch_cache);
+  /// Build the destination-grouped routing table for the pooled delivery
+  /// (a stable counting sort of the outbox records by destination) and
+  /// validate the caps.
   RoundStats route(RoundState& state, std::size_t capacity,
                    std::size_t round_index, const std::string& step_name);
-  void deliver(RoundState& state);
-  /// Zero-copy route+delivery for flat unchecked rounds: count
-  /// per-destination volume, validate the caps, and stage span references
-  /// into the frozen outbox bank (then flip banks so the spans survive the
-  /// next compute). Pool-less execution does it in ONE source-major pass
-  /// with no routing table; under a pool, route() builds the
-  /// destination-grouped table (and validates the caps) first and worker
-  /// threads stage the spans sharded by destination — disjoint
-  /// destinations, so lock-free. Caps are validated — with route()'s exact
-  /// error text — before any inbox state changes, so a violating round
-  /// leaves the previous round's inboxes intact exactly like the two-phase
-  /// path. Delivery order is identical to deliver(): the counting sort
-  /// groups by destination but keeps (source asc, send order) inside each
-  /// group, which is exactly the order a single source-major pass
-  /// produces.
+  /// Zero-copy route+delivery: count per-destination volume, validate the
+  /// caps, and stage span references into the frozen outbox bank (then
+  /// flip banks so the spans survive the next compute). Pool-less
+  /// execution does it in ONE source-major pass with no routing table;
+  /// under a pool, route() builds the destination-grouped table (and
+  /// validates the caps) first and worker threads stage the spans sharded
+  /// by destination. Caps are validated — with route()'s exact error text
+  /// — before any inbox state changes, so a violating round leaves the
+  /// previous round's inboxes intact. Both sides deliver in (source asc,
+  /// send order): the counting sort groups by destination but keeps that
+  /// order inside each group, which is exactly the order a single
+  /// source-major pass produces.
   RoundStats route_and_deliver_direct(RoundState& state, std::size_t capacity,
                                       std::size_t round_index,
                                       const std::string& step_name);
   /// Copy scatter-delivered spans into the flat inboxes and drop the
-  /// scatter flag; no-op when the last delivery already produced flat
-  /// inboxes. Runs on every program exit path.
+  /// scatter flag; no-op when no round delivered. Runs on every program
+  /// exit path.
   void materialize_scatter(RoundState& state);
-  void deliver_and_compute(RoundState& state, std::size_t capacity,
-                           const ProgramStep& next_step,
-                           FetchCache* fetch_cache);
+  /// Receiver-side cap over recv_words_, validated once per machine and
+  /// naming the offender; folds the largest receive volume into `stats`.
+  void check_receive_caps(std::size_t capacity, std::size_t round_index,
+                          const std::string& step_name,
+                          RoundStats& stats) const;
 
   ExecutionPolicy policy_;
   ThreadPool* pool_;  // null => phases run inline

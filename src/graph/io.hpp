@@ -1,6 +1,9 @@
 // Plain-text edge-list I/O, used by the examples so users can bring their
 // own graphs. Format: first line "n m", then one "u v" pair per line,
-// 0-indexed. Lines starting with '#' are comments.
+// 0-indexed. Lines starting with '#' are comments. The reader is strict:
+// n must fit the VertexId range, every id must be < n, a line carries
+// exactly its fields, and the edge lines must number exactly m; any
+// violation throws InvariantError naming the 1-based line.
 #pragma once
 
 #include <iosfwd>

@@ -65,10 +65,8 @@ struct PeelState {
 //      post-round update excluded same-round peels), and notifies the
 //      machines hosting remote neighbors.
 // The step is tagged barrier — the canonical case: it reads `round`, a
-// global the continue callback advances at the pass boundary, so it must
-// not be scheduled while a previous round is still delivering. (A
-// single-step repeated program never fuses anyway — the continue hook is
-// itself a barrier — but the tag records the contract, not the accident.)
+// global the continue callback advances at the pass boundary, which the
+// machine-independent contract forbids.
 engine::RoundProgram make_peel_program(std::shared_ptr<PeelState> st) {
   engine::RoundProgram program;
   program.barrier("peel.round", [st](std::size_t m, const auto& inbox,

@@ -65,8 +65,7 @@ struct BroadcastState {
 // height identical machine-independent steps. Each step touches only
 // machine-owned slots (has[m], holds[m]) and its own inbox: a machine
 // adopts the payload the moment its copy arrives, then fans it out to
-// its children, so the scheduler can overlap every delivery with the
-// next level's compute.
+// its children.
 engine::RoundProgram make_broadcast_program(
     std::shared_ptr<BroadcastState> st) {
   const std::size_t height = tree_height(st->machines, st->fanout);
@@ -130,7 +129,7 @@ struct ConvergeState {
 // sending one round earlier — have reported. Each step folds the inbox
 // into the machine's own partial sum and forwards it if this is the
 // machine's send round; partial[m] is machine-owned, so every step is
-// machine-independent and the levels pipeline under the async scheduler.
+// machine-independent.
 engine::RoundProgram make_converge_program(std::shared_ptr<ConvergeState> st) {
   const std::size_t height = tree_height(st->machines, st->fanout);
   engine::RoundProgram program;

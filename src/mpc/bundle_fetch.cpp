@@ -107,8 +107,7 @@ struct FetchState {
 };
 
 // Three machine-independent steps; every step touches only its machine's
-// inbox and the delivered/bundle slots its block owns, so the scheduler
-// overlaps each delivery with the next step's compute.
+// inbox and the delivered/bundle slots its block owns.
 engine::RoundProgram make_fetch_program(std::shared_ptr<FetchState> st) {
   const std::size_t machines = st->machines;
   engine::RoundProgram program;

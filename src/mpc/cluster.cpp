@@ -55,8 +55,6 @@ std::size_t arena_high_water(const engine::RoundState& state) {
     words += inbox.words.capacity();
   for (const auto& bank : state.outbox_banks)
     for (const engine::Outbox& outbox : bank) words += outbox.words.capacity();
-  for (const auto& inbox : state.nested_inboxes)
-    for (const auto& msg : inbox) words += msg.capacity();
   return words;
 }
 
@@ -67,7 +65,7 @@ Cluster::Cluster(ClusterConfig config, RoundLedger* ledger)
       ledger_(ledger),
       owned_engine_(std::make_unique<engine::Engine>(config.execution)),
       engine_(owned_engine_.get()),
-      state_(engine_->make_state(config.num_machines)) {
+      state_(config.num_machines) {
   ARBOR_CHECK(config.num_machines > 0);
   ARBOR_CHECK(config.words_per_machine > 0);
   arm_tracer(config);
@@ -82,7 +80,7 @@ Cluster::Cluster(ClusterConfig config, RoundLedger* ledger,
     : config_(config),
       ledger_(ledger),
       engine_(&deref_engine(engine)),
-      state_(engine_->make_state(config.num_machines)) {
+      state_(config.num_machines) {
   ARBOR_CHECK(config.num_machines > 0);
   ARBOR_CHECK(config.words_per_machine > 0);
   arm_tracer(config);
@@ -107,15 +105,15 @@ engine::ProgramStats Cluster::run_program(const RoundProgram& program) {
     vctx.registry = &net::Registry::builtin();
   check::verify_program(program, vctx);
 
-  // Rounds are charged as they commit (caps validated, stats final; under
-  // async overlap the delivery may still be in flight), so a program that
-  // throws mid-way leaves the ledger reflecting exactly the rounds the
-  // imperative run_round loop would have charged — in every mode. Each
-  // round is charged under its step's name (the hook fires once per round
-  // in step order on every backend, so the label is recovered from the
-  // per-program round counter). The same hook accumulates the per-label
-  // usage the post-run RunReport and bound audit consume — driver-side
-  // aggregates, bit-identical across backends and transports.
+  // Rounds are charged as they commit (caps validated, stats final), so a
+  // program that throws mid-way leaves the ledger reflecting exactly the
+  // rounds the imperative run_round loop would have charged — in every
+  // mode. Each round is charged under its step's name (the hook fires
+  // once per round in step order on every backend, so the label is
+  // recovered from the per-program round counter). The same hook
+  // accumulates the per-label usage the post-run RunReport and bound audit
+  // consume — driver-side aggregates, bit-identical across backends and
+  // transports.
   std::vector<obs::LabelUsage> usage;
   usage.reserve(program.steps_per_pass());
   obs::Watchdog::ProgramScope watchdog(obs::Watchdog::global(), program,

@@ -12,17 +12,16 @@
 // ExecutionPolicy knob on ClusterConfig selects the serial reference
 // executor or the thread-pool-backed parallel engine. Protocols declare
 // their rounds as engine::RoundPrograms (run_program) — a sequence of step
-// descriptors, each tagged machine-independent or barrier — which lets the
-// scheduler overlap round r's delivery with round r+1's compute;
-// run_round survives as the one-step program. Every mode — serial or
-// parallel, overlap on or off — produces bit-identical inboxes and ledger
-// totals (tests/engine_test.cpp, tests/level0_programs_test.cpp), so any
-// program written against this API can be flipped between executors
-// without behavioural change — PROVIDED its step functions honour the
-// engine::StepFn concurrency contract (and, for steps tagged
-// machine-independent, the stricter contract in src/engine/program.hpp):
-// under a parallel policy steps run concurrently for different machines
-// and must only write machine-owned state.
+// descriptors, each tagged machine-independent or barrier (checked
+// execution verifies the tag); run_round survives as the one-step program.
+// Every mode — serial, parallel, or checked — produces bit-identical
+// inboxes and ledger totals (tests/engine_test.cpp,
+// tests/level0_programs_test.cpp), so any program written against this API
+// can be flipped between executors without behavioural change — PROVIDED
+// its step functions honour the engine::StepFn concurrency contract (and,
+// for steps tagged machine-independent, the stricter contract in
+// src/engine/program.hpp): under a parallel policy steps run concurrently
+// for different machines and must only write machine-owned state.
 #pragma once
 
 #include <cstdint>
@@ -104,9 +103,8 @@ class Cluster {
   }
 
   /// Execute a RoundProgram: every step is one synchronous round charged
-  /// to the ledger individually, with delivery/compute overlap where the
-  /// program's step tags and the execution policy allow. Returns the
-  /// program's execution stats (rounds, passes, overlapped rounds).
+  /// to the ledger individually. Returns the program's execution stats
+  /// (rounds, passes).
   engine::ProgramStats run_program(const RoundProgram& program);
 
   /// Execute one synchronous round — a one-step barrier program: every

@@ -155,8 +155,7 @@ std::vector<Word> sorted_pool(const engine::InboxView& inbox, std::size_t kw,
 // Final compute-only round of the record sorts (either strategy): each
 // bucket machine assembles its routed records into its result slot, sorted
 // — inside a round so the engine spreads the final sorts across its
-// workers, and under the async scheduler overlapping the last route
-// round's delivery. Each step writes only its own preallocated result
+// workers. Each step writes only its own preallocated result
 // slab, honouring the concurrency contract. Under merge_path AND
 // aggregate_routes the routed messages are contiguous sorted spans of
 // senders' key-sorted slabs, so the slab is a k-way merge instead of a

@@ -484,21 +484,10 @@ engine::ProgramStats ProcessGroup::run(engine::RoundState& state,
     const auto [begin, end] = machine_block(machines, W, w);
     for (std::size_t m = begin; m < end; ++m) {
       const std::size_t num_msgs = reader.count();
-      if (state.is_flat) {
-        state.scatter_active = false;  // write-back restores the flat form
-        engine::Inbox& inbox = state.flat_inboxes[m];
-        inbox.clear();
-        for (std::size_t i = 0; i < num_msgs; ++i)
-          inbox.append(reader.words(reader.count()));
-      } else {
-        auto& inbox = state.nested_inboxes[m];
-        inbox.clear();
-        inbox.reserve(num_msgs);
-        for (std::size_t i = 0; i < num_msgs; ++i) {
-          const std::span<const Word> msg = reader.words(reader.count());
-          inbox.emplace_back(msg.begin(), msg.end());
-        }
-      }
+      engine::Inbox& inbox = state.flat_inboxes[m];
+      inbox.clear();
+      for (std::size_t i = 0; i < num_msgs; ++i)
+        inbox.append(reader.words(reader.count()));
     }
     reader.expect_end();
   }
@@ -524,7 +513,6 @@ engine::ProgramStats ProcessGroup::run(engine::RoundState& state,
   engine::ProgramStats out;
   out.rounds = executed;
   out.passes = passes;
-  out.overlapped = 0;  // lockstep rounds; overlap is an in-process detail
   return out;
 }
 

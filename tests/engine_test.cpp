@@ -9,6 +9,8 @@
 #include <algorithm>
 #include <atomic>
 #include <numeric>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "engine/engine.hpp"
@@ -120,13 +122,21 @@ TEST(Inbox, FlatAppendAndViews) {
   EXPECT_TRUE(engine::InboxView(inbox).empty());
 }
 
-TEST(Inbox, NestedViewAdaptsVectors) {
-  const std::vector<std::vector<Word>> nested{{4, 5}, {6}};
-  const engine::InboxView view(nested);
+// A scatter inbox reads its messages where the sender wrote them.
+TEST(Inbox, ScatterViewReadsSpansInPlace) {
+  const std::vector<Word> arena{4, 5, 6};
+  engine::ScatterInbox scatter;
+  scatter.msgs = {std::span<const Word>(arena.data(), 2),
+                  std::span<const Word>(arena.data() + 2, 1)};
+  scatter.words = 3;
+  const engine::InboxView view(scatter);
   ASSERT_EQ(view.size(), 2u);
   EXPECT_EQ(view.total_words(), 3u);
   EXPECT_EQ(view[0], (std::vector<Word>{4, 5}));
   EXPECT_EQ(view[1][0], 6u);
+  EXPECT_EQ(view[0].begin(), arena.data());  // no copy
+  scatter.clear();
+  EXPECT_TRUE(engine::InboxView(scatter).empty());
 }
 
 // -------------------------------------------- record slabs & bulk routing
@@ -620,61 +630,6 @@ engine::RoundProgram ring_program(std::size_t machines, std::size_t steps) {
   return program;
 }
 
-TEST(Scheduler, AsyncOverlapBitIdenticalToStrict) {
-  std::vector<std::uint64_t> fingerprints;
-  std::vector<std::size_t> peaks;
-  for (const auto& policy :
-       {ExecutionPolicy::serial(), ExecutionPolicy::parallel(4).with_async(false),
-        ExecutionPolicy::parallel(4).with_async(true),
-        ExecutionPolicy::parallel(1).with_async(true)}) {
-    ClusterConfig cfg{16, 256};
-    cfg.execution = policy;
-    RoundLedger ledger(cfg);
-    Cluster cluster(cfg, &ledger);
-    const auto stats = cluster.run_program(ring_program(16, 6));
-    EXPECT_EQ(stats.rounds, 6u);
-    EXPECT_EQ(ledger.total_rounds(), 6u);
-    fingerprints.push_back(inbox_fingerprint(cluster));
-    peaks.push_back(ledger.peak_round_traffic());
-  }
-  for (std::size_t i = 1; i < fingerprints.size(); ++i) {
-    EXPECT_EQ(fingerprints[i], fingerprints[0]) << "policy " << i;
-    EXPECT_EQ(peaks[i], peaks[0]) << "policy " << i;
-  }
-}
-
-TEST(Scheduler, OverlapAccounting) {
-  // All-independent program: every round but the last fuses with the next
-  // step's compute.
-  {
-    ClusterConfig cfg{8, 256};
-    cfg.execution = ExecutionPolicy::parallel(2);  // async defaults on
-    Cluster cluster(cfg, nullptr);
-    const auto stats = cluster.run_program(ring_program(8, 4));
-    EXPECT_EQ(stats.rounds, 4u);
-    EXPECT_EQ(stats.overlapped, 3u);
-  }
-  // A barrier step in the middle breaks exactly one fusion opportunity.
-  {
-    ClusterConfig cfg{8, 256};
-    cfg.execution = ExecutionPolicy::parallel(2);
-    Cluster cluster(cfg, nullptr);
-    engine::RoundProgram program;
-    const auto noop = [](std::size_t, const auto&, Sender&) {};
-    program.independent(noop).barrier(noop).independent(noop);
-    EXPECT_EQ(cluster.run_program(program).overlapped, 1u);
-  }
-  // Async off or serial: never overlapped.
-  for (const auto& policy :
-       {ExecutionPolicy::parallel(2).with_async(false),
-        ExecutionPolicy::serial()}) {
-    ClusterConfig cfg{8, 256};
-    cfg.execution = policy;
-    Cluster cluster(cfg, nullptr);
-    EXPECT_EQ(cluster.run_program(ring_program(8, 4)).overlapped, 0u);
-  }
-}
-
 TEST(Scheduler, RepeatWhileRunsContinueHookAtBarrier) {
   ClusterConfig cfg{4, 64};
   cfg.execution = ExecutionPolicy::parallel(2);
@@ -747,14 +702,11 @@ TEST(Scheduler, ContinueCallbackCannotReenter) {
 }
 
 // A throw in step k+1's compute must leave round k charged in EVERY mode:
-// the strict executor charges a round before the next compute runs, and
-// the fused path commits the round (caps validated, stats exact) before
-// launching the overlapped compute — otherwise ledger totals would diverge
-// between async and strict exactly on the error paths the caps exist for.
+// a round is charged when it commits, before the next compute runs.
 TEST(Scheduler, MidProgramThrowChargesCompletedRoundsIdentically) {
   for (const auto& policy :
-       {ExecutionPolicy::serial(), ExecutionPolicy::parallel(2).with_async(false),
-        ExecutionPolicy::parallel(2).with_async(true)}) {
+       {ExecutionPolicy::serial(), ExecutionPolicy::parallel(2),
+        ExecutionPolicy::checked()}) {
     ClusterConfig cfg{4, 4};
     cfg.execution = policy;
     RoundLedger ledger(cfg);
@@ -767,10 +719,64 @@ TEST(Scheduler, MidProgramThrowChargesCompletedRoundsIdentically) {
       if (m == 1) send.send(0, {1, 2, 3, 4, 5});  // 5 > 4 send cap
     });
     EXPECT_THROW(cluster.run_program(program), arbor::InvariantError);
-    EXPECT_EQ(ledger.total_rounds(), 1u) << "policy async="
-                                         << policy.async_rounds;
+    EXPECT_EQ(ledger.total_rounds(), 1u)
+        << "policy threads=" << policy.threads << " check=" << policy.check;
     EXPECT_EQ(cluster.rounds_executed(), 1u);
   }
+}
+
+// The zero-copy delivery validates the receiver caps before it touches any
+// inbox: a round that overflows a receiver throws route()'s exact text and
+// leaves the previous round's delivery current — in every policy.
+TEST(Scheduler, ReceiveCapViolationKeepsPreviousRoundInboxes) {
+  const std::string expected =
+      "machine 0 exceeded receive capacity: 8 > 4 words in round 1 "
+      "(cap.overflow)";
+  std::vector<std::string> errors;
+  for (const auto& policy :
+       {ExecutionPolicy::serial(), ExecutionPolicy::parallel(2),
+        ExecutionPolicy::checked()}) {
+    SCOPED_TRACE("policy threads=" + std::to_string(policy.threads) +
+                 " check=" + std::to_string(policy.check));
+    ClusterConfig cfg{4, 4};
+    cfg.execution = policy;
+    RoundLedger ledger(cfg);
+    Cluster cluster(cfg, &ledger);
+    engine::RoundProgram program;
+    program.independent("cap.deliver", [](std::size_t m, const auto&,
+                                          Sender& send) {
+      send.send((m + 1) % 4, {100 + m, 200 + m});
+    });
+    // Every sender stays within its 4-word send cap, but machine 0
+    // receives 4 × 2 = 8 words.
+    program.independent("cap.overflow", [](std::size_t m, const auto&,
+                                           Sender& send) {
+      send.send(0, {m, m});
+    });
+    try {
+      cluster.run_program(program);
+      FAIL() << "expected a receive-capacity violation";
+    } catch (const arbor::InvariantError& e) {
+      const std::string what = e.what();
+      ASSERT_GE(what.size(), expected.size()) << what;
+      EXPECT_EQ(what.substr(what.size() - expected.size()), expected) << what;
+      errors.push_back(what);
+    }
+    EXPECT_EQ(ledger.total_rounds(), 1u);
+    EXPECT_EQ(cluster.rounds_executed(), 1u);
+    for (std::size_t m = 0; m < 4; ++m) {
+      const std::size_t left = (m + 3) % 4;
+      ASSERT_EQ(cluster.inbox(m).size(), 1u) << "machine " << m;
+      EXPECT_EQ(cluster.inbox(m).front(),
+                (std::vector<Word>{100 + left, 200 + left}))
+          << "machine " << m;
+    }
+  }
+  // One cap check serves every delivery shape: the full text, including
+  // the throw site, is the same in every policy.
+  ASSERT_EQ(errors.size(), 3u);
+  EXPECT_EQ(errors[1], errors[0]);
+  EXPECT_EQ(errors[2], errors[0]);
 }
 
 TEST(Scheduler, EmptyProgramRejected) {
@@ -780,35 +786,33 @@ TEST(Scheduler, EmptyProgramRejected) {
 }
 
 // The Engine clamps its pool to the hardware concurrency, so on a
-// single-core CI box the fused deliver+compute phase runs inline. Driving
-// the Scheduler directly with an unclamped ThreadPool forces the phase to
-// run genuinely multi-threaded — this is the test ThreadSanitizer must
-// hold race-free (scripts/check.sh --tsan).
-TEST(Scheduler, FusedPhaseRaceFreeWithRealThreads) {
+// single-core CI box its parallel rounds run inline. Driving the Scheduler
+// directly with an unclamped ThreadPool forces the parallel compute and the
+// pooled scatter staging to run genuinely multi-threaded — this is the test
+// ThreadSanitizer must hold race-free (scripts/check.sh --tsan).
+TEST(Scheduler, PooledScatterRaceFreeWithRealThreads) {
   const std::size_t machines = 64;
   const std::size_t capacity = 1024;
   const std::size_t steps = 8;
 
-  // Reference: strict execution, no pool.
-  engine::Scheduler strict(ExecutionPolicy::parallel(1).with_async(false),
-                           nullptr);
-  engine::RoundState strict_state(machines, /*flat=*/true);
-  strict.run(strict_state, capacity, 0, ring_program(machines, steps), {});
+  // Reference: no pool, so every round takes the source-major pass.
+  engine::Scheduler inline_scheduler(ExecutionPolicy::serial(), nullptr);
+  engine::RoundState inline_state(machines);
+  inline_scheduler.run(inline_state, capacity, 0,
+                       ring_program(machines, steps), {});
 
-  // Async execution on a real 4-way pool: every delivery of rounds
-  // 0..steps-2 runs fused with the next round's compute across workers.
+  // A real 4-way pool: every round's compute and scatter staging are
+  // sharded across workers.
   engine::ThreadPool pool(4);
-  engine::Scheduler async(ExecutionPolicy::parallel(4).with_async(true),
-                          &pool);
-  engine::RoundState async_state(machines, /*flat=*/true);
+  engine::Scheduler pooled(ExecutionPolicy::parallel(4), &pool);
+  engine::RoundState pooled_state(machines);
   const auto stats =
-      async.run(async_state, capacity, 0, ring_program(machines, steps), {});
+      pooled.run(pooled_state, capacity, 0, ring_program(machines, steps), {});
   EXPECT_EQ(stats.rounds, steps);
-  EXPECT_EQ(stats.overlapped, steps - 1);
 
   for (std::size_t m = 0; m < machines; ++m) {
-    const auto a = strict_state.inbox(m);
-    const auto b = async_state.inbox(m);
+    const auto a = inline_state.inbox(m);
+    const auto b = pooled_state.inbox(m);
     ASSERT_EQ(a.size(), b.size()) << "machine " << m;
     for (std::size_t i = 0; i < a.size(); ++i)
       EXPECT_TRUE(a[i] == static_cast<std::vector<Word>>(b[i]))
@@ -816,10 +820,10 @@ TEST(Scheduler, FusedPhaseRaceFreeWithRealThreads) {
   }
 }
 
-// Same multi-threaded fused phase, but on a machine-owned-state workload
-// (each machine mutates its own slab slot every step) — the pattern every
+// Same multi-threaded rounds, but on a machine-owned-state workload (each
+// machine mutates its own slab slot every step) — the pattern every
 // converted protocol uses.
-TEST(Scheduler, FusedPhaseMachineOwnedStateWithRealThreads) {
+TEST(Scheduler, PooledMachineOwnedStateWithRealThreads) {
   const std::size_t machines = 48;
   std::vector<std::vector<Word>> slabs(machines);
   for (std::size_t m = 0; m < machines; ++m) slabs[m] = {m, m + 1};
@@ -837,20 +841,18 @@ TEST(Scheduler, FusedPhaseMachineOwnedStateWithRealThreads) {
     return program;
   };
 
-  std::vector<std::vector<Word>> serial_slabs = slabs;
-  engine::Scheduler strict(ExecutionPolicy::parallel(1).with_async(false),
-                           nullptr);
-  engine::RoundState strict_state(machines, true);
-  strict.run(strict_state, 256, 0, build(serial_slabs), {});
+  std::vector<std::vector<Word>> inline_slabs = slabs;
+  engine::Scheduler inline_scheduler(ExecutionPolicy::serial(), nullptr);
+  engine::RoundState inline_state(machines);
+  inline_scheduler.run(inline_state, 256, 0, build(inline_slabs), {});
 
-  std::vector<std::vector<Word>> async_slabs = slabs;
+  std::vector<std::vector<Word>> pooled_slabs = slabs;
   engine::ThreadPool pool(4);
-  engine::Scheduler async(ExecutionPolicy::parallel(4).with_async(true),
-                          &pool);
-  engine::RoundState async_state(machines, true);
-  async.run(async_state, 256, 0, build(async_slabs), {});
+  engine::Scheduler pooled(ExecutionPolicy::parallel(4), &pool);
+  engine::RoundState pooled_state(machines);
+  pooled.run(pooled_state, 256, 0, build(pooled_slabs), {});
 
-  EXPECT_EQ(async_slabs, serial_slabs);
+  EXPECT_EQ(pooled_slabs, inline_slabs);
 }
 
 // ------------------------------------------------------ preload word cap

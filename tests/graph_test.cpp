@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "graph/builder.hpp"
 #include "graph/graph.hpp"
@@ -144,14 +145,52 @@ TEST(GraphIo, SkipsComments) {
   EXPECT_TRUE(g.has_edge(0, 2));
 }
 
+// `input` must be rejected with an error quoting `fragment` (which names
+// the offending line).
+void expect_rejected(const std::string& input, const std::string& fragment) {
+  std::stringstream ss(input);
+  try {
+    read_edge_list(ss);
+    FAIL() << "accepted: " << input;
+  } catch (const InvariantError& e) {
+    EXPECT_NE(std::string(e.what()).find(fragment), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(GraphIo, RejectsBadHeader) {
-  std::stringstream ss("nonsense\n");
-  EXPECT_THROW(read_edge_list(ss), InvariantError);
+  expect_rejected("nonsense\n", "line 1: bad header line");
+  expect_rejected("# comment\n3\n", "line 2: bad header line");
+  expect_rejected("3 1 7\n0 1\n", "line 1: bad header line");
+  expect_rejected("-3 1\n", "line 1: bad header line");
+  // An n past the 32-bit VertexId range used to reach the allocator.
+  expect_rejected("4294967298 0\n", "line 1: n = 4294967298 exceeds");
+  expect_rejected("", "line 1: end of input before the header line");
 }
 
 TEST(GraphIo, RejectsCountMismatch) {
-  std::stringstream ss("3 2\n0 1\n");
-  EXPECT_THROW(read_edge_list(ss), InvariantError);
+  expect_rejected("3 2\n0 1\n", "line 3: end of input after 1 of");
+  expect_rejected("3 1\n0 1\n1 2\n", "line 3: more edge lines than");
+}
+
+TEST(GraphIo, RejectsHostileEdgeLines) {
+  // 4294967297 used to wrap to vertex 1 before the range check.
+  expect_rejected("3 1\n4294967297 2\n",
+                  "line 2: vertex id 4294967297 out of range for n = 3");
+  expect_rejected("3 1\n0 3\n", "line 2: vertex id 3 out of range");
+  expect_rejected("3 1\n0 2 junk\n", "line 2: bad edge line");
+  expect_rejected("3 1\n0 2x\n", "line 2: bad edge line");
+  expect_rejected("3 1\n0\n", "line 2: bad edge line");
+  expect_rejected("3 1\n# c\n-1 2\n", "line 3: bad edge line");
+  expect_rejected("3 1\n0 99999999999999999999\n", "line 2: bad edge line");
+}
+
+TEST(GraphIo, AcceptsBlanksAndCrLf) {
+  std::stringstream ss("3 2\r\n\t0  1 \r\n2 1\n");
+  const Graph g = read_edge_list(ss);
+  EXPECT_EQ(g.num_vertices(), 3u);
+  EXPECT_TRUE(g.has_edge(0, 1));
+  EXPECT_TRUE(g.has_edge(1, 2));
 }
 
 }  // namespace

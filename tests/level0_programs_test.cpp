@@ -711,12 +711,11 @@ TEST(BundleFetchProgram, RejectsUnknownVertex) {
                arbor::InvariantError);
 }
 
-// -------------------------- determinism matrix: policy × async overlap
+// ------------------------------------ determinism matrix: execution policy
 //
 // Every RoundProgram in the tree must produce identical outputs, inbox
-// fingerprints, and ledger totals across {serial, parallel(4)} × {async
-// on, off} — the async scheduler is an execution detail, never a
-// semantics knob.
+// fingerprints, and ledger totals across {serial, parallel(4), checked} —
+// the policy is an execution detail, never a semantics knob.
 
 std::uint64_t matrix_fingerprint(const Cluster& cluster) {
   std::uint64_t h = util::mix64(0x12345);
@@ -731,10 +730,8 @@ std::uint64_t matrix_fingerprint(const Cluster& cluster) {
 }
 
 std::vector<ExecutionPolicy> determinism_matrix() {
-  return {ExecutionPolicy::serial().with_async(false),
-          ExecutionPolicy::serial().with_async(true),
-          ExecutionPolicy::parallel(4).with_async(false),
-          ExecutionPolicy::parallel(4).with_async(true)};
+  return {ExecutionPolicy::serial(), ExecutionPolicy::parallel(4),
+          ExecutionPolicy::checked()};
 }
 
 /// Ledger + inbox signature of one mode's run.
@@ -949,7 +946,7 @@ TEST(DeterminismMatrix, EmbeddedPeeling) {
 
 // The fallback paths are locked across the same matrix as the defaults:
 // the re-sort baseline (merge_path off) and the uncached fetch path
-// (fetch_cache off) must be every bit as policy/async-independent — the
+// (fetch_cache off) must be every bit as policy-independent — the
 // A/B comparisons above are only meaningful if both arms are
 // deterministic.
 TEST(DeterminismMatrix, RecordSampleSortMergePathOff) {

@@ -697,7 +697,7 @@ TEST(MultiProcessBackend, PerRoundFingerprintsAgreeAcrossTransports) {
     MultiProcessBackend backend(options);
     engine::Engine eng(engine::ExecutionPolicy::serial());
     eng.set_backend(&backend);
-    engine::RoundState state = eng.make_state(8);
+    engine::RoundState state(8);
     const auto program =
         make_distributable_storm_program(storm_state(8, 16, 12, 9));
     const engine::ProgramStats stats =
@@ -736,7 +736,7 @@ TEST(MultiProcessBackend, UnknownProgramNameRejected) {
   MultiProcessBackend backend(options);
   engine::Engine eng(engine::ExecutionPolicy::serial());
   eng.set_backend(&backend);
-  engine::RoundState state = eng.make_state(4);
+  engine::RoundState state(4);
 
   engine::RoundProgram program;
   program.independent([](std::size_t, const auto&, engine::Sender&) {});
@@ -847,7 +847,7 @@ TEST(FailureHandling, KilledWorkerRaisesTransportErrorAndLeavesNoZombies) {
 
   engine::Engine eng(engine::ExecutionPolicy::serial());
   eng.set_backend(&backend);
-  engine::RoundState state = eng.make_state(8);
+  engine::RoundState state(8);
   const auto program =
       make_distributable_storm_program(storm_state(8, 8, 200, 11));
 

@@ -3,7 +3,7 @@
 //   * strict ARBOR_TRACE flag parsing and percentile math;
 //   * tracing is observation only — outputs and ledger totals are
 //     bit-identical with tracing off or full, across {serial, parallel} ×
-//     {async on, off} × {in-process, loopback, tcp:2};
+//     {in-process, loopback, tcp:2};
 //   * the emitted Chrome trace is valid JSON (a real parse, not a grep)
 //     with at least one span per named step of the tree sample sort;
 //   * a traced tcp worker group ships spans and metrics back: the merged
@@ -162,8 +162,7 @@ TEST(TracePerturbation, OffAndFullAreBitIdenticalAcrossBackends) {
   };
   const Backend backends[] = {
       {"serial", mpc::ExecutionPolicy::serial()},
-      {"parallel/strict", mpc::ExecutionPolicy::parallel(2).with_async(false)},
-      {"parallel/async", mpc::ExecutionPolicy::parallel(2).with_async(true)},
+      {"parallel", mpc::ExecutionPolicy::parallel(2)},
       {"loopback:2", mpc::ExecutionPolicy::serial(), TransportConfig::loopback(2)},
       {"tcp:2", mpc::ExecutionPolicy::serial(), TransportConfig::tcp(2)},
   };
@@ -212,7 +211,8 @@ TEST(TraceOutput, ValidJsonWithASpanPerNamedStep) {
   EXPECT_NE(body.find("\"metrics\""), std::string::npos);
 
   // Every named step the ledger charged appears in at least one span name
-  // (the scheduler tags compute/route/deliver spans with the step label).
+  // (the scheduler tags compute and route+deliver spans with the step
+  // label).
   for (const auto& [label, rounds] : run.rounds_by_label) {
     EXPECT_NE(body.find(label), std::string::npos)
         << "no span mentions step " << label;
