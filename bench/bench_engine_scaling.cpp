@@ -7,7 +7,9 @@
 // steps.
 // Every configuration must produce bit-identical inbox fingerprints and
 // identical ledger round/word totals; the bench aborts if any executor
-// disagrees.
+// disagrees. Two smaller sections follow: the splitter-tree word sort at
+// 64 and 256 machines (ms, rounds, splitter-round traffic peak; aborts
+// unless the output equals std::sort), and a checked-execution-off A/B.
 //
 // Results are also written as machine-readable JSON (default
 // BENCH_engine_scaling.json, override with --json PATH) to seed the perf
@@ -172,17 +174,13 @@ int main(int argc, char** argv) {
               speedup_at_8);
   report.meta("speedup_at_8", speedup_at_8);
 
-  // -------- splitter strategy A/B: the word sample sort program at
-  // several cluster widths, coordinator vs. splitter relay tree. The
-  // interesting column is the splitter rounds' per-machine traffic peak
-  // (the ledger's per-label peaks): Θ(p·s)+Θ(p²) at the coordinator,
-  // O(√p·s) in the tree.
+  // -------- splitter tree: the word sample sort program at several
+  // cluster widths. The interesting column is the splitter rounds'
+  // per-machine traffic peak (the ledger's per-label peaks): O(√p·s).
   {
-    using arbor::mpc::SplitterStrategy;
     using arbor::mpc::Word;
     const std::size_t samples = 32;
-    arbor::bench::Table ab({"machines", "variant", "ms", "rounds",
-                            "splitter_peak_w"});
+    arbor::bench::Table ab({"machines", "ms", "rounds", "splitter_peak_w"});
     for (const std::size_t machines : {64u, 256u}) {
       const auto word_slabs = [&] {
         arbor::util::SplitRng sort_rng(31);
@@ -192,55 +190,48 @@ int main(int argc, char** argv) {
             slab.push_back(sort_rng.next_below(1u << 30));
         return slabs;
       }();
-      std::size_t total = 0;
-      for (const auto& slab : word_slabs) total += slab.size();
-      ClusterConfig sort_cfg{machines,
-                             2 * total + machines * (samples + 1) +
-                                 machines * machines};
-      std::vector<Word> reference;
-      for (const SplitterStrategy strategy :
-           {SplitterStrategy::kCoordinator, SplitterStrategy::kTree}) {
-        const bool is_tree = strategy == SplitterStrategy::kTree;
-        arbor::mpc::RoundLedger ledger(sort_cfg);
-        arbor::mpc::Cluster cluster(sort_cfg, &ledger);
-        const auto start = std::chrono::steady_clock::now();
-        const arbor::mpc::SampleSortResult sorted =
-            sample_sort(cluster, word_slabs, samples, strategy);
-        const auto stop = std::chrono::steady_clock::now();
-        std::vector<Word> flat;
-        for (const auto& slab : sorted.slabs)
-          flat.insert(flat.end(), slab.begin(), slab.end());
-        if (!is_tree) {
-          reference = std::move(flat);
-        } else if (flat != reference) {
-          std::fprintf(stderr,
-                       "FATAL: splitter strategies disagree at "
-                       "machines=%zu\n",
-                       machines);
-          return 1;
-        }
-        const std::size_t splitter_peak =
-            arbor::bench::classify_sort_peaks(ledger.peak_traffic_by_label())
-                .splitter;
-        const double secs =
-            std::chrono::duration<double>(stop - start).count();
-        const char* variant = is_tree ? "tree" : "coordinator";
-        ab.add_row({arbor::bench::fmt(machines), variant,
-                    arbor::bench::fmt(secs * 1e3, 1),
-                    arbor::bench::fmt(sorted.rounds),
-                    arbor::bench::fmt(splitter_peak)});
-        report.row()
-            .set("section", "splitter_ab")
-            .set("backend", "serial")
-            .set("variant", variant)
-            .set("machines", machines)
-            .set("words", total)
-            .set("ms", secs * 1e3)
-            .set("rounds", sorted.rounds)
-            .set("splitter_peak_words", splitter_peak);
+      std::vector<Word> expected;
+      for (const auto& slab : word_slabs)
+        expected.insert(expected.end(), slab.begin(), slab.end());
+      std::sort(expected.begin(), expected.end());
+      const std::size_t total = expected.size();
+      // Every bucket fits twice over; the splitter rounds need O(√p·s).
+      const ClusterConfig sort_cfg{machines, 2 * total};
+      arbor::mpc::RoundLedger ledger(sort_cfg);
+      arbor::mpc::Cluster cluster(sort_cfg, &ledger);
+      const auto start = std::chrono::steady_clock::now();
+      const arbor::mpc::SampleSortResult sorted =
+          sample_sort(cluster, word_slabs, samples);
+      const auto stop = std::chrono::steady_clock::now();
+      std::vector<Word> flat;
+      for (const auto& slab : sorted.slabs)
+        flat.insert(flat.end(), slab.begin(), slab.end());
+      if (flat != expected) {
+        std::fprintf(stderr,
+                     "FATAL: tree sort disagrees with std::sort at "
+                     "machines=%zu\n",
+                     machines);
+        return 1;
       }
+      const std::size_t splitter_peak =
+          arbor::bench::classify_sort_peaks(ledger.peak_traffic_by_label())
+              .splitter;
+      const double secs = std::chrono::duration<double>(stop - start).count();
+      ab.add_row({arbor::bench::fmt(machines),
+                  arbor::bench::fmt(secs * 1e3, 1),
+                  arbor::bench::fmt(sorted.rounds),
+                  arbor::bench::fmt(splitter_peak)});
+      report.row()
+          .set("section", "splitter_ab")
+          .set("backend", "serial")
+          .set("variant", "tree")
+          .set("machines", machines)
+          .set("words", total)
+          .set("ms", secs * 1e3)
+          .set("rounds", sorted.rounds)
+          .set("splitter_peak_words", splitter_peak);
     }
-    std::printf("\nsplitter strategy A/B (word sort, 256 words/machine):\n");
+    std::printf("\nsplitter tree (word sort, 256 words/machine):\n");
     ab.print();
   }
 

@@ -1,6 +1,6 @@
 // E-level1: Level-1 record sort — central stable_sort vs. the engine-backed
-// distributed sample sort behind ClusterConfig::distributed_level1, plus a
-// coordinator-vs-tree splitter strategy A/B on the raw record sort.
+// distributed sample sort behind ClusterConfig::distributed_level1, plus
+// the raw splitter-tree record sort at several cluster widths.
 //
 // Workload 1 (Level-1): sort N (key, payload) records by key through
 // MpcContext::sort_items_by_key, once on the central reference path and
@@ -16,12 +16,10 @@
 // sort's route rounds (round_us.sample_sort.tree.route), the hot path the
 // aggregation targets.
 //
-// Workload 2 (splitter A/B): the raw sample_sort_records at several
-// cluster widths, coordinator vs. splitter-tree strategy. Reports wall
-// time and the ledger's per-label traffic peaks — the coordinator's
-// splitter rounds pool Θ(p·s) and broadcast Θ(p²) words at machine 0,
-// the tree's stay O(√p·s) — and aborts if the two strategies disagree on
-// the sorted output.
+// Workload 2 (splitter widths): the raw sample_sort_records at several
+// cluster widths. Reports wall time, rounds, and the ledger's per-label
+// traffic peaks — the splitter rounds stay O(√p·s) words per machine —
+// and aborts if the sorted output disagrees with a std::sort reference.
 //
 // Results are also written as machine-readable JSON (default
 // BENCH_level1_sort.json, override with --json PATH) with backend +
@@ -57,7 +55,6 @@ using arbor::mpc::ClusterConfig;
 using arbor::mpc::ExecutionPolicy;
 using arbor::mpc::MpcContext;
 using arbor::mpc::RoundLedger;
-using arbor::mpc::SplitterStrategy;
 using arbor::mpc::Word;
 
 /// Histogram samples observed after `skip` (a snapshot of the sample
@@ -104,9 +101,9 @@ Outcome run_sort(const std::vector<Record>& input, ClusterConfig cfg,
   return out;
 }
 
-/// One raw record sort at `machines` wide, under `strategy`. Returns the
-/// flattened sorted output plus the splitter/route traffic peaks.
-struct StrategyOutcome {
+/// One raw record sort at `machines` wide. Returns the flattened sorted
+/// output plus the splitter/route traffic peaks.
+struct TreeOutcome {
   std::vector<Word> flat;
   double secs = 0;
   std::size_t rounds = 0;
@@ -114,25 +111,25 @@ struct StrategyOutcome {
   std::size_t route_peak = 0;     ///< max traffic over the route rounds
 };
 
-StrategyOutcome run_strategy(const std::vector<std::vector<Word>>& slabs,
-                             std::size_t machines, std::size_t samples,
-                             SplitterStrategy strategy, std::size_t repeats) {
-  // Capacity wide enough for EITHER strategy (the coordinator needs its
-  // quadratic broadcast term; giving both the same roof keeps this a speed
-  // A/B — the S-cap contrast is asserted by the tests).
+TreeOutcome run_tree_sort(const std::vector<std::vector<Word>>& slabs,
+                          std::size_t machines, std::size_t samples,
+                          std::size_t repeats) {
+  // The same capacity roof every committed row of this section ran under,
+  // so rows and the --report baseline (whose route bound is this S) stay
+  // comparable across commits; the splitter rounds use O(√p·s) of it.
   std::size_t total = 0;
   for (const auto& slab : slabs) total += slab.size();
   ClusterConfig cfg{machines,
                     2 * total + machines * (samples + 1) * 2 +
                         machines * machines * 2};
-  StrategyOutcome out;
+  TreeOutcome out;
   for (std::size_t rep = 0; rep < repeats; ++rep) {
     RoundLedger ledger(cfg);
     arbor::mpc::Cluster cluster(cfg, &ledger);
     auto input = slabs;
     const auto start = std::chrono::steady_clock::now();
-    const arbor::mpc::RecordSortResult result = sample_sort_records(
-        cluster, std::move(input), 2, 2, samples, strategy);
+    const arbor::mpc::RecordSortResult result =
+        sample_sort_records(cluster, std::move(input), 2, 2, samples);
     const auto stop = std::chrono::steady_clock::now();
     const double secs =
         std::chrono::duration<double>(stop - start).count();
@@ -167,8 +164,8 @@ int main(int argc, char** argv) {
       "Claim: the distributed Level-1 sort reaches >= 1.5x central "
       "throughput at parallel(8) on a 1M-record input (multicore "
       "hardware; reported regardless), bit-identical output and ledger; "
-      "the splitter-tree strategy removes the coordinator's Θ(p·s) "
-      "splitter hot-spot at every cluster width.");
+      "the splitter tree keeps every splitter round O(√p·s) words per "
+      "machine at every cluster width.");
 
   arbor::util::SplitRng rng(17);
   std::vector<Record> input;
@@ -303,13 +300,14 @@ int main(int argc, char** argv) {
       .meta("route_us_p50_parallel8", route_p50_par8)
       .meta("merge_path_speedup", merge_speedup);
 
-  // ---------------- coordinator vs. splitter tree at several widths
+  // ---------------- splitter tree at several widths
   const std::size_t ab_records = std::min<std::size_t>(records, 200'000);
   const std::size_t samples = 32;
-  arbor::bench::Table ab({"machines", "variant", "ms", "rounds",
-                          "splitter_peak_w", "route_peak_w", "speedup"});
+  arbor::bench::Table ab({"machines", "ms", "rounds", "splitter_peak_w",
+                          "route_peak_w"});
   for (const std::size_t machines : {64u, 256u, 512u}) {
     std::vector<std::vector<Word>> slabs(machines);
+    std::vector<Record> expected;
     const std::size_t per = (ab_records + machines - 1) / machines;
     arbor::util::SplitRng ab_rng(23);
     std::size_t idx = 0;
@@ -319,47 +317,42 @@ int main(int argc, char** argv) {
       for (std::size_t i = 0; i < count; ++i, ++idx) {
         slab.push_back(ab_rng.next_below(key_range));
         slab.push_back(idx);
+        expected.emplace_back(slab[slab.size() - 2], idx);
       }
       if (idx >= ab_records) break;
     }
+    std::sort(expected.begin(), expected.end());
 
-    StrategyOutcome coordinator;
-    for (const SplitterStrategy strategy :
-         {SplitterStrategy::kCoordinator, SplitterStrategy::kTree}) {
-      const bool is_tree = strategy == SplitterStrategy::kTree;
-      const StrategyOutcome out =
-          run_strategy(slabs, machines, samples, strategy, repeats);
-      if (!is_tree) {
-        coordinator = out;
-      } else if (out.flat != coordinator.flat) {
-        std::fprintf(stderr,
-                     "FATAL: tree and coordinator sorts disagree at "
-                     "machines=%zu\n",
-                     machines);
-        return 1;
-      }
-      const char* variant = is_tree ? "tree" : "coordinator";
-      ab.add_row({arbor::bench::fmt(machines), variant,
-                  arbor::bench::fmt(out.secs * 1e3, 1),
-                  arbor::bench::fmt(out.rounds),
-                  arbor::bench::fmt(out.splitter_peak),
-                  arbor::bench::fmt(out.route_peak),
-                  arbor::bench::fmt(coordinator.secs / out.secs, 2)});
-      report.row()
-          .set("section", "splitter_ab")
-          .set("backend", "serial")
-          .set("variant", variant)
-          .set("machines", machines)
-          .set("records", ab_records)
-          .set("samples_per_machine", samples)
-          .set("ms", out.secs * 1e3)
-          .set("rounds", out.rounds)
-          .set("splitter_peak_words", out.splitter_peak)
-          .set("route_peak_words", out.route_peak)
-          .set("speedup_vs_coordinator", coordinator.secs / out.secs);
+    const TreeOutcome out = run_tree_sort(slabs, machines, samples, repeats);
+    bool sorted = out.flat.size() == 2 * expected.size();
+    for (std::size_t i = 0; sorted && i < expected.size(); ++i)
+      sorted = out.flat[2 * i] == expected[i].first &&
+               out.flat[2 * i + 1] == expected[i].second;
+    if (!sorted) {
+      std::fprintf(stderr,
+                   "FATAL: tree sort disagrees with std::sort at "
+                   "machines=%zu\n",
+                   machines);
+      return 1;
     }
+    ab.add_row({arbor::bench::fmt(machines),
+                arbor::bench::fmt(out.secs * 1e3, 1),
+                arbor::bench::fmt(out.rounds),
+                arbor::bench::fmt(out.splitter_peak),
+                arbor::bench::fmt(out.route_peak)});
+    report.row()
+        .set("section", "splitter_ab")
+        .set("backend", "serial")
+        .set("variant", "tree")
+        .set("machines", machines)
+        .set("records", ab_records)
+        .set("samples_per_machine", samples)
+        .set("ms", out.secs * 1e3)
+        .set("rounds", out.rounds)
+        .set("splitter_peak_words", out.splitter_peak)
+        .set("route_peak_words", out.route_peak);
   }
-  std::printf("splitter strategy A/B (%zu records, %zu samples/machine):\n",
+  std::printf("splitter tree (%zu records, %zu samples/machine):\n",
               ab_records, samples);
   ab.print();
 

@@ -219,8 +219,8 @@ class JsonReport {
 
  private:
   /// Effective ARBOR_* knob block: which transport, Level-1 sort path, and
-  /// route-aggregation setting the run executed under (the trace mode rides
-  /// in stamp_trace_summary). Stamped into EVERY report uniformly so a
+  /// route-aggregation, merge-path and fetch-cache settings the run
+  /// executed under (the trace mode rides in stamp_trace_summary). Stamped into EVERY report uniformly so a
   /// trajectory diff never has to guess the environment.
   void stamp_env_knobs();
 
@@ -248,10 +248,9 @@ class JsonReport {
 
 /// Shared classification of the sample sort's per-label ledger traffic
 /// peaks (RoundLedger::peak_traffic_by_label) into splitter rounds vs.
-/// data-movement rounds, so every bench's coordinator-vs-tree A/B rows
-/// report "splitter_peak_words" under ONE rule: route and bucket-sort
-/// rounds move data, everything else (sample/up/pick/splitters/down) is
-/// splitter agreement.
+/// data-movement rounds, so every bench's splitter rows report
+/// "splitter_peak_words" under ONE rule: route and bucket-sort rounds move
+/// data, everything else (up/pick/down) is splitter agreement.
 struct SplitterPeaks {
   std::size_t splitter = 0;
   std::size_t route = 0;
@@ -296,6 +295,8 @@ inline void JsonReport::stamp_env_knobs() {
   meta_.set("transport_knob", transport_name(mpc::transport_env_default()));
   meta_.set("distributed_level1_knob", mpc::distributed_level1_env_default());
   meta_.set("route_aggregation_knob", mpc::route_aggregation_env_default());
+  meta_.set("merge_path_knob", mpc::merge_path_env_default());
+  meta_.set("fetch_cache_knob", mpc::fetch_cache_env_default());
 }
 
 /// Extract `FLAG PATH` (or `FLAG=PATH`) from argv, compacting argv so the

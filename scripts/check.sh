@@ -32,8 +32,10 @@
 #                                        # lanes, spans per phase)
 #   scripts/check.sh --asan              # Address+UB sanitizer stage only:
 #                                        # builds the 'asan' preset and runs
-#                                        # the engine, net, trace, and
-#                                        # checked-execution tests clean
+#                                        # the engine, net, trace,
+#                                        # checked-execution, and graph
+#                                        # (edge-list parser fuzz) tests
+#                                        # clean
 #   scripts/check.sh --lint              # style wall only: build and run
 #                                        # tools/arbor_lint over src/ (raw
 #                                        # getenv, unnamed distributable
@@ -208,10 +210,11 @@ if [[ "${1:-}" == "--asan" ]]; then
   shift
   cmake --preset asan "$@"
   cmake --build build-asan -j"${JOBS}" \
-    --target engine_test net_test trace_test check_test arbor-worker
+    --target engine_test net_test trace_test check_test graph_test \
+             arbor-worker
   # abort_on_error so a worker PROCESS dying on a report fails the driver
   # visibly; detect_leaks stays on (the default) — the wall is the point.
-  for t in engine_test net_test trace_test check_test; do
+  for t in engine_test net_test trace_test check_test graph_test; do
     echo "== asan: ${t} =="
     ASAN_OPTIONS="abort_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
       "./build-asan/${t}"

@@ -1,6 +1,7 @@
 #include "check/selfcheck.hpp"
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "check/monitor.hpp"
@@ -197,42 +198,26 @@ engine::RoundProgram make_continue_mutation_selfcheck(std::size_t machines) {
 }
 
 void register_selfcheck_programs(net::Registry& registry) {
-  registry.add("check.cross_write", [](const net::ProgramInputs& in) {
-    auto st = make_state(in.machines);
-    net::WorkerProgram out;
-    out.program = build_cross_write(st);
-    out.state = st;
-    return out;
-  });
-  registry.add("check.order_dependent", [](const net::ProgramInputs& in) {
-    auto st = make_state(in.machines);
-    net::WorkerProgram out;
-    out.program = build_order_dependent(st);
-    out.state = st;
-    return out;
-  });
-  registry.add("check.shared_accumulator", [](const net::ProgramInputs& in) {
-    auto st = make_state(in.machines);
-    net::WorkerProgram out;
-    out.program = build_shared_accumulator(st);
-    out.state = st;
-    return out;
-  });
-  registry.add("check.underdeclared", [](const net::ProgramInputs& in) {
-    auto st = make_state(in.machines);
-    net::WorkerProgram out;
-    out.program = build_underdeclared(st);
-    out.state = st;
-    return out;
-  });
-  registry.add("check.stale_fetch_cache", [](const net::ProgramInputs& in) {
-    auto st = make_state(in.machines);
-    net::WorkerProgram out;
-    out.program = build_stale_fetch_cache(st);
-    out.state = st;
-    return out;
-  });
-  registry.add("check.continue_mutation", [](const net::ProgramInputs& in) {
+  // The fixtures take no scalars: a worker rebuilds each one over fresh
+  // zeroed slots.
+  using Builder = engine::RoundProgram (*)(std::shared_ptr<SelfCheckState>);
+  const std::pair<const char*, Builder> fixtures[] = {
+      {"check.cross_write", build_cross_write},
+      {"check.order_dependent", build_order_dependent},
+      {"check.shared_accumulator", build_shared_accumulator},
+      {"check.underdeclared", build_underdeclared},
+      {"check.stale_fetch_cache", build_stale_fetch_cache},
+  };
+  for (const auto& [name, build] : fixtures)
+    registry.add(name, 0, [build](const net::ProgramInputs& in) {
+      auto st = make_state(in.machines);
+      net::WorkerProgram out;
+      out.program = build(st);
+      out.state = st;
+      return out;
+    });
+  registry.add("check.continue_mutation", 0,
+               [](const net::ProgramInputs& in) {
     auto st = make_state(in.machines);
     net::WorkerProgram out;
     out.program = build_continue_mutation(st);

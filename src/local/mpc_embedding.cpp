@@ -288,9 +288,8 @@ EmbeddedPeelingResult embedded_threshold_peeling(const graph::Graph& g,
 }
 
 void register_embedded_peeling_program(net::Registry& registry) {
-  registry.add("local.embedded_peeling", [](const net::ProgramInputs& in) {
-    ARBOR_CHECK_MSG(in.scalars.size() == 3,
-                    "local.embedded_peeling expects 3 scalars");
+  registry.add("local.embedded_peeling", 3,
+               [](const net::ProgramInputs& in) {
     auto st = std::make_shared<PeelState>();
     st->n = static_cast<std::size_t>(in.scalars[0]);
     st->threshold = static_cast<std::size_t>(in.scalars[1]);

@@ -279,9 +279,7 @@ ConvergeResult converge_sum(Cluster& cluster, std::size_t root,
 }
 
 void register_broadcast_programs(net::Registry& registry) {
-  registry.add("mpc.broadcast_tree", [](const net::ProgramInputs& in) {
-    ARBOR_CHECK_MSG(in.scalars.size() == 3,
-                    "mpc.broadcast_tree expects 3 scalars");
+  registry.add("mpc.broadcast_tree", 3, [](const net::ProgramInputs& in) {
     auto st = std::make_shared<BroadcastState>();
     st->machines = in.machines;
     st->root = static_cast<std::size_t>(in.scalars[0]);
@@ -305,9 +303,7 @@ void register_broadcast_programs(net::Registry& registry) {
     return out;
   });
 
-  registry.add("mpc.converge_sum", [](const net::ProgramInputs& in) {
-    ARBOR_CHECK_MSG(in.scalars.size() == 2,
-                    "mpc.converge_sum expects 2 scalars");
+  registry.add("mpc.converge_sum", 2, [](const net::ProgramInputs& in) {
     auto st = std::make_shared<ConvergeState>();
     st->machines = in.machines;
     st->root = static_cast<std::size_t>(in.scalars[0]);

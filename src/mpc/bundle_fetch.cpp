@@ -273,9 +273,7 @@ Level0BundleFetchResult fetch_bundles_program(
 }
 
 void register_bundle_fetch_program(net::Registry& registry) {
-  registry.add("mpc.fetch_bundles", [](const net::ProgramInputs& in) {
-    ARBOR_CHECK_MSG(in.scalars.size() == 2,
-                    "mpc.fetch_bundles expects 2 scalars");
+  registry.add("mpc.fetch_bundles", 2, [](const net::ProgramInputs& in) {
     auto st = std::make_shared<FetchState>();
     st->machines = in.machines;
     const auto num_requesters = static_cast<std::size_t>(in.scalars[0]);

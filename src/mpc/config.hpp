@@ -132,8 +132,8 @@ struct ClusterConfig {
   /// environment override).
   bool route_aggregation = route_aggregation_env_default();
 
-  /// Replace the sort pipeline's concat-then-re-sort sites (relay/root/
-  /// coordinator sample pools, the final bucket assembly) with the
+  /// Replace the sort pipeline's concat-then-re-sort sites (the relay and
+  /// root sample pools, the final bucket assembly) with the
   /// engine's stable k-way merge of the per-source sorted runs the inbox
   /// already delivers (engine::merge_sorted_runs). Ties resolve to the
   /// earliest source run, which is exactly what std::stable_sort of the

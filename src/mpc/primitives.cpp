@@ -3,8 +3,6 @@
 // on when ClusterConfig::distributed_level1 is set.
 #include "mpc/primitives.hpp"
 
-#include <numeric>
-
 #include "mpc/cluster.hpp"
 #include "mpc/sample_sort.hpp"
 
@@ -19,10 +17,8 @@ constexpr std::size_t kRecordWidth = 2;
 
 // Slab sizing for the internal sort cluster: enough machines that slabs
 // parallelize across the engine's workers, few enough that per-machine
-// sorts amortize the routing. There is no hard machine-count cap any
-// more: the splitter relay tree keeps every splitter round O(√p·s) per
-// machine, so wide clusters no longer pay the coordinator's quadratic
-// broadcast.
+// sorts amortize the routing. There is no machine-count cap: the splitter
+// relay tree keeps every splitter round O(√p·s) per machine at any width.
 constexpr std::size_t kTargetRecordsPerMachine = 2048;
 
 // Splitter sample budget per machine (clamped to the slab size inside the
@@ -160,46 +156,6 @@ RoundLedger* MpcContext::level1_sort_grounding() {
   return grounding_ledger_.get();
 }
 
-std::vector<std::size_t> engine_sorted_order(const ClusterConfig& config,
-                                             engine::Engine* engine,
-                                             const std::vector<Word>& keys,
-                                             RoundLedger* grounding) {
-  const std::size_t n = keys.size();
-  if (n <= 1) {
-    ARBOR_CHECK_MSG(config.num_machines > 0, "misconfigured cluster");
-    std::vector<std::size_t> order(n);
-    std::iota(order.begin(), order.end(), 0);
-    return order;
-  }
-  const SortShape shape = level1_sort_shape(config, n);
-
-  // The caller's primary ledger keeps the analytic ⌈log_S N⌉ charge —
-  // bit-identical to the central path — while the execution itself is no
-  // longer exempt: every round of the internal sort is charged to the
-  // model-shaped grounding ledger (per-step labels, traffic peaks,
-  // violations against the model's S).
-  RoundLedger sort_ledger(ClusterConfig{shape.sort_cfg.num_machines,
-                                        shape.model_s,
-                                        shape.sort_cfg.execution});
-  std::vector<std::vector<Word>> slabs =
-      build_key_slabs(keys, shape.sort_cfg.num_machines);
-
-  RecordSortResult sorted;
-  if (config.transport.in_process()) {
-    Cluster cluster(shape.sort_cfg, &sort_ledger, engine);
-    sorted = sample_sort_records(cluster, std::move(slabs), kRecordWidth,
-                                 /*key_words=*/kRecordWidth, shape.samples);
-  } else {
-    // Multi-process transports spawn a worker group for this cluster (the
-    // shared engine's machine count does not match).
-    Cluster cluster(shape.sort_cfg, &sort_ledger);
-    sorted = sample_sort_records(cluster, std::move(slabs), kRecordWidth,
-                                 /*key_words=*/kRecordWidth, shape.samples);
-  }
-  if (grounding) grounding->absorb_sequential(sort_ledger);
-  return unpack_order(sorted, n);
-}
-
 std::vector<std::size_t> MpcContext::distributed_sorted_order(
     const std::vector<Word>& keys) {
   const std::size_t n = keys.size();
@@ -233,10 +189,14 @@ std::vector<std::size_t> MpcContext::distributed_sorted_order(
     slot = &sort_pool_.back();
   }
 
-  // Ledger charging is per sort (see engine_sorted_order): attach a
-  // short-lived model-shaped ledger for this run and detach before it
-  // dies, whatever the program does. A sort that throws (transport
-  // failure) also evicts the pooled cluster — its state is unknown.
+  // The caller's primary ledger keeps the analytic ⌈log_S N⌉ charge —
+  // bit-identical to the central path — while the execution itself is not
+  // exempt: every round of the internal sort is charged to the
+  // model-shaped grounding ledger (per-step labels, traffic peaks,
+  // violations against the model's S). Charging is per sort: attach a
+  // short-lived ledger for this run and detach before it dies, whatever
+  // the program does. A sort that throws (transport failure) also evicts
+  // the pooled cluster — its state is unknown.
   RoundLedger sort_ledger(ClusterConfig{shape.sort_cfg.num_machines,
                                         shape.model_s,
                                         shape.sort_cfg.execution});

@@ -45,21 +45,6 @@ namespace arbor::mpc {
 
 class Cluster;
 
-/// Stable-sort permutation of `keys` computed by an engine-backed
-/// distributed record sort: order[i] is the original index of the i-th
-/// smallest key, equal keys in original order — exactly the permutation
-/// std::stable_sort applies. The sort runs as a splitter-tree sample sort
-/// on an internal cluster sized by the model's S; every executed round is
-/// charged to `grounding` (a model-shaped ledger, may be null) with
-/// per-step labels and traffic peaks — see MpcContext::
-/// level1_sort_grounding(). Builds a fresh internal cluster per call — the
-/// unpooled reference; MpcContext::sort_items_by_key goes through the
-/// context's cluster pool instead. Defined in primitives.cpp.
-std::vector<std::size_t> engine_sorted_order(const ClusterConfig& config,
-                                             engine::Engine* engine,
-                                             const std::vector<Word>& keys,
-                                             RoundLedger* grounding);
-
 class MpcContext {
  public:
   /// `engine` (optional, not owned) is the execution backend for any
@@ -263,8 +248,13 @@ class MpcContext {
   }
 
  private:
-  /// engine_sorted_order through the context's cluster pool: internal sort
-  /// clusters are keyed by (machines, words_per_machine) and kept alive
+  /// Stable-sort permutation of `keys` (n > 1) computed by an engine-backed
+  /// distributed record sort: order[i] is the original index of the i-th
+  /// smallest key, equal keys in original order — exactly the permutation
+  /// std::stable_sort applies. The sort runs as a splitter-tree sample
+  /// sort on an internal cluster sized by the model's S; every executed
+  /// round is charged to level1_sort_grounding(). Internal sort clusters
+  /// are pooled, keyed by (machines, words_per_machine) and kept alive
   /// across sorts, so repeated same-shape sorts reuse the RoundState
   /// arenas at retained capacity — and, over the loopback/tcp transport,
   /// the live worker group — instead of reallocating (respawning) per

@@ -17,19 +17,19 @@ namespace arbor::mpc {
 namespace {
 
 // Machine-local state of a sample sort. The word sort is the width-1
-// special case of the record sort, so one state serves all four programs
-// ({word, record} × {coordinator, tree}). One builder set produces the
-// program for both deployments: the driver's in-process run (state over
-// the full input) and a worker's block share (state holds only its
-// machines' slabs) — which is what makes the transport an execution
-// detail rather than a second protocol implementation.
+// special case of the record sort, so one state serves both programs. One
+// builder produces the program for both deployments: the driver's
+// in-process run (state over the full input) and a worker's block share
+// (state holds only its machines' slabs) — which is what makes the
+// transport an execution detail rather than a second protocol
+// implementation.
 struct SortState {
   std::vector<std::vector<Word>> slabs;   ///< inputs; key-sorted by step 1
   std::vector<std::vector<Word>> result;  ///< record sorts: final step slot m
-  /// Tree strategy only: machine m's own group's fine splitter keys,
-  /// parsed out of the down packet by the route step and consumed by the
-  /// placement step (machine-owned state handed between m's own steps —
-  /// allowed by the machine-independent contract).
+  /// Machine m's own group's fine splitter keys, parsed out of the down
+  /// packet by the route step and consumed by the placement step
+  /// (machine-owned state handed between m's own steps — allowed by the
+  /// machine-independent contract).
   std::vector<std::vector<Word>> fine;
   std::size_t machines = 0;
   std::size_t record_width = 1;
@@ -88,12 +88,12 @@ struct SplitterTree {
 };
 
 // Count of keys in a key-sorted arena comparing ≤ rec's key — the bucket
-// rule of both strategies (a key equal to a splitter goes to the bucket
-// above it, like std::upper_bound). Applying it to the boundary splitters
-// yields the destination group, to a group's interior splitters the
-// in-group offset: both levels count the same global splitter sequence,
-// so two-hop routing lands every record on exactly the machine the
-// one-hop coordinator rule would pick.
+// rule (a key equal to a splitter goes to the bucket above it, like
+// std::upper_bound). Applying it to the boundary splitters yields the
+// destination group, to a group's interior splitters the in-group offset:
+// both levels count the same global splitter sequence, so two-hop routing
+// lands every record on exactly the machine a one-hop route against all
+// p−1 splitters would pick.
 std::size_t keys_at_most(const Word* keys, std::size_t num_keys,
                          const Word* rec, std::size_t key_words) {
   std::size_t lo = 0;
@@ -152,40 +152,12 @@ std::vector<Word> sorted_pool(const engine::InboxView& inbox, std::size_t kw,
   return pool;
 }
 
-// Final compute-only round of the record sorts (either strategy): each
-// bucket machine assembles its routed records into its result slot, sorted
-// — inside a round so the engine spreads the final sorts across its
-// workers. Each step writes only its own preallocated result
-// slab, honouring the concurrency contract. Under merge_path AND
-// aggregate_routes the routed messages are contiguous sorted spans of
-// senders' key-sorted slabs, so the slab is a k-way merge instead of a
-// concat-and-re-sort; the per-record route ships unsorted concatenations,
-// so it always takes the re-sort.
-void append_bucket_sort_step(engine::RoundProgram& program, std::string name,
-                             std::shared_ptr<SortState> st) {
-  const std::size_t width = st->record_width;
-  const std::size_t kw = st->key_words;
-  program.independent(
-      std::move(name),
-      [st, width, kw](std::size_t m, const auto& inbox, Sender&) {
-        auto& slab = st->result[m];
-        if (st->merge_path && st->aggregate_routes) {
-          engine::merge_sorted_inbox(inbox, width, kw, slab);
-          return;
-        }
-        slab.reserve(inbox.total_words());
-        for (const auto& msg : inbox)
-          slab.insert(slab.end(), msg.begin(), msg.end());
-        engine::stable_sort_records(slab, width, kw);
-      });
-}
-
-// ------------------------------------------------- tree splitter program
+// ------------------------------------------------------------ sort program
 //
 // Six communication rounds whose per-machine volume is O(√p·s·key_words)
 // words in every splitter round (s = samples per machine) and O(slab) in
-// the route rounds — the coordinator's Θ(p·s) pool and Θ(p²) broadcast
-// hot-spots never form, so the dataflow fits the model's S-cap at any p:
+// the route rounds — no machine pools all p·s samples or broadcasts all
+// p−1 splitters, so the dataflow fits the model's S-cap at any p:
 //
 //   up    leaves send clamped evenly-spaced samples to their relay
 //         (relay receives ≤ r·s keys);
@@ -202,14 +174,16 @@ void append_bucket_sort_step(engine::RoundProgram& program, std::string name,
 //         bucket machine (own group's fine splitters).
 //
 // A seventh, compute-only round (record sorts) key-sorts every bucket.
+// The program also declares its machine-sliced state (check::Ownership)
+// and its per-round bounds (obs::CostModel).
 //
 // The explicit [n_coarse, n_fine] packet header keeps "no splitters"
 // (machines == 1, all-empty pool) a clean parseable message, and a relay
 // whose children had no samples still scatters/forwards clean headers —
 // the route rounds rely on the packet being present, never on an accident
 // of the protocol.
-engine::RoundProgram make_tree_sort_program(std::shared_ptr<SortState> st,
-                                            bool bucket_sort_round) {
+engine::RoundProgram make_sort_program(std::shared_ptr<SortState> st,
+                                       bool bucket_sort_round) {
   const std::size_t machines = st->machines;
   const std::size_t width = st->record_width;
   const std::size_t kw = st->key_words;
@@ -399,101 +373,30 @@ engine::RoundProgram make_tree_sort_program(std::shared_ptr<SortState> st,
             send.send(base + local, outgoing[local]);
       });
 
-  // Round 7 (record sorts only): the parallel bucket sorts. The word sort
-  // skips this: its buckets stay in the inboxes, where the driver reads
-  // them (the same contract as the coordinator program).
+  // Round 7 (record sorts only): each bucket machine assembles its routed
+  // records into its preallocated result slot, sorted — inside a round so
+  // the engine spreads the final sorts across its workers. Under
+  // merge_path AND aggregate_routes the routed messages are contiguous
+  // sorted spans of senders' key-sorted slabs, so the slab is a k-way
+  // merge instead of a concat-and-re-sort; the per-record route ships
+  // unsorted concatenations, so it always takes the re-sort. The word sort
+  // skips this round: its buckets stay in the inboxes, where the driver
+  // reads them.
   if (bucket_sort_round)
-    append_bucket_sort_step(program, "sample_sort.tree.sort", st);
+    program.independent(
+        "sample_sort.tree.sort",
+        [st, width, kw](std::size_t m, const auto& inbox, Sender&) {
+          auto& slab = st->result[m];
+          if (st->merge_path && st->aggregate_routes) {
+            engine::merge_sorted_inbox(inbox, width, kw, slab);
+            return;
+          }
+          slab.reserve(inbox.total_words());
+          for (const auto& msg : inbox)
+            slab.insert(slab.end(), msg.begin(), msg.end());
+          engine::stable_sort_records(slab, width, kw);
+        });
 
-  return program;
-}
-
-// ------------------------------------------- coordinator splitter program
-//
-// The legacy all-to-one pattern, kept as the A/B baseline: every machine
-// sends its samples to machine 0, which picks and broadcasts all p−1
-// splitters; one route round. The pooled sample is Θ(p·s) at the
-// coordinator and the broadcast Θ(p²) total, so this shape needs
-// p·(s+1)·key_words ≤ S — p ≤ √S machines.
-engine::RoundProgram make_coordinator_sort_program(
-    std::shared_ptr<SortState> st, bool bucket_sort_round) {
-  const std::size_t machines = st->machines;
-  const std::size_t width = st->record_width;
-  const std::size_t kw = st->key_words;
-  engine::RoundProgram program;
-
-  // Step 1: each machine key-sorts its slab and sends an evenly-spaced,
-  // clamped sample of key prefixes to the coordinator.
-  program.independent(
-      "sample_sort.central.sample",
-      [st, width, kw](std::size_t m, const auto&, Sender& send) {
-        engine::stable_sort_records(st->slabs[m], width, kw);
-        send.send(0, engine::sample_record_keys(st->slabs[m], width, kw,
-                                                st->samples_per_machine));
-      });
-
-  // Step 2: coordinator pools the sampled keys, picks p−1 splitter keys at
-  // the sample quantiles, and broadcasts them. The broadcast happens even
-  // when the splitter set is empty — a single-machine cluster needs no
-  // splitters, and an all-empty pool has none to offer — so the routing
-  // round can rely on the message being present rather than on an
-  // accident of the protocol.
-  program.independent(
-      "sample_sort.central.splitters",
-      [st, machines, kw](std::size_t m, const auto& inbox, Sender& send) {
-        if (m != 0) return;
-        const std::vector<Word> pool = sorted_pool(inbox, kw, st->merge_path);
-        const std::vector<Word> chosen =
-            pick_splitters(pool, machines, kw);
-        for (std::size_t dst = 0; dst < machines; ++dst)
-          send.send(dst, chosen);
-      });
-
-  // Step 3: route every record to its bucket machine — the count of
-  // splitter keys ≤ key(r); an empty splitter set routes everything to
-  // machine 0.
-  program.independent(
-      "sample_sort.central.route",
-      [st, machines, width, kw](std::size_t m, const auto& inbox,
-                                Sender& send) {
-        ARBOR_CHECK_MSG(!inbox.empty(), "splitter broadcast missing");
-        const std::span<const Word> split = inbox.front().span();
-        const std::size_t num_split = split.size() / kw;
-        const auto& slab = st->slabs[m];
-        if (st->aggregate_routes) {
-          // The slab is key-sorted (step 1): bucket dst is one contiguous
-          // span, shipped whole. Empty splitter set → everything lands in
-          // bucket 0, exactly like the per-record rule.
-          engine::send_records(send, std::span<const Word>(slab), width, kw,
-                               split, [](std::size_t dst) { return dst; });
-          return;
-        }
-        const std::size_t records = slab.size() / width;
-        std::vector<std::vector<Word>> outgoing(machines);
-        for (std::size_t i = 0; i < records; ++i) {
-          const Word* rec = slab.data() + i * width;
-          const std::size_t dst =
-              keys_at_most(split.data(), num_split, rec, kw);
-          outgoing[dst].insert(outgoing[dst].end(), rec, rec + width);
-        }
-        for (std::size_t dst = 0; dst < machines; ++dst)
-          if (!outgoing[dst].empty()) send.send(dst, outgoing[dst]);
-      });
-
-  // Step 4 (record sorts only): the parallel bucket sorts, as in the tree.
-  if (bucket_sort_round)
-    append_bucket_sort_step(program, "sample_sort.central.sort", st);
-
-  return program;
-}
-
-engine::RoundProgram make_sort_program(std::shared_ptr<SortState> st,
-                                       SplitterStrategy strategy,
-                                       bool bucket_sort_round) {
-  engine::RoundProgram program =
-      strategy == SplitterStrategy::kTree
-          ? make_tree_sort_program(st, bucket_sort_round)
-          : make_coordinator_sort_program(st, bucket_sort_round);
   // Everything the steps mutate is machine-sliced: slabs[m] (sorted in
   // place by the sample round), fine[m] (parsed splitters handed between
   // m's own steps), result[m] (the bucket sort's output slot).
@@ -510,50 +413,29 @@ engine::RoundProgram make_sort_program(std::shared_ptr<SortState> st,
   // bounded only by the machine capacity S (kWordsCapacity resolves to S
   // at audit time); bucket-sort rounds are compute-only and must move
   // exactly zero words.
-  const std::size_t p = st->machines;
   const std::size_t s = st->samples_per_machine;
-  const std::size_t kw = st->key_words;
   auto cost = std::make_shared<obs::CostModel>(
       bucket_sort_round ? "mpc.sample_sort_records" : "mpc.sample_sort");
-  if (strategy == SplitterStrategy::kTree) {
-    const SplitterTree tree = SplitterTree::over(p);
-    const std::size_t r = tree.group_size;
-    const std::size_t G = tree.groups;
-    // Pick/down packet: [n_coarse, n_fine | keys] — at most the G−1 group
-    // boundaries plus a group's r−1 interior splitters.
-    const std::size_t packet = 2 + (G + r - 2) * kw;
-    cost->bound("sample_sort.tree.up", r * s * kw, 2,
-                "r*s*kw (r = ceil(sqrt(p)) members' samples pooled at a "
-                "relay; the thinned relay->root hop is smaller)");
-    cost->bound("sample_sort.tree.pick", G * packet, 1,
-                "G*(2+(G+r-2)*kw) (root ships one boundary+interior packet "
-                "per relay)");
-    cost->bound("sample_sort.tree.down", r * packet, 1,
-                "r*(2+(G+r-2)*kw) (a relay fans its packet to <= r members)");
-    cost->bound("sample_sort.tree.route", obs::kWordsCapacity, 2,
-                "<= S (the data movement rounds: route + placement)");
-    if (bucket_sort_round)
-      cost->bound("sample_sort.tree.sort", 0, 1,
-                  "0 (machine-local bucket sort; moves no words)");
-  } else {
-    cost->bound("sample_sort.central.sample", p * s * kw, 1,
-                "p*s*kw (every machine's sample pooled at the coordinator)");
-    cost->bound("sample_sort.central.splitters", p * (p - 1) * kw, 1,
-                "p*(p-1)*kw (coordinator broadcasts p-1 splitter keys)");
-    cost->bound("sample_sort.central.route", obs::kWordsCapacity, 1,
-                "<= S (the data movement round)");
-    if (bucket_sort_round)
-      cost->bound("sample_sort.central.sort", 0, 1,
-                  "0 (machine-local bucket sort; moves no words)");
-  }
+  const std::size_t r = tree.group_size;
+  const std::size_t G = tree.groups;
+  // Pick/down packet: [n_coarse, n_fine | keys] — at most the G−1 group
+  // boundaries plus a group's r−1 interior splitters.
+  const std::size_t packet = 2 + (G + r - 2) * kw;
+  cost->bound("sample_sort.tree.up", r * s * kw, 2,
+              "r*s*kw (r = ceil(sqrt(p)) members' samples pooled at a "
+              "relay; the thinned relay->root hop is smaller)");
+  cost->bound("sample_sort.tree.pick", G * packet, 1,
+              "G*(2+(G+r-2)*kw) (root ships one boundary+interior packet "
+              "per relay)");
+  cost->bound("sample_sort.tree.down", r * packet, 1,
+              "r*(2+(G+r-2)*kw) (a relay fans its packet to <= r members)");
+  cost->bound("sample_sort.tree.route", obs::kWordsCapacity, 2,
+              "<= S (the data movement rounds: route + placement)");
+  if (bucket_sort_round)
+    cost->bound("sample_sort.tree.sort", 0, 1,
+                "0 (machine-local bucket sort; moves no words)");
   program.costed(std::move(cost));
   return program;
-}
-
-SplitterStrategy strategy_from_scalar(Word scalar) {
-  ARBOR_CHECK_MSG(scalar <= 1, "unknown splitter strategy scalar " +
-                                   std::to_string(scalar));
-  return static_cast<SplitterStrategy>(scalar);
 }
 
 }  // namespace
@@ -564,8 +446,7 @@ std::size_t sample_sort_tree_fanout(std::size_t machines) {
 
 SampleSortResult sample_sort(Cluster& cluster,
                              const std::vector<std::vector<Word>>& input,
-                             std::size_t samples_per_machine,
-                             SplitterStrategy strategy) {
+                             std::size_t samples_per_machine) {
   trace::Span stage_span = trace::Tracer::global().span("mpc", "sample_sort");
   const std::size_t machines = cluster.num_machines();
   ARBOR_CHECK(input.size() == machines);
@@ -581,12 +462,11 @@ SampleSortResult sample_sort(Cluster& cluster,
   st->merge_path = cluster.config().merge_path;
 
   engine::RoundProgram program =
-      make_sort_program(st, strategy, /*bucket_sort_round=*/false);
+      make_sort_program(st, /*bucket_sort_round=*/false);
   if (cluster.distributed()) {
     engine::RemoteSpec spec;
     spec.name = "mpc.sample_sort";
     spec.scalars = {static_cast<Word>(samples_per_machine),
-                    static_cast<Word>(strategy),
                     static_cast<Word>(st->aggregate_routes ? 1 : 0),
                     static_cast<Word>(st->merge_path ? 1 : 0)};
     spec.inputs = input;
@@ -618,7 +498,7 @@ SampleSortResult sample_sort(Cluster& cluster,
 RecordSortResult sample_sort_records(
     Cluster& cluster, std::vector<std::vector<Word>> input,
     std::size_t record_width, std::size_t key_words,
-    std::size_t samples_per_machine, SplitterStrategy strategy) {
+    std::size_t samples_per_machine) {
   const std::size_t machines = cluster.num_machines();
   ARBOR_CHECK(input.size() == machines);
   ARBOR_CHECK(record_width > 0);
@@ -640,14 +520,13 @@ RecordSortResult sample_sort_records(
   st->result.resize(machines);
 
   engine::RoundProgram program =
-      make_sort_program(st, strategy, /*bucket_sort_round=*/true);
+      make_sort_program(st, /*bucket_sort_round=*/true);
   if (cluster.distributed()) {
     engine::RemoteSpec spec;
     spec.name = "mpc.sample_sort_records";
     spec.scalars = {static_cast<Word>(record_width),
                     static_cast<Word>(key_words),
                     static_cast<Word>(samples_per_machine),
-                    static_cast<Word>(strategy),
                     static_cast<Word>(st->aggregate_routes ? 1 : 0),
                     static_cast<Word>(st->merge_path ? 1 : 0)};
     spec.inputs = input;  // copy: the state takes the originals below
@@ -668,36 +547,41 @@ RecordSortResult sample_sort_records(
 }
 
 void register_sample_sort_programs(net::Registry& registry) {
-  registry.add("mpc.sample_sort", [](const net::ProgramInputs& in) {
-    ARBOR_CHECK_MSG(in.scalars.size() == 4,
-                    "mpc.sample_sort expects 4 scalars");
+  // Scalars: [samples_per_machine, aggregate_routes, merge_path].
+  registry.add("mpc.sample_sort", 3, [](const net::ProgramInputs& in) {
     auto st = std::make_shared<SortState>();
     st->machines = in.machines;
     st->samples_per_machine = static_cast<std::size_t>(in.scalars[0]);
-    st->aggregate_routes = in.scalars[2] != 0;
-    st->merge_path = in.scalars[3] != 0;
+    st->aggregate_routes = in.scalars[1] != 0;
+    st->merge_path = in.scalars[2] != 0;
+    ARBOR_CHECK_MSG(st->samples_per_machine >= 1,
+                    "mpc.sample_sort needs samples_per_machine >= 1");
     st->slabs.resize(in.machines);
     for (std::size_t m = in.block_begin; m < in.block_end; ++m)
       st->slabs[m] = in.inputs[m - in.block_begin];
     net::WorkerProgram out;
-    out.program = make_sort_program(st, strategy_from_scalar(in.scalars[1]),
-                                    /*bucket_sort_round=*/false);
+    out.program = make_sort_program(st, /*bucket_sort_round=*/false);
     out.state = st;
     return out;
   });
 
-  registry.add("mpc.sample_sort_records", [](const net::ProgramInputs& in) {
-    ARBOR_CHECK_MSG(in.scalars.size() == 6,
-                    "mpc.sample_sort_records expects 6 scalars");
+  // Scalars: [record_width, key_words, samples_per_machine,
+  // aggregate_routes, merge_path].
+  registry.add("mpc.sample_sort_records", 5,
+               [](const net::ProgramInputs& in) {
     auto st = std::make_shared<SortState>();
     st->machines = in.machines;
     st->record_width = static_cast<std::size_t>(in.scalars[0]);
     st->key_words = static_cast<std::size_t>(in.scalars[1]);
     st->samples_per_machine = static_cast<std::size_t>(in.scalars[2]);
-    st->aggregate_routes = in.scalars[4] != 0;
-    st->merge_path = in.scalars[5] != 0;
-    ARBOR_CHECK(st->record_width > 0 && st->key_words > 0 &&
-                st->key_words <= st->record_width);
+    st->aggregate_routes = in.scalars[3] != 0;
+    st->merge_path = in.scalars[4] != 0;
+    ARBOR_CHECK_MSG(st->record_width > 0 && st->key_words > 0 &&
+                        st->key_words <= st->record_width,
+                    "mpc.sample_sort_records needs 0 < key_words <= "
+                    "record_width");
+    ARBOR_CHECK_MSG(st->samples_per_machine >= 1,
+                    "mpc.sample_sort_records needs samples_per_machine >= 1");
     st->slabs.resize(in.machines);
     st->result.resize(in.machines);
     for (std::size_t m = in.block_begin; m < in.block_end; ++m) {
@@ -705,8 +589,7 @@ void register_sample_sort_programs(net::Registry& registry) {
       engine::record_count(st->slabs[m].size(), st->record_width);
     }
     net::WorkerProgram out;
-    out.program = make_sort_program(st, strategy_from_scalar(in.scalars[3]),
-                                    /*bucket_sort_round=*/true);
+    out.program = make_sort_program(st, /*bucket_sort_round=*/true);
     out.state = st;
     out.output = [st](std::size_t m) { return st->result[m]; };
     return out;

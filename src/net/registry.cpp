@@ -10,10 +10,18 @@
 
 namespace arbor::net {
 
-void Registry::add(std::string name, ProgramFactory factory) {
+void Registry::add(std::string name, std::size_t scalars,
+                   ProgramFactory factory) {
   ARBOR_CHECK_MSG(!name.empty(), "program name must not be empty");
+  ProgramFactory checked = [name, scalars, factory = std::move(factory)](
+                               const ProgramInputs& in) {
+    ARBOR_CHECK_MSG(in.scalars.size() == scalars,
+                    name + " expects " + std::to_string(scalars) +
+                        " scalars, got " + std::to_string(in.scalars.size()));
+    return factory(in);
+  };
   const auto [it, inserted] =
-      factories_.emplace(std::move(name), std::move(factory));
+      factories_.emplace(std::move(name), std::move(checked));
   ARBOR_CHECK_MSG(inserted, "program \"" + it->first + "\" registered twice");
 }
 

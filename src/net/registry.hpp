@@ -61,7 +61,11 @@ using ProgramFactory = std::function<WorkerProgram(const ProgramInputs&)>;
 
 class Registry {
  public:
-  void add(std::string name, ProgramFactory factory);
+  /// Register `factory` under `name`. Every spec of the program carries
+  /// exactly `scalars` RemoteSpec scalars: the registered factory rejects
+  /// any other count with an InvariantError naming the program before the
+  /// wrapped factory runs, so factories index their scalars unchecked.
+  void add(std::string name, std::size_t scalars, ProgramFactory factory);
   /// Throws InvariantError naming the program when it is not registered.
   const ProgramFactory& find(const std::string& name) const;
   std::vector<std::string> names() const;

@@ -63,8 +63,7 @@ engine::RoundProgram make_distributable_storm_program(
 }
 
 void register_storm_program(Registry& registry) {
-  registry.add("net.storm", [](const ProgramInputs& in) {
-    ARBOR_CHECK_MSG(in.scalars.size() == 2, "net.storm expects 2 scalars");
+  registry.add("net.storm", 2, [](const ProgramInputs& in) {
     auto state = std::make_shared<StormState>();
     state->machines = in.machines;
     state->batch = static_cast<std::size_t>(in.scalars[0]);

@@ -401,20 +401,6 @@ TEST(CheckedMatrix, SampleSortTree) {
   });
 }
 
-TEST(CheckedMatrix, SampleSortCoordinator) {
-  const auto input = random_slabs(8, 48, 222);
-  std::vector<std::vector<Word>> reference;
-  expect_checked_clean(
-      "sample_sort/coordinator", [&](mpc::Cluster& cluster, bool first) {
-        const mpc::SampleSortResult result = sample_sort(
-            cluster, input, 8, mpc::SplitterStrategy::kCoordinator);
-        if (first)
-          reference = result.slabs;
-        else
-          EXPECT_EQ(result.slabs, reference);
-      });
-}
-
 TEST(CheckedMatrix, RecordSampleSort) {
   util::SplitRng rng(223);
   std::vector<std::vector<Word>> input(8);

@@ -1,14 +1,17 @@
 // Unit tests for the graph substrate: builder invariants, CSR accessors,
-// induced subgraphs, edge-list I/O.
+// induced subgraphs, edge-list I/O (including a seeded parser fuzz).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "graph/builder.hpp"
 #include "graph/graph.hpp"
 #include "graph/io.hpp"
 #include "util/assert.hpp"
+#include "util/rng.hpp"
 
 namespace arbor::graph {
 namespace {
@@ -191,6 +194,125 @@ TEST(GraphIo, AcceptsBlanksAndCrLf) {
   EXPECT_EQ(g.num_vertices(), 3u);
   EXPECT_TRUE(g.has_edge(0, 1));
   EXPECT_TRUE(g.has_edge(1, 2));
+}
+
+// ------------------------------------------------------ edge-list fuzz
+
+// One mutant's contract: it parses to a graph consistent with its own
+// header — n vertices, every id < n, exactly m edge lines (the builder
+// merges duplicates and drops self-loops, so num_edges() ≤ m) — or it
+// throws an InvariantError whose message names the line. Any other
+// exception escapes and fails the test.
+void expect_parsed_or_named(const std::string& text) {
+  std::stringstream ss(text);
+  Graph g;
+  try {
+    g = read_edge_list(ss);
+  } catch (const InvariantError& e) {
+    EXPECT_NE(std::string(e.what()).find(" — edge list line "),
+              std::string::npos)
+        << e.what() << "\ninput:\n" << text;
+    return;
+  }
+  // Accepted: the first data line is the header, every later one an edge.
+  std::istringstream lines(text);
+  std::string line;
+  std::uint64_t n = 0, m = 0, edge_lines = 0;
+  bool header_seen = false;
+  while (std::getline(lines, line)) {
+    if (line.empty() || line[0] == '#') continue;
+    if (header_seen) {
+      ++edge_lines;
+    } else {
+      std::istringstream(line) >> n >> m;
+      header_seen = true;
+    }
+  }
+  EXPECT_EQ(g.num_vertices(), n) << text;
+  EXPECT_EQ(edge_lines, m) << text;
+  EXPECT_LE(g.num_edges(), m) << text;
+  for (const Edge& e : g.edges()) {
+    EXPECT_LT(e.u, n) << text;
+    EXPECT_LT(e.v, n) << text;
+  }
+}
+
+std::vector<std::string> split_lines(const std::string& text) {
+  std::vector<std::string> out;
+  std::istringstream in(text);
+  std::string line;
+  while (std::getline(in, line)) out.push_back(line);
+  return out;
+}
+
+std::string join_lines(const std::vector<std::string>& lines) {
+  std::string out;
+  for (const std::string& line : lines) out += line + "\n";
+  return out;
+}
+
+// Seeded mutation fuzz of a valid edge list, modelled on the net wire
+// fuzz: every truncation prefix, byte flips, inserted digit runs and
+// signs, duplicated and dropped lines. Inserted digit runs are either
+// short (1–3 digits: a mutated n stays small enough to build) or 20
+// nonzero digits (≥ 10^19, past every VertexId wherever they land).
+TEST(GraphIo, FuzzedEdgeListsParseOrNameTheLine) {
+  util::SplitRng rng(2024);
+  GraphBuilder b(12);
+  for (int i = 0; i < 15; ++i)
+    b.add_edge(static_cast<VertexId>(rng.next_below(12)),
+               static_cast<VertexId>(rng.next_below(12)));
+  const Graph g = b.build();
+  std::stringstream written;
+  write_edge_list(written, g);
+  // Comments, tabs and a CRLF line ride along so mutations hit them too.
+  std::vector<std::string> base_lines = split_lines(written.str());
+  base_lines.insert(base_lines.begin(), "# seeded fuzz base");
+  base_lines.insert(base_lines.begin() + 3, "# mid-list comment");
+  base_lines[2] = "\t" + base_lines[2] + "\r";
+  const std::string base = join_lines(base_lines);
+  expect_parsed_or_named(base);
+  {
+    std::stringstream ss(base);
+    EXPECT_EQ(read_edge_list(ss).num_edges(), g.num_edges());
+  }
+
+  for (std::size_t cut = 0; cut < base.size(); ++cut)
+    expect_parsed_or_named(base.substr(0, cut));
+
+  const std::string alphabet = "0123456789 \t\r\n#-+x";
+  for (int i = 0; i < 400; ++i) {
+    std::string text = base;
+    const std::size_t pos = rng.next_below(text.size());
+    text[pos] = i % 4 == 0 ? static_cast<char>(rng.next_below(256))
+                           : alphabet[rng.next_below(alphabet.size())];
+    expect_parsed_or_named(text);
+  }
+
+  for (int i = 0; i < 300; ++i) {
+    std::string run;
+    if (i % 3 == 0) {
+      run.push_back(i % 2 == 0 ? '-' : '+');
+    } else if (i % 3 == 1) {
+      for (std::size_t d = 0, len = 1 + rng.next_below(3); d < len; ++d)
+        run += static_cast<char>('0' + rng.next_below(10));
+    } else {
+      for (int d = 0; d < 20; ++d)
+        run += static_cast<char>('1' + rng.next_below(9));
+    }
+    std::string text = base;
+    text.insert(rng.next_below(text.size() + 1), run);
+    expect_parsed_or_named(text);
+  }
+
+  for (std::size_t i = 0; i < base_lines.size(); ++i) {
+    std::vector<std::string> dup = base_lines;
+    dup.insert(dup.begin() + static_cast<std::ptrdiff_t>(i), base_lines[i]);
+    expect_parsed_or_named(join_lines(dup));
+    std::vector<std::string> drop = base_lines;
+    drop.erase(drop.begin() + static_cast<std::ptrdiff_t>(i));
+    expect_parsed_or_named(join_lines(drop));
+  }
 }
 
 }  // namespace

@@ -60,34 +60,21 @@ TEST(SampleSort, ConstantRounds) {
   const ClusterConfig cfg{16, 1024};
   const auto input = random_slabs(16, 48, 2);
 
-  // Tree strategy (default): 6 communication rounds — up, up, pick, down,
-  // route, route.
+  // 6 communication rounds — up, up, pick, down, route, route.
   Cluster cluster(cfg, nullptr);
   const SampleSortResult result = sample_sort(cluster, input);
   EXPECT_EQ(result.rounds, 6u);
 
-  // Coordinator strategy: the legacy 3 rounds — sample, splitters, route.
-  Cluster central(cfg, nullptr);
-  const SampleSortResult coordinated =
-      sample_sort(central, input, 8, SplitterStrategy::kCoordinator);
-  EXPECT_EQ(coordinated.rounds, 3u);
-
-  // Both are O(1): the Level-1 charge for the same volume charges
-  // ⌈log_S N⌉ ≥ 1 units; the Level-0 programs realize the constant.
+  // O(1): the Level-1 charge for the same volume charges ⌈log_S N⌉ ≥ 1
+  // units; the Level-0 program realizes the constant.
   RoundLedger ledger(cfg);
   MpcContext ctx(cfg, &ledger);
   EXPECT_GE(result.rounds, ctx.sort_rounds(16 * 48));
 
-  // Same multiset, same globally sorted concatenation, under either
-  // strategy (bucket boundaries may differ — splitter pools do).
-  std::vector<Word> tree_out;
+  std::vector<Word> out;
   for (const auto& slab : result.slabs)
-    tree_out.insert(tree_out.end(), slab.begin(), slab.end());
-  std::vector<Word> central_out;
-  for (const auto& slab : coordinated.slabs)
-    central_out.insert(central_out.end(), slab.begin(), slab.end());
-  EXPECT_EQ(tree_out, central_out);
-  EXPECT_EQ(tree_out, flatten_sorted(input));
+    out.insert(out.end(), slab.begin(), slab.end());
+  EXPECT_EQ(out, flatten_sorted(input));
 }
 
 TEST(SampleSort, HandlesEmptyAndSkewedSlabs) {
@@ -125,20 +112,15 @@ TEST(SampleSort, TinySkewedSlabsClampSamples) {
 }
 
 // Regression: a single-machine cluster takes the explicit empty-splitter
-// path (the tree scatters [0, 0] packets, the coordinator broadcasts an
-// empty set to itself) and still sorts in the standard round count.
+// path (the tree scatters [0, 0] packets) and still sorts in the standard
+// round count.
 TEST(SampleSort, SingleMachine) {
   const ClusterConfig cfg{1, 512};
-  const std::vector<std::vector<Word>> input{{9, 2, 7, 2, 5}};
-  for (const SplitterStrategy strategy :
-       {SplitterStrategy::kTree, SplitterStrategy::kCoordinator}) {
-    Cluster cluster(cfg, nullptr);
-    const SampleSortResult result = sample_sort(cluster, input, 8, strategy);
-    ASSERT_EQ(result.slabs.size(), 1u);
-    EXPECT_EQ(result.slabs[0], (std::vector<Word>{2, 2, 5, 7, 9}));
-    EXPECT_EQ(result.rounds,
-              strategy == SplitterStrategy::kTree ? 6u : 3u);
-  }
+  Cluster cluster(cfg, nullptr);
+  const SampleSortResult result = sample_sort(cluster, {{9, 2, 7, 2, 5}});
+  ASSERT_EQ(result.slabs.size(), 1u);
+  EXPECT_EQ(result.slabs[0], (std::vector<Word>{2, 2, 5, 7, 9}));
+  EXPECT_EQ(result.rounds, 6u);
 }
 
 TEST(SampleSort, SingleMachineEmptyInput) {
@@ -311,38 +293,10 @@ TEST(RecordSampleSort, AllSlabsEmpty) {
   EXPECT_EQ(result.rounds, 7u);
 }
 
-// Coordinator strategy keeps its legacy 4-round shape and, with a
-// full-record key, produces the identical unique total order as the tree.
-TEST(RecordSampleSort, CoordinatorStrategyABaseline) {
-  const ClusterConfig cfg{8, 8192};
-  util::SplitRng rng(19);
-  std::vector<std::vector<Word>> input(8);
-  std::size_t idx = 0;
-  for (auto& slab : input)
-    for (int r = 0; r < 20; ++r) {
-      slab.push_back(rng.next_below(16));
-      slab.push_back(idx++);
-    }
-  Cluster tree_cluster(cfg, nullptr);
-  const RecordSortResult tree = sample_sort_records(tree_cluster, input, 2);
-  Cluster central_cluster(cfg, nullptr);
-  const RecordSortResult central = sample_sort_records(
-      central_cluster, input, 2, 0, 8, SplitterStrategy::kCoordinator);
-  EXPECT_EQ(tree.rounds, 7u);
-  EXPECT_EQ(central.rounds, 4u);
-  std::vector<Word> tree_flat;
-  for (const auto& slab : tree.slabs)
-    tree_flat.insert(tree_flat.end(), slab.begin(), slab.end());
-  std::vector<Word> central_flat;
-  for (const auto& slab : central.slabs)
-    central_flat.insert(central_flat.end(), slab.begin(), slab.end());
-  EXPECT_EQ(tree_flat, central_flat);
-}
-
 // The bulk send_records route (route_aggregation, default on) is a pure
 // speed knob: outputs AND ledger totals must be bit-identical to the
-// per-record fallback, for both splitter strategies, including the
-// all-duplicate-key input where every splitter collides.
+// per-record fallback, including the all-duplicate-key input where every
+// splitter collides.
 TEST(RecordSampleSort, RouteAggregationOnOffBitIdentical) {
   util::SplitRng rng(23);
   std::vector<std::vector<Word>> input(8);
@@ -360,29 +314,25 @@ TEST(RecordSampleSort, RouteAggregationOnOffBitIdentical) {
     }
 
   for (const auto* slabs : {&input, &all_dup}) {
-    for (const SplitterStrategy strategy :
-         {SplitterStrategy::kTree, SplitterStrategy::kCoordinator}) {
-      ClusterConfig cfg{8, 8192};
-      cfg.route_aggregation = true;
-      RoundLedger on_ledger(cfg);
-      Cluster on_cluster(cfg, &on_ledger);
-      const RecordSortResult on =
-          sample_sort_records(on_cluster, *slabs, 2, 2, 8, strategy);
+    ClusterConfig cfg{8, 8192};
+    cfg.route_aggregation = true;
+    RoundLedger on_ledger(cfg);
+    Cluster on_cluster(cfg, &on_ledger);
+    const RecordSortResult on = sample_sort_records(on_cluster, *slabs, 2, 2);
 
-      cfg.route_aggregation = false;
-      RoundLedger off_ledger(cfg);
-      Cluster off_cluster(cfg, &off_ledger);
-      const RecordSortResult off =
-          sample_sort_records(off_cluster, *slabs, 2, 2, 8, strategy);
+    cfg.route_aggregation = false;
+    RoundLedger off_ledger(cfg);
+    Cluster off_cluster(cfg, &off_ledger);
+    const RecordSortResult off =
+        sample_sort_records(off_cluster, *slabs, 2, 2);
 
-      EXPECT_EQ(on.slabs, off.slabs);
-      EXPECT_EQ(on.rounds, off.rounds);
-      EXPECT_EQ(on_ledger.total_rounds(), off_ledger.total_rounds());
-      EXPECT_EQ(on_ledger.traffic_words_by_label(),
-                off_ledger.traffic_words_by_label());
-      EXPECT_EQ(on_ledger.peak_round_traffic(),
-                off_ledger.peak_round_traffic());
-    }
+    EXPECT_EQ(on.slabs, off.slabs);
+    EXPECT_EQ(on.rounds, off.rounds);
+    EXPECT_EQ(on_ledger.total_rounds(), off_ledger.total_rounds());
+    EXPECT_EQ(on_ledger.traffic_words_by_label(),
+              off_ledger.traffic_words_by_label());
+    EXPECT_EQ(on_ledger.peak_round_traffic(),
+              off_ledger.peak_round_traffic());
   }
 }
 
@@ -402,11 +352,11 @@ TEST(SampleSort, RouteAggregationOnOffBitIdentical) {
 }
 
 // The merge path (k-way merge of sorted inbox runs, default on) is the
-// same kind of pure speed knob: sample pools at relays/root/coordinator
-// and the final bucket slabs must be bit-identical to the re-sort
-// fallback — outputs, rounds, AND ledger totals — across both splitter
-// strategies and both route-aggregation settings (the bucket-round merge
-// gates on aggregation; the pool merges do not).
+// same kind of pure speed knob: sample pools at relays and root and the
+// final bucket slabs must be bit-identical to the re-sort fallback —
+// outputs, rounds, AND ledger totals — across both route-aggregation
+// settings (the bucket-round merge gates on aggregation; the pool merges
+// do not).
 TEST(RecordSampleSort, MergePathOnOffBitIdentical) {
   util::SplitRng rng(33);
   std::vector<std::vector<Word>> input(8);
@@ -418,30 +368,25 @@ TEST(RecordSampleSort, MergePathOnOffBitIdentical) {
     }
 
   for (const bool aggregate : {true, false}) {
-    for (const SplitterStrategy strategy :
-         {SplitterStrategy::kTree, SplitterStrategy::kCoordinator}) {
-      ClusterConfig cfg{8, 8192};
-      cfg.route_aggregation = aggregate;
-      cfg.merge_path = true;
-      RoundLedger on_ledger(cfg);
-      Cluster on_cluster(cfg, &on_ledger);
-      const RecordSortResult on =
-          sample_sort_records(on_cluster, input, 2, 2, 8, strategy);
+    ClusterConfig cfg{8, 8192};
+    cfg.route_aggregation = aggregate;
+    cfg.merge_path = true;
+    RoundLedger on_ledger(cfg);
+    Cluster on_cluster(cfg, &on_ledger);
+    const RecordSortResult on = sample_sort_records(on_cluster, input, 2, 2);
 
-      cfg.merge_path = false;
-      RoundLedger off_ledger(cfg);
-      Cluster off_cluster(cfg, &off_ledger);
-      const RecordSortResult off =
-          sample_sort_records(off_cluster, input, 2, 2, 8, strategy);
+    cfg.merge_path = false;
+    RoundLedger off_ledger(cfg);
+    Cluster off_cluster(cfg, &off_ledger);
+    const RecordSortResult off = sample_sort_records(off_cluster, input, 2, 2);
 
-      EXPECT_EQ(on.slabs, off.slabs);
-      EXPECT_EQ(on.rounds, off.rounds);
-      EXPECT_EQ(on_ledger.total_rounds(), off_ledger.total_rounds());
-      EXPECT_EQ(on_ledger.traffic_words_by_label(),
-                off_ledger.traffic_words_by_label());
-      EXPECT_EQ(on_ledger.peak_round_traffic(),
-                off_ledger.peak_round_traffic());
-    }
+    EXPECT_EQ(on.slabs, off.slabs);
+    EXPECT_EQ(on.rounds, off.rounds);
+    EXPECT_EQ(on_ledger.total_rounds(), off_ledger.total_rounds());
+    EXPECT_EQ(on_ledger.traffic_words_by_label(),
+              off_ledger.traffic_words_by_label());
+    EXPECT_EQ(on_ledger.peak_round_traffic(),
+              off_ledger.peak_round_traffic());
   }
 }
 
@@ -510,11 +455,10 @@ TEST(RecordSampleSort, RejectsRaggedArena) {
 // ------------------------ S-cap grounding of the splitter relay tree
 //
 // The point of the tree: the per-machine traffic of every splitter round
-// is O(√p·s) words (s = samples per machine), where the coordinator
-// pattern pooled Θ(p·s) at machine 0 and broadcast Θ(p²). Grounded with
-// the ledger's per-label traffic peaks at p = 256 and p = 400 — machine
-// counts where the coordinator's splitter rounds cannot even run under
-// the same per-machine budget.
+// is O(√p·s) words (s = samples per machine), never the Θ(p·s) of pooling
+// every sample at one machine. Grounded with the ledger's per-label
+// traffic peaks at p = 256 and p = 400, under a per-machine budget that
+// such a pool could not fit.
 TEST(SampleSortTree, SplitterRoundsStayWithinSqrtPBudget) {
   for (const std::size_t machines : {256u, 400u}) {
     const std::size_t samples = 32;
@@ -531,8 +475,8 @@ TEST(SampleSortTree, SplitterRoundsStayWithinSqrtPBudget) {
       out.insert(out.end(), slab.begin(), slab.end());
     EXPECT_EQ(out, flatten_sorted(input)) << "p=" << machines;
 
-    // Every splitter round ≤ 4·√p·s words per machine; the coordinator's
-    // sample pool alone is p·s — asymptotically √p/4 times larger.
+    // Every splitter round ≤ 4·√p·s words per machine; a single pool of
+    // all samples is p·s — asymptotically √p/4 times larger.
     const std::size_t budget = 4 * r * samples;
     EXPECT_LT(budget, machines * samples);
     const auto& peaks = ledger.peak_traffic_by_label();
@@ -542,14 +486,6 @@ TEST(SampleSortTree, SplitterRoundsStayWithinSqrtPBudget) {
       ASSERT_TRUE(peaks.count(label)) << label << " p=" << machines;
       EXPECT_LE(peaks.at(label), budget) << label << " p=" << machines;
     }
-
-    // The coordinator strategy trips the very first splitter round under
-    // the same per-machine budget: machine 0 would have to receive p·s
-    // sample words.
-    Cluster central(cfg, nullptr);
-    EXPECT_THROW(
-        sample_sort(central, input, samples, SplitterStrategy::kCoordinator),
-        arbor::InvariantError);
   }
 }
 
@@ -807,24 +743,8 @@ TEST(DeterminismMatrix, RecordSampleSort) {
       });
 }
 
-// Both splitter strategies are locked across the matrix — the tree above
-// (the default), the coordinator here (the A/B baseline) — and the tree
-// also at a wide, non-perfect-square machine count where its topology is
-// ragged.
-TEST(DeterminismMatrix, SampleSortCoordinatorStrategy) {
-  const auto input = random_slabs(8, 48, 25);
-  std::vector<std::vector<Word>> reference;
-  expect_matrix_identical(
-      "sample_sort/coordinator", [&](Cluster& cluster, bool first) {
-        const SampleSortResult result =
-            sample_sort(cluster, input, 8, SplitterStrategy::kCoordinator);
-        if (first)
-          reference = result.slabs;
-        else
-          EXPECT_EQ(result.slabs, reference);
-      });
-}
-
+// The tree again at a wide, non-perfect-square machine count where its
+// topology is ragged.
 TEST(DeterminismMatrix, WideTreeSampleSort) {
   const std::size_t machines = 75;  // r = 9, ragged last group of 3
   const auto input = random_slabs(machines, 40, 26);
@@ -839,27 +759,6 @@ TEST(DeterminismMatrix, WideTreeSampleSort) {
           EXPECT_EQ(result.slabs, reference);
       },
       machines, 8192);
-}
-
-TEST(DeterminismMatrix, RecordSampleSortCoordinatorStrategy) {
-  util::SplitRng rng(27);
-  std::vector<std::vector<Word>> input(8);
-  std::size_t payload = 0;
-  for (auto& slab : input)
-    for (int r = 0; r < 24; ++r) {
-      slab.push_back(rng.next_below(8));
-      slab.push_back(payload++);
-    }
-  std::vector<std::vector<Word>> reference;
-  expect_matrix_identical(
-      "sample_sort_records/coordinator", [&](Cluster& cluster, bool first) {
-        const RecordSortResult result = sample_sort_records(
-            cluster, input, 2, 1, 8, SplitterStrategy::kCoordinator);
-        if (first)
-          reference = result.slabs;
-        else
-          EXPECT_EQ(result.slabs, reference);
-      });
 }
 
 TEST(DeterminismMatrix, BroadcastAndConverge) {

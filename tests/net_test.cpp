@@ -515,24 +515,8 @@ TEST(TransportDeterminismMatrix, RecordSampleSort) {
       });
 }
 
-// Both splitter strategies stay bit-identical across transports (the
-// strategy travels as a RemoteSpec scalar), and the tree also at a wide,
-// ragged machine count whose groups straddle worker-block boundaries.
-TEST(TransportDeterminismMatrix, SampleSortCoordinatorStrategy) {
-  const auto input = random_slabs(8, 48, 125);
-  std::vector<std::vector<Word>> reference;
-  expect_transports_identical(
-      "sample_sort/coordinator", [&](mpc::Cluster& cluster, bool first) {
-        const mpc::SampleSortResult result = sample_sort(
-            cluster, input, 8, mpc::SplitterStrategy::kCoordinator);
-        EXPECT_EQ(result.rounds, 3u);
-        if (first)
-          reference = result.slabs;
-        else
-          EXPECT_EQ(result.slabs, reference);
-      });
-}
-
+// The tree again at a wide, ragged machine count whose groups straddle
+// worker-block boundaries.
 TEST(TransportDeterminismMatrix, WideTreeSampleSort) {
   const std::size_t machines = 75;  // r = 9, ragged last group of 3
   const auto input = random_slabs(machines, 40, 126);
@@ -745,6 +729,33 @@ TEST(MultiProcessBackend, UnknownProgramNameRejected) {
   program.distributable(std::move(spec));
   expect_rejected([&] { eng.run_program(state, 256, 0, program, {}); },
                   "\"no.such.program\" is not registered");
+}
+
+// A garbled spec fails on the worker by name instead of rebuilding a
+// different program: every builtin factory rejects a scalar vector of the
+// wrong length, and the two sorts reject a zero sample budget (which would
+// otherwise sort with no splitters and send everything to machine 0).
+TEST(WorkerRegistry, MalformedSpecsRejectedByName) {
+  const Registry& registry = Registry::builtin();
+  const auto build = [&](const std::string& name, std::vector<Word> scalars) {
+    ProgramInputs in;
+    in.machines = 4;
+    in.capacity = 256;
+    in.block_begin = 0;
+    in.block_end = 4;
+    in.scalars = std::move(scalars);
+    in.inputs.assign(4, {});
+    registry.find(name)(in);
+  };
+  const std::vector<std::string> names = registry.names();
+  ASSERT_FALSE(names.empty());
+  for (const std::string& name : names)
+    expect_rejected([&] { build(name, std::vector<Word>(16, 1)); },
+                    name + " expects ");
+  expect_rejected([&] { build("mpc.sample_sort", {0, 1, 1}); },
+                  "mpc.sample_sort needs samples_per_machine >= 1");
+  expect_rejected([&] { build("mpc.sample_sort_records", {2, 2, 0, 1, 1}); },
+                  "mpc.sample_sort_records needs samples_per_machine >= 1");
 }
 
 // --------------------------------------------- driver failure handling

@@ -89,15 +89,9 @@ void expect_bounded_clean(const std::string& program) {
 TEST(CostModels, AllSixRegisteredProtocolsRunBounded) {
   ReportLog::global().clear();
 
-  {  // mpc.sample_sort (splitter tree)
+  {  // mpc.sample_sort
     mpc::Cluster cluster(ClusterConfig{8, 8192}, nullptr);
     sample_sort(cluster, random_slabs(8, 32, 11));
-    expect_bounded_clean("mpc.sample_sort");
-  }
-  {  // mpc.sample_sort, coordinator strategy (same report name)
-    mpc::Cluster cluster(ClusterConfig{8, 8192}, nullptr);
-    sample_sort(cluster, random_slabs(8, 32, 12), 8,
-                mpc::SplitterStrategy::kCoordinator);
     expect_bounded_clean("mpc.sample_sort");
   }
   {  // mpc.sample_sort_records

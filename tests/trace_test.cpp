@@ -139,7 +139,7 @@ SortRun run_sort(ClusterConfig cfg) {
   mpc::RoundLedger ledger(cfg);
   mpc::Cluster cluster(cfg, &ledger);
   const mpc::SampleSortResult sorted = sample_sort(
-      cluster, sort_input(machines, 64), samples, mpc::SplitterStrategy::kTree);
+      cluster, sort_input(machines, 64), samples);
   SortRun run;
   run.slabs = sorted.slabs;
   run.total_rounds = ledger.total_rounds();
@@ -244,7 +244,7 @@ TEST(TraceTelemetry, TcpWorkersShipSpansAndMetricsMatchingLedger) {
   mpc::RoundLedger ledger(cfg);
   mpc::Cluster cluster(cfg, &ledger);
   const mpc::SampleSortResult sorted =
-      sample_sort(cluster, sort_input(8, 64), 8, mpc::SplitterStrategy::kTree);
+      sample_sort(cluster, sort_input(8, 64), 8);
   ASSERT_FALSE(sorted.slabs.empty());
 
   // Driver-side counters mirror the ledger charge exactly, label by label.
