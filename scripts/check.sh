@@ -33,9 +33,12 @@
 #   scripts/check.sh --asan              # Address+UB sanitizer stage only:
 #                                        # builds the 'asan' preset and runs
 #                                        # the engine, net, trace,
-#                                        # checked-execution, and graph
-#                                        # (edge-list parser fuzz) tests
-#                                        # clean
+#                                        # checked-execution, graph
+#                                        # (edge-list parser fuzz, dense
+#                                        # induced remap), MPC coloring
+#                                        # (block-local cone views, epoch
+#                                        # marks), partitioning, and
+#                                        # pipeline tests clean
 #   scripts/check.sh --lint              # style wall only: build and run
 #                                        # tools/arbor_lint over src/ (raw
 #                                        # getenv, unnamed distributable
@@ -211,10 +214,11 @@ if [[ "${1:-}" == "--asan" ]]; then
   cmake --preset asan "$@"
   cmake --build build-asan -j"${JOBS}" \
     --target engine_test net_test trace_test check_test graph_test \
-             arbor-worker
+             coloring_mpc_test partitioning_test pipeline_test arbor-worker
   # abort_on_error so a worker PROCESS dying on a report fails the driver
   # visibly; detect_leaks stays on (the default) — the wall is the point.
-  for t in engine_test net_test trace_test check_test graph_test; do
+  for t in engine_test net_test trace_test check_test graph_test \
+           coloring_mpc_test partitioning_test pipeline_test; do
     echo "== asan: ${t} =="
     ASAN_OPTIONS="abort_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
       "./build-asan/${t}"

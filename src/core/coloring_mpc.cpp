@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
-#include <unordered_set>
+#include <cstdint>
 
 #include "core/density_estimate.hpp"
 #include "core/orientation_mpc.hpp"
@@ -19,34 +18,107 @@ namespace {
 
 constexpr graph::Color kUncolored = 0xffffffffu;
 
-/// Size (in tree-of-influence nodes) of v's cone: vertices reachable along
-/// paths whose layers never decrease, restricted to layers in
-/// [block_lo, block_hi], up to `radius` hops, plus the immediate boundary
-/// neighbors in layers > block_hi (their colors are inputs to the replay).
-std::size_t cone_size(const graph::Graph& g, const LayerAssignment& layering,
-                      graph::VertexId start, Layer block_lo, Layer block_hi,
-                      std::size_t radius) {
-  std::unordered_set<graph::VertexId> seen{start};
-  std::deque<std::pair<graph::VertexId, std::size_t>> queue{{start, 0}};
-  std::size_t boundary = 0;
-  while (!queue.empty()) {
-    const auto [v, dist] = queue.front();
-    queue.pop_front();
-    if (dist == radius) continue;
-    const Layer lv = layering.layer[v];
-    for (graph::VertexId w : g.neighbors(v)) {
-      const Layer lw = layering.layer[w];
-      if (lw < lv) continue;  // influence flows along non-decreasing layers
-      if (lw > block_hi) {
-        ++boundary;  // colored input from a higher layer; one word of color
-        continue;
-      }
-      if (lw < block_lo) continue;
-      if (seen.insert(w).second) queue.emplace_back(w, dist + 1);
+/// Membership marks over [0, size) that clear in O(1): a slot is marked
+/// when it holds the current epoch, so `next_epoch()` unmarks everything.
+class EpochMarks {
+ public:
+  /// Grows to at least `size` slots; new slots start unmarked.
+  void grow_to(std::size_t size) {
+    if (stamps_.size() < size) stamps_.resize(size, 0);
+  }
+
+  void next_epoch() {
+    // After 2^32 epochs the counter wraps to 0, the value every fresh slot
+    // holds, and stale stamps from old epochs would read as marked. Zero
+    // the stamps and restart at epoch 1.
+    if (++epoch_ == 0) {
+      std::fill(stamps_.begin(), stamps_.end(), 0);
+      epoch_ = 1;
     }
   }
-  return seen.size() + boundary;
-}
+
+  bool marked(std::size_t i) const noexcept { return stamps_[i] == epoch_; }
+
+  /// Marks slot i; true when it was not yet marked this epoch.
+  bool mark(std::size_t i) noexcept {
+    if (stamps_[i] == epoch_) return false;
+    stamps_[i] = epoch_;
+    return true;
+  }
+
+ private:
+  std::vector<std::uint32_t> stamps_;
+  std::uint32_t epoch_ = 0;  // 0 is never current: call next_epoch() first
+};
+
+/// The cone gauge of one block of layers. `build` lays out a forward view
+/// over the block's members in block-local ids (local id i is members[i]):
+/// for each member v, its neighbours w with layer[v] ≤ layer[w] ≤ block_hi,
+/// in neighbour order, plus the number of v's neighbours above block_hi.
+/// Sampled cones then walk the view with no layer lookups; the scratch is
+/// reused across samples and blocks.
+class ConeGauge {
+ public:
+  explicit ConeGauge(std::size_t n) : local_id_(n) {}
+
+  void build(const graph::Graph& g, const std::vector<Layer>& layer,
+             const std::vector<graph::VertexId>& members, Layer block_hi) {
+    for (std::size_t i = 0; i < members.size(); ++i)
+      local_id_[members[i]] = static_cast<graph::VertexId>(i);
+    offsets_.assign(1, 0);
+    targets_.clear();
+    above_.assign(members.size(), 0);
+    for (std::size_t i = 0; i < members.size(); ++i) {
+      const Layer lv = layer[members[i]];
+      for (graph::VertexId w : g.neighbors(members[i])) {
+        const Layer lw = layer[w];
+        if (lw < lv) continue;  // influence flows along non-decreasing layers
+        if (lw > block_hi) {
+          ++above_[i];
+        } else {
+          targets_.push_back(local_id_[w]);  // lv ≤ lw ≤ block_hi: a member
+        }
+      }
+      offsets_.push_back(targets_.size());
+    }
+    seen_.grow_to(members.size());
+  }
+
+  /// Size (in tree-of-influence nodes) of the cone of local vertex `start`:
+  /// block vertices reachable along paths whose layers never decrease, up to
+  /// `radius` hops, plus one word per edge from an expanded vertex to a
+  /// layer above the block (their colors are inputs to the replay).
+  std::size_t cone_size(graph::VertexId start, std::size_t radius) {
+    seen_.next_epoch();
+    seen_.mark(start);
+    queue_.assign(1, start);
+    std::size_t boundary = 0;
+    // The FIFO holds whole BFS levels back to back; [head, level_end) is
+    // the level `dist` hops out, expanded while dist < radius.
+    std::size_t head = 0;
+    for (std::size_t dist = 0; dist < radius && head < queue_.size();
+         ++dist) {
+      const std::size_t level_end = queue_.size();
+      for (; head < level_end; ++head) {
+        const graph::VertexId v = queue_[head];
+        boundary += above_[v];
+        for (std::size_t e = offsets_[v]; e < offsets_[v + 1]; ++e) {
+          const graph::VertexId w = targets_[e];
+          if (seen_.mark(w)) queue_.push_back(w);
+        }
+      }
+    }
+    return queue_.size() + boundary;
+  }
+
+ private:
+  std::vector<graph::VertexId> local_id_;  // parent id -> block-local id
+  std::vector<std::size_t> offsets_;       // forward CSR over local ids
+  std::vector<graph::VertexId> targets_;
+  std::vector<std::size_t> above_;  // neighbours above block_hi
+  EpochMarks seen_;
+  std::vector<graph::VertexId> queue_;  // BFS FIFO, one level after another
+};
 
 struct LayerColoringOutcome {
   std::size_t local_rounds = 0;
@@ -54,30 +126,36 @@ struct LayerColoringOutcome {
 
 /// Color the vertices of one layer given the committed colors of all
 /// strictly higher layers. Palette: [palette_base, palette_base+C) minus
-/// higher-layer neighbor colors. Writes into `colors`.
+/// higher-layer neighbor colors. Writes into `colors`. `forbidden` is
+/// scratch reused across layers.
 LayerColoringOutcome color_one_layer(
     const graph::Graph& g, const LayerAssignment& layering, Layer j,
     const std::vector<graph::VertexId>& members, graph::Color palette_base,
     std::size_t palette_count, const std::vector<std::uint64_t>& global_keys,
     const util::StatelessCoin& coin, std::size_t trials,
-    std::vector<graph::Color>& colors) {
+    std::vector<graph::Color>& colors, EpochMarks& forbidden) {
   LayerColoringOutcome outcome;
   if (members.empty()) return outcome;
 
   const auto sub = g.induced(members);
   std::vector<std::vector<graph::Color>> palettes(members.size());
   std::vector<std::uint64_t> keys(members.size());
+  forbidden.grow_to(palette_count);
   for (std::size_t i = 0; i < members.size(); ++i) {
     const graph::VertexId v = sub.to_original[i];
     keys[i] = global_keys[v];
-    std::unordered_set<graph::Color> forbidden;
+    forbidden.next_epoch();
     for (graph::VertexId w : g.neighbors(v)) {
-      if (layering.layer[w] > j && colors[w] != kUncolored)
-        forbidden.insert(colors[w]);
+      if (layering.layer[w] <= j || colors[w] == kUncolored) continue;
+      // A color below palette_base wraps past palette_count; colors outside
+      // the palette cannot shrink it.
+      const graph::Color offset = colors[w] - palette_base;
+      if (offset < palette_count) forbidden.mark(offset);
     }
+    palettes[i].reserve(palette_count);
     for (std::size_t c = 0; c < palette_count; ++c) {
-      const auto color = static_cast<graph::Color>(palette_base + c);
-      if (!forbidden.contains(color)) palettes[i].push_back(color);
+      if (!forbidden.marked(c))
+        palettes[i].push_back(static_cast<graph::Color>(palette_base + c));
     }
   }
 
@@ -140,6 +218,8 @@ SinglePartResult color_single_part(const graph::Graph& g,
   }
 
   util::SplitRng sample_rng(params.seed ^ 0x5a3b1e50ULL);
+  ConeGauge gauge(n);
+  EpochMarks forbidden;
 
   // ---- Blocked descent with directed exponentiation. ----
   Layer j = top;
@@ -166,7 +246,7 @@ SinglePartResult color_single_part(const graph::Graph& g,
       const LayerColoringOutcome outcome = color_one_layer(
           g, layering.assignment, layer, layer_members[layer], palette_base,
           palette_count, global_keys, coin, params.trials_per_layer,
-          result.colors);
+          result.colors, forbidden);
       block_local_rounds += outcome.local_rounds;
     }
     result.local_rounds_replayed += block_local_rounds;
@@ -184,13 +264,14 @@ SinglePartResult color_single_part(const graph::Graph& g,
 
     // Cone gauge on a sample of block vertices.
     if (!block_members.empty()) {
+      gauge.build(g, layering.assignment.layer, block_members, j);
       const std::size_t samples =
           std::min(params.cone_sample, block_members.size());
       for (std::size_t i = 0; i < samples; ++i) {
-        const graph::VertexId v = block_members[static_cast<std::size_t>(
-            sample_rng.next_below(block_members.size()))];
-        const std::size_t cone =
-            cone_size(g, layering.assignment, v, j_lo, j, radius);
+        // The gauge's local id l is block_members[l].
+        const auto local = static_cast<graph::VertexId>(
+            sample_rng.next_below(block_members.size()));
+        const std::size_t cone = gauge.cone_size(local, radius);
         result.max_sampled_cone_nodes =
             std::max(result.max_sampled_cone_nodes, cone);
       }
@@ -205,7 +286,7 @@ SinglePartResult color_single_part(const graph::Graph& g,
     const LayerColoringOutcome outcome = color_one_layer(
         g, layering.assignment, layer, layer_members[layer], palette_base,
         palette_count, global_keys, coin, params.trials_per_layer,
-        result.colors);
+        result.colors, forbidden);
     result.tail_mpc_rounds += outcome.local_rounds;
     ctx.charge(outcome.local_rounds, "color.tail");
   }

@@ -24,10 +24,17 @@
 //     LOCAL round.
 //
 // Cone-size accounting: the influence cone of v is its reachable set along
-// paths with non-decreasing layers, length ≤ block_width·(trials+1). We
-// measure cones on a vertex sample per block (exact cones for every vertex
-// would cost more than the coloring itself) and gauge the local-memory
-// envelope from the sample maximum; E10 sweeps this.
+// paths with non-decreasing layers inside the block, up to the block's
+// realized radius (LOCAL rounds replayed plus one hop per layer), plus one
+// word per edge into a layer above the block. Once per block the gauge
+// builds a forward view of the block — each member's non-decreasing-layer
+// neighbours in block-local ids, and its count of neighbours above the
+// block — then runs a BFS from each of `cone_sample` sampled vertices over
+// that view, so a block costs O(block edges + sampled cone edges). Cones
+// are sampled rather than computed exactly for every vertex because exact
+// cones would cost more than the coloring itself (they overlap, so their
+// total size far exceeds the block's); the sample maximum gauges the
+// local-memory envelope. E10 (bench/bench_cone_sizes.cpp) sweeps this.
 #pragma once
 
 #include <cstdint>

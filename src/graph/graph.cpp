@@ -1,7 +1,6 @@
 #include "graph/graph.hpp"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "util/assert.hpp"
 
@@ -29,15 +28,17 @@ double Graph::average_degree() const noexcept {
 }
 
 InducedSubgraph Graph::induced(std::span<const VertexId> vertices) const {
-  std::unordered_map<VertexId, VertexId> to_new;
-  to_new.reserve(vertices.size());
+  // Dense remap over the parent's ids; kAbsent marks unselected vertices.
+  constexpr VertexId kAbsent = ~VertexId{0};
+  std::vector<VertexId> to_new(num_vertices(), kAbsent);
   std::vector<VertexId> to_original(vertices.begin(), vertices.end());
   for (std::size_t i = 0; i < vertices.size(); ++i) {
     ARBOR_CHECK_MSG(vertices[i] < num_vertices(),
                     "induced(): vertex id out of range");
-    const bool inserted =
-        to_new.emplace(vertices[i], static_cast<VertexId>(i)).second;
-    ARBOR_CHECK_MSG(inserted, "induced(): duplicate vertex in selection");
+    VertexId& slot = to_new[vertices[i]];
+    ARBOR_CHECK_MSG(slot == kAbsent,
+                    "induced(): duplicate vertex in selection");
+    slot = static_cast<VertexId>(i);
   }
 
   // Build CSR for the subgraph directly: count, then fill.
@@ -45,20 +46,16 @@ InducedSubgraph Graph::induced(std::span<const VertexId> vertices) const {
   std::vector<EdgeId> offsets(sub_n + 1, 0);
   for (std::size_t i = 0; i < sub_n; ++i) {
     for (VertexId w : neighbors(vertices[i]))
-      if (to_new.contains(w)) ++offsets[i + 1];
+      if (to_new[w] != kAbsent) ++offsets[i + 1];
   }
   for (std::size_t i = 0; i < sub_n; ++i) offsets[i + 1] += offsets[i];
 
   std::vector<VertexId> adjacency(offsets[sub_n]);
-  std::vector<Edge> edges;
-  std::vector<EdgeId> cursor(offsets.begin(), offsets.end() - 1);
+  EdgeId next = 0;
   for (std::size_t i = 0; i < sub_n; ++i) {
     for (VertexId w : neighbors(vertices[i])) {
-      const auto it = to_new.find(w);
-      if (it == to_new.end()) continue;
-      const VertexId j = it->second;
-      adjacency[cursor[i]++] = j;
-      if (i < j) edges.push_back({static_cast<VertexId>(i), j});
+      const VertexId j = to_new[w];
+      if (j != kAbsent) adjacency[next++] = j;
     }
   }
   // Neighbor lists inherit the original order keyed by *original* ids; the
@@ -67,7 +64,15 @@ InducedSubgraph Graph::induced(std::span<const VertexId> vertices) const {
     std::sort(adjacency.begin() + static_cast<std::ptrdiff_t>(offsets[i]),
               adjacency.begin() + static_cast<std::ptrdiff_t>(offsets[i + 1]));
   }
-  std::sort(edges.begin(), edges.end());
+  // Each edge listed at its smaller endpoint, rows in order, comes out
+  // canonical and already sorted.
+  std::vector<Edge> edges;
+  edges.reserve(offsets[sub_n] / 2);
+  for (std::size_t i = 0; i < sub_n; ++i) {
+    for (EdgeId e = offsets[i]; e < offsets[i + 1]; ++e)
+      if (i < adjacency[e])
+        edges.push_back({static_cast<VertexId>(i), adjacency[e]});
+  }
 
   return {Graph(std::move(offsets), std::move(adjacency), std::move(edges)),
           std::move(to_original)};

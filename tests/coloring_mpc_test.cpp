@@ -1,10 +1,14 @@
 // End-to-end tests for Theorem 1.2 (MPC coloring): properness, palette
-// size O(λ log log n), the vertex-partition path, determinism, and the
-// block/tail round accounting.
+// size O(λ log log n), the vertex-partition path, determinism, the
+// block/tail round accounting, and golden outputs pinned bit for bit.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <map>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "util/assert.hpp"
 #include "core/coloring_mpc.hpp"
@@ -156,6 +160,94 @@ TEST(MpcColor, PaletteFactorIsHonored) {
   const MpcColoringResult result = mpc_color(g, params, ctx);
   EXPECT_TRUE(graph::check_coloring(g, result.colors).proper);
   EXPECT_GE(result.palette_size, 5u * result.layering_outdegree);
+}
+
+/// FNV-1a (64-bit) over each colour's four bytes, low byte first.
+std::uint64_t fnv1a_colors(const std::vector<graph::Color>& colors) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (graph::Color c : colors) {
+    for (int byte = 0; byte < 4; ++byte) {
+      h ^= (c >> (8 * byte)) & 0xffu;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  return h;
+}
+
+struct GoldenOutputs {
+  std::string name;
+  Graph g;
+  std::uint64_t colors_fnv1a;
+  std::size_t palette_size;
+  std::size_t blocks;
+  std::size_t local_rounds_replayed;
+  std::size_t tail_mpc_rounds;
+  std::size_t max_sampled_cone_nodes;
+  std::size_t total_rounds;
+  std::map<std::string, std::size_t> rounds_by_label;
+};
+
+TEST(MpcColor, GoldenOutputsBitIdentical) {
+  // Pinned literals: a faster descent must reproduce the colours, the cone
+  // gauge and the ledger bit for bit.
+  util::SplitRng ba_rng(11);
+  util::SplitRng gnm_draw(12);
+  util::SplitRng gnm_relabel(13);
+  util::SplitRng forest_rng(6);
+  const std::vector<GoldenOutputs> cases = {
+      {"barabasi_albert(2^12, 4)",
+       graph::barabasi_albert(std::size_t{1} << 12, 4, ba_rng),
+       0xd574b8f43ddb82ffULL, 60, 4, 8, 4, 1187, 85,
+       {{"color.block_gather", 45},
+        {"color.estimate_k", 1},
+        {"color.measure_d", 1},
+        {"color.tail", 4},
+        {"exponentiate.fetch", 23},
+        {"exponentiate.init", 2},
+        {"layering.peel", 6},
+        {"partial_layering.min_project", 3}}},
+      {"relabelled gnm(2^12, 2^15)",
+       graph::relabel_randomly(
+           graph::gnm(std::size_t{1} << 12, std::size_t{1} << 15, gnm_draw),
+           gnm_relabel),
+       0x144c7f159a40b2ccULL, 33, 3, 11, 7, 1558, 62,
+       {{"color.block_gather", 45},
+        {"color.estimate_k", 1},
+        {"color.measure_d", 1},
+        {"color.tail", 7},
+        {"layering.peel", 8}}},
+      {"forest_union(5000, 2)", graph::forest_union(5000, 2, forest_rng),
+       0xc27bed3b945b8ce5ULL, 9, 3, 4, 13, 17, 52,
+       {{"color.block_gather", 24},
+        {"color.estimate_k", 1},
+        {"color.measure_d", 1},
+        {"color.tail", 13},
+        {"exponentiate.fetch", 6},
+        {"exponentiate.init", 1},
+        {"layering.peel", 5},
+        {"partial_layering.min_project", 1}}},
+      {"clique(200)", graph::clique(200), 0x1eeff5aa1b7e1985ULL, 519, 0, 0, 3,
+       0, 5,
+       {{"color.estimate_k", 1},
+        {"color.measure_d", 1},
+        {"color.tail", 3},
+        {"color.vertex_partition", 1},
+        {"layering.peel", 1}}},
+  };
+  for (const GoldenOutputs& want : cases) {
+    SCOPED_TRACE(want.name);
+    mpc::RoundLedger* ledger = nullptr;
+    auto ctx = make_ctx(want.g, ledger);
+    const MpcColoringResult got = mpc_color(want.g, {}, ctx);
+    EXPECT_EQ(fnv1a_colors(got.colors), want.colors_fnv1a);
+    EXPECT_EQ(got.palette_size, want.palette_size);
+    EXPECT_EQ(got.blocks, want.blocks);
+    EXPECT_EQ(got.local_rounds_replayed, want.local_rounds_replayed);
+    EXPECT_EQ(got.tail_mpc_rounds, want.tail_mpc_rounds);
+    EXPECT_EQ(got.max_sampled_cone_nodes, want.max_sampled_cone_nodes);
+    EXPECT_EQ(ledger->total_rounds(), want.total_rounds);
+    EXPECT_EQ(ledger->rounds_by_label(), want.rounds_by_label);
+  }
 }
 
 }  // namespace

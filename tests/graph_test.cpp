@@ -126,6 +126,56 @@ TEST(Graph, InducedEmptySelection) {
   EXPECT_EQ(sub.graph.num_edges(), 0u);
 }
 
+// `pick` must be rejected with an InvariantError quoting `fragment`.
+void expect_induced_rejected(const Graph& g, const std::vector<VertexId>& pick,
+                             const std::string& fragment) {
+  try {
+    g.induced(pick);
+    FAIL() << "accepted a selection of " << pick.size() << " ids";
+  } catch (const InvariantError& e) {
+    EXPECT_NE(std::string(e.what()).find(fragment), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Graph, InducedRejectsOutOfRange) {
+  const Graph g = from_edges(3, std::vector<Edge>{{0, 1}, {1, 2}});
+  expect_induced_rejected(g, {0, 3}, "induced(): vertex id out of range");
+  expect_induced_rejected(g, {1, ~VertexId{0}},
+                          "induced(): vertex id out of range");
+}
+
+TEST(Graph, InducedFollowsSelectionOrder) {
+  GraphBuilder b(6);
+  b.add_edge(0, 2);
+  b.add_edge(0, 4);
+  b.add_edge(0, 5);
+  b.add_edge(2, 4);
+  b.add_edge(4, 5);
+  b.add_edge(1, 2);  // leaves the selection
+  b.add_edge(3, 5);  // leaves the selection
+  const Graph g = b.build();
+
+  const std::vector<VertexId> pick{4, 0, 2, 5};
+  const auto sub = g.induced(pick);
+  EXPECT_EQ(sub.to_original, pick);
+  ASSERT_EQ(sub.graph.num_vertices(), 4u);
+  // New ids: 4->0, 0->1, 2->2, 5->3.
+  const std::vector<std::vector<VertexId>> want_neighbors{
+      {1, 2, 3}, {0, 2, 3}, {0, 1}, {0, 1}};
+  for (VertexId v = 0; v < 4; ++v) {
+    const auto ns = sub.graph.neighbors(v);
+    EXPECT_EQ(std::vector<VertexId>(ns.begin(), ns.end()), want_neighbors[v])
+        << "new id " << v;
+  }
+  const auto edges = sub.graph.edges();
+  const std::vector<Edge> want_edges{{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}};
+  EXPECT_EQ(std::vector<Edge>(edges.begin(), edges.end()), want_edges);
+
+  expect_induced_rejected(g, {2, 0, 2},
+                          "induced(): duplicate vertex in selection");
+}
+
 TEST(GraphIo, RoundTrip) {
   GraphBuilder b(4);
   b.add_edge(0, 1);
