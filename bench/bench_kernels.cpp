@@ -6,6 +6,9 @@
 // run the reproduction.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "core/exponentiate.hpp"
 #include "core/local_prune.hpp"
 #include "graph/arboricity.hpp"
@@ -30,22 +33,28 @@ void BM_LocalPrune(benchmark::State& state) {
   graph::VertexId center = 0;
   for (graph::VertexId v = 0; v < g.num_vertices(); ++v)
     if (g.degree(v) > g.degree(center)) center = v;
-  core::TreeView tree = core::TreeView::star(center, g.neighbors(center));
+  const core::TreeView star =
+      core::TreeView::star(center, g.neighbors(center));
+  core::TreeView tree;
   {
-    std::vector<core::TreeView> stars;
-    std::vector<std::pair<core::TreeView::NodeId, const core::TreeView*>>
-        attachments;
-    const auto leaves = tree.leaves_at_depth(1);
+    // Attach every leaf's star from its wire format, as Algorithm 2 does.
+    std::vector<std::vector<std::uint64_t>> stars;
+    std::vector<core::TreeView::Attachment> attachments;
+    const auto leaves = star.leaves_at_depth(1);
     stars.reserve(leaves.size());
-    for (auto leaf : leaves)
-      stars.push_back(core::TreeView::star(tree.vertex_of(leaf),
-                                           g.neighbors(tree.vertex_of(leaf))));
-    for (std::size_t i = 0; i < leaves.size(); ++i)
-      attachments.emplace_back(leaves[i], &stars[i]);
-    tree = tree.attach(attachments);
+    for (auto leaf : leaves) {
+      const graph::VertexId u = star.vertex_of(leaf);
+      stars.push_back(core::TreeView::star(u, g.neighbors(u)).serialize());
+      attachments.push_back({leaf, stars.back()});
+    }
+    star.attach(attachments, tree);
   }
+  // The output arena is reused across iterations, as across vertices and
+  // steps in Algorithm 2.
+  core::TreeView pruned;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::local_prune(tree, 4));
+    core::local_prune(tree, 4, pruned);
+    benchmark::DoNotOptimize(pruned.size());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(tree.size()));
@@ -56,14 +65,20 @@ void BM_ExponentiateStep(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const graph::Graph g = bench_graph(n);
   const mpc::ClusterConfig cfg{64, 4096};
+  // Items are tree nodes held after each step, summed over the steps: the
+  // unit the exponentiation's cost scales with.
+  std::size_t nodes = 0;
   for (auto _ : state) {
     mpc::RoundLedger ledger(cfg);
     mpc::MpcContext ctx(cfg, &ledger);
     core::ExponentiateParams p{/*budget=*/64, /*prune_k=*/4, /*steps=*/2};
-    benchmark::DoNotOptimize(core::exponentiate_and_local_prune(g, p, ctx));
+    const core::ExponentiateResult result =
+        core::exponentiate_and_local_prune(g, p, ctx);
+    for (const core::ExponentiateStepStats& step : result.per_step)
+      nodes += step.total_tree_nodes;
+    benchmark::DoNotOptimize(result.trees.data());
   }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
+  state.SetItemsProcessed(static_cast<std::int64_t>(nodes));
 }
 BENCHMARK(BM_ExponentiateStep)->Arg(1 << 10)->Arg(1 << 12);
 

@@ -37,8 +37,12 @@
 #                                        # (edge-list parser fuzz, dense
 #                                        # induced remap), MPC coloring
 #                                        # (block-local cone views, epoch
-#                                        # marks), partitioning, and
-#                                        # pipeline tests clean
+#                                        # marks), partitioning, pipeline,
+#                                        # tree-arena (tree_view,
+#                                        # local_prune, exponentiate,
+#                                        # partial_layering: raw offsets
+#                                        # and wire spans) and bundle-fetch
+#                                        # (mpc) tests clean
 #   scripts/check.sh --lint              # style wall only: build and run
 #                                        # tools/arbor_lint over src/ (raw
 #                                        # getenv, unnamed distributable
@@ -214,11 +218,15 @@ if [[ "${1:-}" == "--asan" ]]; then
   cmake --preset asan "$@"
   cmake --build build-asan -j"${JOBS}" \
     --target engine_test net_test trace_test check_test graph_test \
-             coloring_mpc_test partitioning_test pipeline_test arbor-worker
+             coloring_mpc_test partitioning_test pipeline_test \
+             tree_view_test local_prune_test exponentiate_test \
+             partial_layering_test mpc_test arbor-worker
   # abort_on_error so a worker PROCESS dying on a report fails the driver
   # visibly; detect_leaks stays on (the default) — the wall is the point.
   for t in engine_test net_test trace_test check_test graph_test \
-           coloring_mpc_test partitioning_test pipeline_test; do
+           coloring_mpc_test partitioning_test pipeline_test \
+           tree_view_test local_prune_test exponentiate_test \
+           partial_layering_test mpc_test; do
     echo "== asan: ${t} =="
     ASAN_OPTIONS="abort_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
       "./build-asan/${t}"

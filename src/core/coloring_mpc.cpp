@@ -10,6 +10,7 @@
 #include "local/list_coloring.hpp"
 #include "trace/trace.hpp"
 #include "util/assert.hpp"
+#include "util/epoch_marks.hpp"
 #include "util/rng.hpp"
 
 namespace arbor::core {
@@ -18,38 +19,7 @@ namespace {
 
 constexpr graph::Color kUncolored = 0xffffffffu;
 
-/// Membership marks over [0, size) that clear in O(1): a slot is marked
-/// when it holds the current epoch, so `next_epoch()` unmarks everything.
-class EpochMarks {
- public:
-  /// Grows to at least `size` slots; new slots start unmarked.
-  void grow_to(std::size_t size) {
-    if (stamps_.size() < size) stamps_.resize(size, 0);
-  }
-
-  void next_epoch() {
-    // After 2^32 epochs the counter wraps to 0, the value every fresh slot
-    // holds, and stale stamps from old epochs would read as marked. Zero
-    // the stamps and restart at epoch 1.
-    if (++epoch_ == 0) {
-      std::fill(stamps_.begin(), stamps_.end(), 0);
-      epoch_ = 1;
-    }
-  }
-
-  bool marked(std::size_t i) const noexcept { return stamps_[i] == epoch_; }
-
-  /// Marks slot i; true when it was not yet marked this epoch.
-  bool mark(std::size_t i) noexcept {
-    if (stamps_[i] == epoch_) return false;
-    stamps_[i] = epoch_;
-    return true;
-  }
-
- private:
-  std::vector<std::uint32_t> stamps_;
-  std::uint32_t epoch_ = 0;  // 0 is never current: call next_epoch() first
-};
+using util::EpochMarks;
 
 /// The cone gauge of one block of layers. `build` lays out a forward view
 /// over the block's members in block-local ids (local id i is members[i]):

@@ -1,6 +1,8 @@
 #include "core/directed_exponentiation.hpp"
 
 #include <algorithm>
+#include <span>
+#include <tuple>
 #include <unordered_map>
 
 #include "mpc/bundle_fetch.hpp"
@@ -13,16 +15,6 @@ namespace {
 /// Distance-annotated reach set: vertex -> exact hop distance (≤ current
 /// horizon). Kept sorted by vertex for deterministic wire format.
 using ReachMap = std::vector<std::pair<graph::VertexId, std::uint32_t>>;
-
-std::vector<mpc::Word> serialize_reach(const ReachMap& reach) {
-  std::vector<mpc::Word> words;
-  words.reserve(2 * reach.size());
-  for (const auto& [v, d] : reach) {
-    words.push_back(v);
-    words.push_back(d);
-  }
-  return words;
-}
 
 }  // namespace
 
@@ -68,15 +60,24 @@ DirectedGatherResult directed_gather(const graph::Graph& g,
   std::size_t horizon = 1;
   while (horizon < params.radius) {
     ++result.doublings;
+    // Every block vertex's set counts toward the fetch's volume gauges;
+    // only requested sets are serialized, as (vertex, distance) pairs.
     std::vector<std::vector<graph::VertexId>> requests(n);
-    std::vector<std::vector<mpc::Word>> bundles(n);
+    mpc::BundleArena bundles(n);
     for (graph::VertexId v = 0; v < n; ++v) {
       if (!in_block(v)) continue;
-      bundles[v] = serialize_reach(reach[v]);
+      bundles.set_words(v, 2 * reach[v].size());
       if (result.overflowed[v]) continue;
       requests[v].reserve(reach[v].size());
       for (const auto& [w, d] : reach[v]) requests[v].push_back(w);
     }
+    for (graph::VertexId v = 0; v < n; ++v)
+      for (graph::VertexId w : requests[v]) {
+        if (bundles.has_payload(w)) continue;
+        const std::span<mpc::Word> words = bundles.add(w, 2 * reach[w].size());
+        for (std::size_t i = 0; i < reach[w].size(); ++i)
+          std::tie(words[2 * i], words[2 * i + 1]) = reach[w][i];
+      }
     const mpc::BundleFetchResult fetch =
         mpc::fetch_bundles(ctx, bundles, requests, "directed_gather.fetch");
 
@@ -87,7 +88,7 @@ DirectedGatherResult directed_gather(const graph::Graph& g,
       for (const auto& [w, d] : reach[v]) best.emplace(w, d);
       for (std::size_t slot = 0; slot < requests[v].size(); ++slot) {
         const std::uint32_t via = reach[v][slot].second;
-        const auto& payload = fetch.delivered[v][slot];
+        const std::span<const mpc::Word> payload = fetch.delivered(v, slot);
         ARBOR_CHECK(payload.size() % 2 == 0);
         for (std::size_t i = 0; i < payload.size(); i += 2) {
           const auto x = static_cast<graph::VertexId>(payload[i]);

@@ -12,6 +12,11 @@
 // O(n^δ + B) local and O(nB + m) global memory (Claim 3.5); the tree
 // shipping in step 2 is executed through the Lemma 4.1 bundle-fetch
 // primitive so rounds and footprints are charged from real data volumes.
+//
+// Trees are flat arenas (core/tree_view.hpp) rewritten in place: prune
+// writes T_v into a per-vertex scratch tree and attach writes it back, so
+// buffers are reused across steps. Only requested trees are serialized,
+// into one bundle arena; attach reads the fetched spans, never pruned[u].
 #pragma once
 
 #include <cstddef>

@@ -1,71 +1,58 @@
 #include "core/local_prune.hpp"
 
 #include <algorithm>
+#include <numeric>
+#include <vector>
 
 #include "util/assert.hpp"
 
 namespace arbor::core {
 
-TreeView local_prune(const TreeView& tree, std::size_t k) {
+void local_prune(const TreeView& tree, std::size_t k, TreeView& out) {
   using NodeId = TreeView::NodeId;
-  const std::size_t n = tree.size();
+  ARBOR_CHECK_MSG(tree.size() >= 1 && &out != &tree, "local_prune: bad call");
+  const std::uint32_t* maps_to = tree.col(TreeView::kMapsTo);
+  const std::uint32_t* first = tree.col(TreeView::kFirstChild);
+  const std::uint32_t* count = tree.col(TreeView::kChildCount);
+  if (count[0] <= k) {  // rule 1 at the root: nothing else survives
+    out.reset(1, maps_to[0]);
+    return;
+  }
 
-  // The recursion's decision at every node x depends only on the pruned
-  // sizes of x's children, so we evaluate bottom-up. The arena invariant
-  // (parent id < child id, established by TreeView's constructors and
-  // attach()) makes a reverse scan a valid bottom-up order.
-  std::vector<std::size_t> pruned_size(n, 1);
-  std::vector<std::vector<NodeId>> kept_children(n);
+  // Pruned subtree sizes; 0 marks a dropped child. Per-thread scratch.
+  thread_local std::vector<std::uint32_t> size;
+  thread_local std::vector<NodeId> order;  // then: out node -> tree node
+  size.resize(tree.size());
+  const auto heavier = [&](NodeId a, NodeId b) {
+    if (size[a] != size[b]) return size[a] > size[b];
+    return maps_to[a] != maps_to[b] ? maps_to[a] < maps_to[b] : a < b;
+  };
+  // Bottom-up (children have larger ids): rule 1 keeps a node with ≤ k
+  // children alone; rule 2 drops its k heaviest pruned child subtrees.
+  for (std::size_t x = tree.size(); x-- > 0;) {
+    size[x] = 1;
+    if (count[x] <= k) continue;
+    order.resize(count[x]);
+    std::iota(order.begin(), order.end(), first[x]);
+    std::nth_element(order.begin(), order.begin() + k, order.end(), heavier);
+    for (std::size_t i = k; i < order.size(); ++i) size[x] += size[order[i]];
+    for (std::size_t i = 0; i < k; ++i) size[order[i]] = 0;
+  }
 
-  for (std::size_t i = n; i-- > 0;) {
-    const auto x = static_cast<NodeId>(i);
-    const auto& children = tree.node(x).children;
-    for (NodeId c : children)
-      ARBOR_CHECK_MSG(c > x, "arena order violated: child precedes parent");
-    if (children.size() <= k) {
-      // Rule 1: return the single-node tree — drop all children.
-      pruned_size[x] = 1;
-      continue;
+  // Top-down, breadth-first: out node y copies tree node order[y] and
+  // appends its kept children as one contiguous sibling range.
+  out.reset(size[0], maps_to[0]);
+  order.assign(1, 0);
+  for (NodeId y = 0; y < order.size(); ++y) {
+    const NodeId x = order[y];
+    if (count[x] <= k) continue;
+    for (NodeId c = first[x]; c < first[x] + count[x]; ++c) {
+      if (size[c] == 0) continue;
+      out.link(static_cast<NodeId>(order.size()), maps_to[c], y);
+      order.push_back(c);
     }
-    // Rule 2: drop the k largest pruned child subtrees.
-    std::vector<NodeId> order(children.begin(), children.end());
-    std::sort(order.begin(), order.end(), [&](NodeId a, NodeId b) {
-      if (pruned_size[a] != pruned_size[b])
-        return pruned_size[a] > pruned_size[b];
-      if (tree.vertex_of(a) != tree.vertex_of(b))
-        return tree.vertex_of(a) < tree.vertex_of(b);
-      return a < b;
-    });
-    order.erase(order.begin(),
-                order.begin() + static_cast<std::ptrdiff_t>(k));
-    std::size_t total = 1;
-    for (NodeId c : order) total += pruned_size[c];
-    pruned_size[x] = total;
-    kept_children[x] = std::move(order);
   }
-
-  // Top-down: materialize the kept nodes into a fresh arena (preorder keeps
-  // the parent-before-child invariant for downstream passes).
-  std::vector<TreeView::Node> out;
-  out.reserve(pruned_size[0]);
-  // Stack of (source node, parent id in `out`).
-  std::vector<std::pair<NodeId, NodeId>> stack{
-      {tree.root(), TreeView::kNoNode}};
-  while (!stack.empty()) {
-    const auto [src, parent] = stack.back();
-    stack.pop_back();
-    const auto id = static_cast<NodeId>(out.size());
-    const std::uint32_t depth =
-        parent == TreeView::kNoNode ? 0 : out[parent].depth + 1;
-    out.push_back(TreeView::Node{tree.vertex_of(src), parent, depth, {}});
-    if (parent != TreeView::kNoNode) out[parent].children.push_back(id);
-    // Push in reverse so children materialize in their kept order.
-    for (auto it = kept_children[src].rbegin();
-         it != kept_children[src].rend(); ++it)
-      stack.emplace_back(*it, id);
-  }
-  ARBOR_CHECK(out.size() == pruned_size[0]);
-  return TreeView::from_nodes(std::move(out));
+  ARBOR_CHECK(order.size() == size[0]);
 }
 
 }  // namespace arbor::core

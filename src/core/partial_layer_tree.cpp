@@ -12,40 +12,35 @@ std::vector<Layer> partial_layer_assignment_tree(const graph::Graph& g,
   const std::size_t n = tree.size();
   std::vector<Layer> layer(n, kInfiniteLayer);
 
-  // |Missing(x)| is fixed throughout; unassigned-children counts shrink as
-  // children get assigned.
-  std::vector<std::size_t> missing(n);
-  std::vector<std::size_t> unassigned_children(n);
+  // load[x] = |children ∩ V_≥j| + |Missing(x)|: it starts at deg(map(x))
+  // (Def 2.6) and drops as children get assigned. Per-thread scratch.
+  thread_local std::vector<std::size_t> load;
+  thread_local std::vector<TreeView::NodeId> remaining, next;
+  load.resize(n);
+  remaining.resize(n);
   for (TreeView::NodeId x = 0; x < n; ++x) {
-    missing[x] = tree.missing_count(g, x);
-    unassigned_children[x] = tree.node(x).children.size();
+    load[x] = tree.missing_count(g, x) + tree.child_count(x);
+    remaining[x] = x;
   }
 
-  std::vector<TreeView::NodeId> remaining(n);
-  for (TreeView::NodeId x = 0; x < n; ++x) remaining[x] = x;
-
-  std::vector<TreeView::NodeId> next_remaining;
-  std::vector<TreeView::NodeId> assigned_now;
   for (Layer j = 1; j <= L && !remaining.empty(); ++j) {
-    next_remaining.clear();
-    assigned_now.clear();
+    next.clear();
     // Selection is synchronous: V_j is decided from the state at the start
-    // of iteration j, so we first select, then update counters.
+    // of iteration j. One pass in id order is: when x is decided, its
+    // parent (a smaller id) already was, and its children not yet.
     for (TreeView::NodeId x : remaining) {
-      if (unassigned_children[x] + missing[x] <= a)
-        assigned_now.push_back(x);
-      else
-        next_remaining.push_back(x);
-    }
-    for (TreeView::NodeId x : assigned_now) {
+      if (load[x] > a) {
+        next.push_back(x);
+        continue;
+      }
       layer[x] = j;
-      const TreeView::NodeId parent = tree.node(x).parent;
+      const TreeView::NodeId parent = tree.parent_of(x);
       if (parent != TreeView::kNoNode) {
-        ARBOR_CHECK(unassigned_children[parent] > 0);
-        --unassigned_children[parent];
+        ARBOR_CHECK(load[parent] > 0);
+        --load[parent];
       }
     }
-    remaining.swap(next_remaining);
+    remaining.swap(next);
   }
   return layer;
 }

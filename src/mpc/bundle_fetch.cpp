@@ -12,14 +12,36 @@
 
 namespace arbor::mpc {
 
+void BundleArena::reset(std::size_t vertices) {
+  words_.assign(vertices, 0);
+  offset_.assign(vertices, kNone);
+  arena_.clear();
+}
+
+BundleArena BundleArena::from(const std::vector<std::vector<Word>>& bundles) {
+  BundleArena arena(bundles.size());
+  for (std::size_t v = 0; v < bundles.size(); ++v) {
+    const std::span<Word> dst = arena.add(v, bundles[v].size());
+    std::copy(bundles[v].begin(), bundles[v].end(), dst.begin());
+  }
+  return arena;
+}
+
+std::span<Word> BundleArena::add(std::size_t v, std::size_t words) {
+  ARBOR_CHECK_MSG(!has_payload(v), "bundle already has a payload");
+  words_[v] = words;
+  offset_[v] = arena_.size();
+  arena_.resize(arena_.size() + words);
+  return {arena_.data() + offset_[v], words};
+}
+
 BundleFetchResult fetch_bundles(
-    MpcContext& ctx, const std::vector<std::vector<Word>>& bundles,
+    MpcContext& ctx, const BundleArena& bundles,
     const std::vector<std::vector<graph::VertexId>>& requests,
     const std::string& label) {
-  ARBOR_CHECK_MSG(requests.size() <= bundles.size() || bundles.empty(),
+  ARBOR_CHECK_MSG(requests.size() <= bundles.size() || bundles.size() == 0,
                   "more requesters than vertices with bundles");
   BundleFetchResult result;
-  result.delivered.resize(requests.size());
 
   // Step 1: k_v = number of requesters per vertex (one sort in the model).
   std::vector<std::size_t> copies(bundles.size(), 0);
@@ -29,6 +51,8 @@ BundleFetchResult fetch_bundles(
         std::max(result.stats.max_request_list, requests[u].size());
     for (graph::VertexId v : requests[u]) {
       ARBOR_CHECK_MSG(v < bundles.size(), "request for unknown vertex");
+      ARBOR_CHECK_MSG(bundles.has_payload(v),
+                      "request for a bundle without payload");
       ++copies[v];
       ++total_requests;
     }
@@ -41,21 +65,24 @@ BundleFetchResult fetch_bundles(
   for (std::size_t v = 0; v < bundles.size(); ++v) {
     result.stats.max_copies = std::max(result.stats.max_copies, copies[v]);
     result.stats.max_bundle_words =
-        std::max(result.stats.max_bundle_words, bundles[v].size());
-    result.stats.total_delivered_words += copies[v] * bundles[v].size();
+        std::max(result.stats.max_bundle_words, bundles.words(v));
+    result.stats.total_delivered_words += copies[v] * bundles.words(v);
   }
   const std::size_t replicate_rounds =
       ctx.broadcast_rounds(std::max<std::size_t>(1, result.stats.max_copies));
 
   // Step 3: route copies to requesters (one sort over delivered volume),
-  // executed here as direct copies.
+  // executed here as read-only views of the requested payloads.
+  result.first.reserve(requests.size() + 1);
+  result.copies.reserve(total_requests);
+  result.first.push_back(0);
   for (std::size_t u = 0; u < requests.size(); ++u) {
     std::size_t requester_words = 0;
-    result.delivered[u].reserve(requests[u].size());
     for (graph::VertexId v : requests[u]) {
-      result.delivered[u].push_back(bundles[v]);
-      requester_words += bundles[v].size();
+      result.copies.push_back(bundles.payload(v));
+      requester_words += result.copies.back().size();
     }
+    result.first.push_back(result.copies.size());
     result.stats.max_requester_words =
         std::max(result.stats.max_requester_words, requester_words);
   }

@@ -12,12 +12,14 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "graph/graph.hpp"
 #include "mpc/cluster.hpp"
 #include "mpc/primitives.hpp"
+#include "util/assert.hpp"
 
 namespace arbor::net {
 class Registry;
@@ -34,17 +36,65 @@ struct BundleFetchStats {
   std::size_t max_copies = 0;           ///< largest k_v
 };
 
-/// `bundles[v]` is vertex v's bundle; `requests[u]` the list L_u.
-/// Returns, for each requester u, the bundles aligned with requests[u].
-/// Records footprints with the context's ledger; the stats let callers
-/// assert the lemma's preconditions at their chosen budgets.
+/// Every vertex's bundle B_v in one arena. The fetch reads the size of
+/// every bundle (its max/total volume gauges) but delivers only requested
+/// ones, so an unrequested bundle needs only its word count (set_words);
+/// requested ones carry a payload (add), laid out back to back.
+class BundleArena {
+ public:
+  /// `vertices` bundles, all empty and without payload.
+  explicit BundleArena(std::size_t vertices = 0) { reset(vertices); }
+
+  void reset(std::size_t vertices);
+
+  /// One bundle with a payload per element of `bundles`.
+  static BundleArena from(const std::vector<std::vector<Word>>& bundles);
+
+  std::size_t size() const noexcept { return words_.size(); }
+  std::size_t words(std::size_t v) const { return words_.at(v); }
+  bool has_payload(std::size_t v) const { return offset_.at(v) != kNone; }
+  std::span<const Word> payload(std::size_t v) const {
+    ARBOR_CHECK_MSG(has_payload(v), "bundle has no payload");
+    return {arena_.data() + offset_[v], words_[v]};
+  }
+
+  /// Records |B_v| = `words` without shipping a payload.
+  void set_words(std::size_t v, std::size_t words) {
+    ARBOR_CHECK_MSG(!has_payload(v), "bundle already has a payload");
+    words_[v] = words;
+  }
+
+  /// Sets |B_v| = `words` and appends B_v's payload, returned for the
+  /// caller to fill at once (a later add may move the arena).
+  std::span<Word> add(std::size_t v, std::size_t words);
+
+ private:
+  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> words_;
+  std::vector<std::size_t> offset_;  // payload start in arena_, or kNone
+  std::vector<Word> arena_;
+};
+
+/// `requests[u]` is the list L_u. Returns, for each requester u, the
+/// requested bundles aligned with requests[u]: delivered(u, slot) is
+/// B_{requests[u][slot]}, a span into the bundle arena (valid until the
+/// arena is reset, grown or destroyed). Records footprints with the
+/// context's ledger; the stats let callers assert the lemma's
+/// preconditions at their chosen budgets.
 struct BundleFetchResult {
-  std::vector<std::vector<std::vector<Word>>> delivered;
+  std::vector<std::size_t> first;  ///< u's copies: [first[u], first[u+1])
+  std::vector<std::span<const Word>> copies;
   BundleFetchStats stats;
+
+  std::span<const Word> delivered(std::size_t u, std::size_t slot) const {
+    ARBOR_CHECK_MSG(first.at(u) + slot < first.at(u + 1),
+                    "no such delivered slot");
+    return copies[first[u] + slot];
+  }
 };
 
 BundleFetchResult fetch_bundles(
-    MpcContext& ctx, const std::vector<std::vector<Word>>& bundles,
+    MpcContext& ctx, const BundleArena& bundles,
     const std::vector<std::vector<graph::VertexId>>& requests,
     const std::string& label);
 

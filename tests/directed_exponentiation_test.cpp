@@ -1,8 +1,7 @@
 // Tests for the executable directed exponentiation (the §4 gather):
 // reach-sets must equal BFS ground truth along non-decreasing-layer paths,
 // doubling must cover radius R in ⌈log2 R⌉ fetches, and overflow caps must
-// engage instead of blowing past the memory budget. Also covers TreeView
-// wire-format round-trips (the Algorithm 2 payloads).
+// engage instead of blowing past the memory budget.
 #include <gtest/gtest.h>
 
 #include <deque>
@@ -11,9 +10,7 @@
 #include "util/assert.hpp"
 #include "core/directed_exponentiation.hpp"
 #include "core/layering_pipeline.hpp"
-#include "core/local_prune.hpp"
 #include "core/orientation_mpc.hpp"
-#include "core/tree_view.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "mpc/ledger.hpp"
@@ -155,50 +152,6 @@ TEST(DirectedGather, RadiusOneIsNeighborhood) {
               (std::vector<VertexId>{0, leaf}));
   EXPECT_EQ(result.reachable[0], (std::vector<VertexId>{0}));
   EXPECT_EQ(result.doublings, 0u);  // radius 1 needs no doubling
-}
-
-// ---------------- TreeView wire format ----------------
-
-TEST(TreeViewSerialization, RoundTripsStarAndPruned) {
-  const Graph g = graph::star(8);
-  const TreeView star = TreeView::star(0, g.neighbors(0));
-  const auto words = star.serialize();
-  EXPECT_EQ(words.size(), star.serialized_words());
-  const TreeView back = TreeView::deserialize(words);
-  ASSERT_EQ(back.size(), star.size());
-  for (TreeView::NodeId x = 0; x < star.size(); ++x) {
-    EXPECT_EQ(back.vertex_of(x), star.vertex_of(x));
-    EXPECT_EQ(back.node(x).parent, star.node(x).parent);
-    EXPECT_EQ(back.node(x).depth, star.node(x).depth);
-  }
-  EXPECT_TRUE(back.is_valid_mapping(g));
-
-  const TreeView pruned = local_prune(star, 3);
-  const TreeView pruned_back = TreeView::deserialize(pruned.serialize());
-  EXPECT_EQ(pruned_back.size(), pruned.size());
-  EXPECT_TRUE(pruned_back.structurally_sound());
-}
-
-TEST(TreeViewSerialization, SingleNode) {
-  const TreeView t = TreeView::single(5);
-  const TreeView back = TreeView::deserialize(t.serialize());
-  EXPECT_EQ(back.size(), 1u);
-  EXPECT_EQ(back.root_vertex(), 5u);
-}
-
-TEST(TreeViewSerialization, RejectsCorruptPayloads) {
-  const TreeView t = TreeView::single(5);
-  auto words = t.serialize();
-  words.push_back(0);  // wrong length
-  EXPECT_THROW(TreeView::deserialize(words), arbor::InvariantError);
-
-  std::vector<std::uint64_t> empty;
-  EXPECT_THROW(TreeView::deserialize(empty), arbor::InvariantError);
-
-  // Parent pointing forward (child before parent).
-  std::vector<std::uint64_t> forward{2, /*root*/ 3, 0xffffffffu,
-                                     /*node1 parent=5*/ 4, 5};
-  EXPECT_THROW(TreeView::deserialize(forward), arbor::InvariantError);
 }
 
 }  // namespace

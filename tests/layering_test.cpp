@@ -4,11 +4,20 @@
 #include <gtest/gtest.h>
 
 #include "util/assert.hpp"
+#include <array>
 #include <cmath>
+#include <cstdint>
+#include <map>
+#include <string>
+#include <vector>
 
+#include "core/exponentiate.hpp"
 #include "core/layering.hpp"
+#include "core/layering_pipeline.hpp"
+#include "core/orientation_mpc.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
+#include "mpc/ledger.hpp"
 #include "util/rng.hpp"
 
 namespace arbor::core {
@@ -219,6 +228,123 @@ INSTANTIATE_TEST_SUITE_P(
     Growth, PeelingLayersSweep,
     ::testing::Combine(::testing::Values(128, 512, 2048),
                        ::testing::Values(1, 2, 4)));
+
+std::uint64_t fnv1a_layers(const std::vector<Layer>& layers) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (Layer l : layers) {
+    for (int byte = 0; byte < 4; ++byte) {
+      h ^= (l >> (8 * byte)) & 0xffu;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  return h;
+}
+
+struct GoldenLayering {
+  const char* name;
+  Graph g;
+  std::uint64_t layers_fnv1a;
+  Layer num_layers;
+  std::size_t outdegree_bound;
+  /// Per exponentiation step: {active, max nodes, total nodes, fetch rounds}.
+  std::vector<std::array<std::size_t, 4>> steps;
+  std::map<std::string, std::size_t> rounds_by_label;
+};
+
+TEST(Layering, GoldenAssignmentsBitIdentical) {
+  // Pinned literals: a faster exponentiation must reproduce the complete
+  // layering, Algorithm 2's per-step tree statistics and the ledger bit for
+  // bit. The exponentiation runs standalone on the whole graph with the
+  // pipeline's first-phase (B, k, s).
+  util::SplitRng ba_rng(21);
+  util::SplitRng gnm_draw(22);
+  util::SplitRng gnm_relabel(23);
+  util::SplitRng forest_rng(24);
+  util::SplitRng chain_rng(25);
+  util::SplitRng clique_rng(26);
+  const std::vector<GoldenLayering> cases = {
+      {"barabasi_albert(2^12, 4)",
+       graph::barabasi_albert(std::size_t{1} << 12, 4, ba_rng),
+       0x14427b835cf39036ULL, 10, 20,
+       {{3547, 59, 24358, 5},
+        {3547, 55, 10975, 4},
+        {3547, 51, 8159, 4},
+        {3547, 47, 6732, 4}},
+       {{"exponentiate.fetch", 23},
+        {"exponentiate.init", 2},
+        {"layering.peel", 6},
+        {"partial_layering.min_project", 3}}},
+      {"relabelled gnm(2^12, 2^14)",
+       graph::relabel_randomly(
+           graph::gnm(std::size_t{1} << 12, std::size_t{1} << 14, gnm_draw),
+           gnm_relabel),
+       0xaf1fd0bde336b176ULL, 8, 25,
+       {{4056, 64, 64723, 6},
+        {4056, 11, 5869, 4},
+        {4056, 6, 4183, 4},
+        {4056, 1, 4096, 4}},
+       {{"exponentiate.fetch", 17},
+        {"exponentiate.init", 1},
+        {"layering.peel", 6},
+        {"partial_layering.min_project", 2}}},
+      {"forest_union(5000, 2)", graph::forest_union(5000, 2, forest_rng),
+       0x090e57af2ed84557ULL, 7, 9,
+       {{4934, 35, 20984, 5},
+        {4934, 11, 6289, 4},
+        {4934, 8, 5257, 4},
+        {4934, 5, 5043, 4}},
+       {{"exponentiate.fetch", 6},
+        {"exponentiate.init", 1},
+        {"layering.peel", 5},
+        {"partial_layering.min_project", 1}}},
+      {"slow_peeling_chain(6, 10)",
+       graph::slow_peeling_chain(6, 10, chain_rng).graph,
+       0x549b100905d91c63ULL, 6, 35,
+       {{1281, 241, 135723, 7},
+        {1281, 1, 1323, 4},
+        {1281, 1, 1323, 4},
+        {1281, 1, 1323, 4}},
+       {{"layering.peel", 6}}},
+      {"planted_clique(2000, 6000, 40)",
+       graph::planted_clique(2000, 6000, 40, clique_rng),
+       0xbba8603da133ae15ULL, 2, 39,
+       {{2000, 49, 3305, 6},
+        {2000, 1, 2000, 4},
+        {2000, 1, 2000, 4},
+        {2000, 1, 2000, 4}},
+       {{"layering.peel", 2}}},
+  };
+  for (const GoldenLayering& want : cases) {
+    SCOPED_TRACE(want.name);
+    const Graph& g = want.g;
+    const auto cfg =
+        mpc::ClusterConfig::for_problem(g.num_vertices(), g.num_edges(), 0.6);
+    const PipelineParams p =
+        PipelineParams::practical(estimate_density_parameter(g));
+
+    mpc::RoundLedger ledger(cfg);
+    mpc::MpcContext ctx(cfg, &ledger);
+    const CompleteLayeringResult got = complete_layering(g, p, ctx);
+    EXPECT_EQ(fnv1a_layers(got.assignment.layer), want.layers_fnv1a);
+    EXPECT_EQ(got.assignment.num_layers, want.num_layers);
+    EXPECT_EQ(got.outdegree_bound, want.outdegree_bound);
+    EXPECT_EQ(ledger.rounds_by_label(), want.rounds_by_label);
+
+    ExponentiateParams ep;
+    ep.budget = p.derive_budget(cfg.words_per_machine);
+    ep.prune_k = p.k;
+    ep.steps = p.derive_steps(g.num_vertices(), p.derive_layers(ep.budget));
+    mpc::RoundLedger exp_ledger(cfg);
+    mpc::MpcContext exp_ctx(cfg, &exp_ledger);
+    const ExponentiateResult trees =
+        exponentiate_and_local_prune(g, ep, exp_ctx);
+    std::vector<std::array<std::size_t, 4>> steps;
+    for (const ExponentiateStepStats& s : trees.per_step)
+      steps.push_back({s.active_vertices, s.max_tree_nodes,
+                       s.total_tree_nodes, s.fetch_rounds});
+    EXPECT_EQ(steps, want.steps);
+  }
+}
 
 }  // namespace
 }  // namespace arbor::core

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <functional>
 #include <map>
+#include <span>
 
 #include "graph/generators.hpp"
 #include "local/mpc_embedding.hpp"
@@ -629,14 +630,24 @@ TEST(BundleFetchProgram, MatchesAnalyticDelivery) {
   const ClusterConfig cfg{4, 1024};
   RoundLedger ledger(cfg);
   MpcContext ctx(cfg, &ledger);
+  const BundleArena arena = BundleArena::from(bundles);
   const BundleFetchResult analytic =
-      fetch_bundles(ctx, bundles, requests, "fetch");
+      fetch_bundles(ctx, arena, requests, "fetch");
 
   Cluster cluster(cfg, nullptr);
   const Level0BundleFetchResult executed =
       fetch_bundles_program(cluster, bundles, requests);
   EXPECT_EQ(executed.rounds, 3u);
-  EXPECT_EQ(executed.delivered, analytic.delivered);
+  ASSERT_EQ(executed.delivered.size(), requests.size());
+  for (std::size_t u = 0; u < requests.size(); ++u) {
+    ASSERT_EQ(executed.delivered[u].size(), requests[u].size());
+    for (std::size_t slot = 0; slot < requests[u].size(); ++slot) {
+      const std::span<const Word> copy = analytic.delivered(u, slot);
+      EXPECT_EQ(executed.delivered[u][slot],
+                std::vector<Word>(copy.begin(), copy.end()))
+          << "requester " << u << " slot " << slot;
+    }
+  }
 }
 
 TEST(BundleFetchProgram, RejectsUnknownVertex) {

@@ -3,8 +3,13 @@
 // ≤ k) and Lemma 3.2 (pruned size ≤ NumPathsIn at the root's vertex).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <map>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "util/assert.hpp"
 #include "core/layering.hpp"
@@ -21,20 +26,42 @@ using graph::Graph;
 using graph::VertexId;
 using NodeId = TreeView::NodeId;
 
+TreeView pruned_copy(const TreeView& tree, std::size_t k) {
+  TreeView out;
+  local_prune(tree, k, out);
+  return out;
+}
+
+/// `tree` with every depth-`depth` leaf replaced by the star of its vertex.
+TreeView grow_stars(const Graph& g, const TreeView& tree, std::uint32_t depth) {
+  std::vector<std::vector<std::uint64_t>> stars;
+  std::vector<TreeView::Attachment> attachments;
+  const auto leaves = tree.leaves_at_depth(depth);
+  stars.reserve(leaves.size());
+  for (NodeId leaf : leaves) {
+    const VertexId u = tree.vertex_of(leaf);
+    stars.push_back(TreeView::star(u, g.neighbors(u)).serialize());
+    attachments.push_back({leaf, stars.back()});
+  }
+  TreeView out;
+  tree.attach(attachments, out);
+  return out;
+}
+
 TEST(LocalPrune, RootWithAtMostKChildrenBecomesSingleton) {
   const Graph g = graph::star(4);
   const TreeView t = TreeView::star(0, g.neighbors(0));  // 3 children
-  EXPECT_EQ(local_prune(t, 3).size(), 1u);
-  EXPECT_EQ(local_prune(t, 5).size(), 1u);
+  EXPECT_EQ(pruned_copy(t, 3).size(), 1u);
+  EXPECT_EQ(pruned_copy(t, 5).size(), 1u);
 }
 
 TEST(LocalPrune, RootAboveKDropsKLargest) {
   const Graph g = graph::star(6);
   const TreeView t = TreeView::star(0, g.neighbors(0));  // 5 children
   // All child subtrees have size 1; pruning k=2 keeps 3 of them.
-  const TreeView pruned = local_prune(t, 2);
+  const TreeView pruned = pruned_copy(t, 2);
   EXPECT_EQ(pruned.size(), 4u);
-  EXPECT_EQ(pruned.node(0).children.size(), 3u);
+  EXPECT_EQ(pruned.child_count(0), 3u);
   EXPECT_TRUE(pruned.is_valid_mapping(g));
 }
 
@@ -54,28 +81,23 @@ TEST(LocalPrune, PrunesHeaviestSubtreesFirst) {
   const Graph g = b.build();
 
   // Tree: root(0) -> {1, 2, 3}; 3 -> 4 -> 5.
-  std::vector<TreeView::Node> nodes(6);
-  nodes[0] = {0, TreeView::kNoNode, 0, {1, 2, 3}};
-  nodes[1] = {1, 0, 1, {}};
-  nodes[2] = {2, 0, 1, {}};
-  nodes[3] = {3, 0, 1, {4}};
-  nodes[4] = {4, 3, 2, {5}};
-  nodes[5] = {5, 4, 3, {}};
-  const TreeView t = TreeView::from_nodes(std::move(nodes));
+  // Wire format: (maps_to, parent) per node in arena order.
+  const TreeView t = TreeView::deserialize(std::vector<std::uint64_t>{
+      6, 0, TreeView::kNoNode, 1, 0, 2, 0, 3, 0, 4, 3, 5, 4});
 
-  const TreeView pruned = local_prune(t, 1);
+  const TreeView pruned = pruned_copy(t, 1);
   // Chain under 3 collapses (each node ≤ 1 child = k → singleton), so all
   // three child subtrees have size 1; k=1 drops one → root keeps 2.
   EXPECT_EQ(pruned.size(), 3u);
   for (NodeId x = 0; x < pruned.size(); ++x)
-    EXPECT_LE(pruned.node(x).depth, 1u);
+    EXPECT_LE(pruned.depth_of(x), 1u);
 }
 
 TEST(LocalPrune, DeterministicTieBreaks) {
   const Graph g = graph::star(8);
   const TreeView t = TreeView::star(0, g.neighbors(0));
-  const TreeView p1 = local_prune(t, 3);
-  const TreeView p2 = local_prune(t, 3);
+  const TreeView p1 = pruned_copy(t, 3);
+  const TreeView p2 = pruned_copy(t, 3);
   ASSERT_EQ(p1.size(), p2.size());
   for (NodeId x = 0; x < p1.size(); ++x)
     EXPECT_EQ(p1.vertex_of(x), p2.vertex_of(x));
@@ -85,6 +107,89 @@ TEST(LocalPrune, DeterministicTieBreaks) {
   std::set<VertexId> kept;
   for (NodeId x = 1; x < p1.size(); ++x) kept.insert(p1.vertex_of(x));
   EXPECT_EQ(kept, (std::set<VertexId>{4, 5, 6, 7}));
+}
+
+/// "(v f1 f2 ...)" over the sorted child forms: two trees have equal forms
+/// iff they are the same rooted, vertex-labelled tree, whatever their
+/// arena order.
+std::string form(VertexId v, std::vector<std::string> children) {
+  std::sort(children.begin(), children.end());
+  std::string out = "(";
+  out += std::to_string(v);
+  for (const std::string& child : children) {
+    out += ' ';
+    out += child;
+  }
+  out += ')';
+  return out;
+}
+
+std::string canonical(const TreeView& t, NodeId x) {
+  std::vector<std::string> children;
+  for (NodeId c : t.children(x)) children.push_back(canonical(t, c));
+  return form(t.vertex_of(x), std::move(children));
+}
+
+/// Algorithm 1 as written: recurse, FULLY sort the pruned child subtrees
+/// (size desc, mapped vertex asc, node id asc), drop the first k. Returns
+/// the form of the pruned subtree and sets its size.
+std::string reference_prune(const TreeView& t, NodeId x, std::size_t k,
+                            std::size_t& size) {
+  size = 1;
+  if (t.child_count(x) <= k) return form(t.vertex_of(x), {});
+  struct Sub {
+    std::size_t size;
+    VertexId v;
+    NodeId id;
+    std::string form;
+  };
+  std::vector<Sub> subs;
+  for (NodeId c : t.children(x)) {
+    Sub sub{0, t.vertex_of(c), c, {}};
+    sub.form = reference_prune(t, c, k, sub.size);
+    subs.push_back(std::move(sub));
+  }
+  std::sort(subs.begin(), subs.end(), [](const Sub& a, const Sub& b) {
+    if (a.size != b.size) return a.size > b.size;
+    return a.v != b.v ? a.v < b.v : a.id < b.id;
+  });
+  std::vector<std::string> kept;
+  for (std::size_t i = k; i < subs.size(); ++i) {
+    size += subs[i].size;
+    kept.push_back(subs[i].form);
+  }
+  return form(t.vertex_of(x), std::move(kept));
+}
+
+// The partial selection of the k heaviest children must prune exactly as
+// the full sort of Algorithm 1 does, ties included: random trees whose
+// siblings often share a vertex and a pruned size.
+TEST(LocalPrune, MatchesFullSortReference) {
+  util::SplitRng rng(9);
+  TreeView pruned;  // one output arena reused across every call
+  for (int trial = 0; trial < 300; ++trial) {
+    // Breadth-first wire payload: each node gets 0..6 children labelled
+    // from a small vertex range, so labels repeat among siblings.
+    std::vector<std::uint64_t> words{0, rng.next_below(4),
+                                     TreeView::kNoNode};
+    std::uint64_t count = 1;
+    for (std::uint64_t y = 0; y < count && count < 200; ++y) {
+      const std::uint64_t fan = rng.next_below(y == 0 ? 7 : 5);
+      for (std::uint64_t c = 0; c < fan; ++c, ++count) {
+        words.push_back(rng.next_below(4));
+        words.push_back(y);
+      }
+    }
+    words[0] = count;
+    const TreeView t = TreeView::deserialize(words);
+    const std::size_t k = trial % 4;
+    local_prune(t, k, pruned);
+    std::size_t want_size = 0;
+    EXPECT_EQ(canonical(pruned, 0), reference_prune(t, 0, k, want_size))
+        << "trial " << trial;
+    EXPECT_EQ(pruned.size(), want_size);
+    EXPECT_TRUE(pruned.structurally_sound());
+  }
 }
 
 // Claim 3.1 as a property: for every surviving node,
@@ -98,18 +203,7 @@ TEST(LocalPrune, Claim31MissingGrowsByAtMostK) {
     const auto start = static_cast<VertexId>(rng.next_below(60));
     TreeView t = TreeView::star(start, g.neighbors(start));
     for (int grow = 0; grow < 2; ++grow) {
-      std::vector<TreeView> stars;
-      std::vector<std::pair<NodeId, const TreeView*>> attachments;
-      const auto leaves = t.leaves_at_depth(t.height());
-      stars.reserve(leaves.size());
-      for (NodeId leaf : leaves) {
-        const VertexId u = t.vertex_of(leaf);
-        stars.push_back(TreeView::star(u, g.neighbors(u)));
-      }
-      attachments.reserve(leaves.size());
-      for (std::size_t i = 0; i < leaves.size(); ++i)
-        attachments.emplace_back(leaves[i], &stars[i]);
-      t = t.attach(attachments);
+      t = grow_stars(g, t, t.height());
       if (t.size() > 4000) break;
     }
     ASSERT_TRUE(t.is_valid_mapping(g));
@@ -120,7 +214,7 @@ TEST(LocalPrune, Claim31MissingGrowsByAtMostK) {
     // identity only implicitly, so compare by matching root-to-node paths.
     // Simpler sound check: missing is determined by (maps_to, #children);
     // children only shrink during pruning, and Claim 3.1 says by ≤ k.
-    const TreeView pruned = local_prune(t, k);
+    const TreeView pruned = pruned_copy(t, k);
     ASSERT_TRUE(pruned.is_valid_mapping(g));
 
     // Walk both trees in parallel from the roots: children of a pruned
@@ -134,9 +228,8 @@ TEST(LocalPrune, Claim31MissingGrowsByAtMostK) {
       EXPECT_LE(missing_after, missing_before + k)
           << "Claim 3.1 violated (trial " << trial << ")";
       std::map<VertexId, NodeId> orig_children;
-      for (NodeId c : t.node(ox).children)
-        orig_children[t.vertex_of(c)] = c;
-      for (NodeId pc : pruned.node(px).children) {
+      for (NodeId c : t.children(ox)) orig_children[t.vertex_of(c)] = c;
+      for (NodeId pc : pruned.children(px)) {
         const auto it = orig_children.find(pruned.vertex_of(pc));
         ASSERT_NE(it, orig_children.end())
             << "pruned tree has a child not present in the original";
@@ -160,22 +253,10 @@ TEST(LocalPrune, Lemma32SizeBoundedByPathCount) {
     const auto start = static_cast<VertexId>(rng.next_below(80));
     TreeView t = TreeView::star(start, g.neighbors(start));
     // One round of star expansion to create depth-2 trees.
-    {
-      std::vector<TreeView> stars;
-      std::vector<std::pair<NodeId, const TreeView*>> attachments;
-      const auto leaves = t.leaves_at_depth(1);
-      stars.reserve(leaves.size());
-      for (NodeId leaf : leaves) {
-        const VertexId u = t.vertex_of(leaf);
-        stars.push_back(TreeView::star(u, g.neighbors(u)));
-      }
-      for (std::size_t i = 0; i < leaves.size(); ++i)
-        attachments.emplace_back(leaves[i], &stars[i]);
-      t = t.attach(attachments);
-    }
+    t = grow_stars(g, t, 1);
 
     const std::size_t k = std::max<std::size_t>(d, 1);
-    const TreeView pruned = local_prune(t, k);
+    const TreeView pruned = pruned_copy(t, k);
     EXPECT_LE(pruned.size(), paths_in[start])
         << "Lemma 3.2 violated at vertex " << start << " (trial " << trial
         << ")";

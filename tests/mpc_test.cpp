@@ -256,22 +256,26 @@ TEST(BundleFetch, DeliversRequestedBundles) {
   const ClusterConfig cfg{8, 1024};
   RoundLedger ledger(cfg);
   MpcContext ctx(cfg, &ledger);
-  std::vector<std::vector<Word>> bundles{{10}, {20, 21}, {30}};
+  const auto bundles = BundleArena::from({{10}, {20, 21}, {30}});
   std::vector<std::vector<graph::VertexId>> requests{{1, 2}, {}, {0}};
   const auto result = fetch_bundles(ctx, bundles, requests, "fetch");
-  ASSERT_EQ(result.delivered.size(), 3u);
-  ASSERT_EQ(result.delivered[0].size(), 2u);
-  EXPECT_EQ(result.delivered[0][0], (std::vector<Word>{20, 21}));
-  EXPECT_EQ(result.delivered[0][1], (std::vector<Word>{30}));
-  EXPECT_EQ(result.delivered[2][0], (std::vector<Word>{10}));
-  EXPECT_TRUE(result.delivered[1].empty());
+  ASSERT_EQ(result.first.size(), 4u);
+  ASSERT_EQ(result.first[1] - result.first[0], 2u);
+  const auto as_vector = [](std::span<const Word> w) {
+    return std::vector<Word>(w.begin(), w.end());
+  };
+  EXPECT_EQ(as_vector(result.delivered(0, 0)), (std::vector<Word>{20, 21}));
+  EXPECT_EQ(as_vector(result.delivered(0, 1)), (std::vector<Word>{30}));
+  EXPECT_EQ(as_vector(result.delivered(2, 0)), (std::vector<Word>{10}));
+  EXPECT_EQ(result.first[2], result.first[1]);  // requester 1 asked nothing
+  EXPECT_THROW(result.delivered(1, 0), arbor::InvariantError);
 }
 
 TEST(BundleFetch, StatsReflectVolumes) {
   const ClusterConfig cfg{8, 1024};
   RoundLedger ledger(cfg);
   MpcContext ctx(cfg, &ledger);
-  std::vector<std::vector<Word>> bundles{{1, 2, 3}, {4}};
+  const auto bundles = BundleArena::from({{1, 2, 3}, {4}});
   std::vector<std::vector<graph::VertexId>> requests{{0, 1}, {0}};
   const auto result = fetch_bundles(ctx, bundles, requests, "fetch");
   EXPECT_EQ(result.stats.max_request_list, 2u);
@@ -282,11 +286,60 @@ TEST(BundleFetch, StatsReflectVolumes) {
   EXPECT_GE(ledger.total_rounds(), result.stats.rounds_charged);
 }
 
+TEST(BundleFetch, WordCountsAloneStandInForUnrequestedBundles) {
+  // Bundle 2 is the largest but nobody requests it: its word count must
+  // still drive max_bundle_words (and the count-sort sizes), exactly as if
+  // its payload had been shipped.
+  const std::vector<std::vector<Word>> full{
+      {1, 2}, {3}, {4, 5, 6, 7, 8, 9}, {10, 11, 12}};
+  const std::vector<std::vector<graph::VertexId>> requests{
+      {1, 3}, {0}, {}, {1, 1}};
+  const ClusterConfig cfg{8, 16};
+  RoundLedger full_ledger(cfg);
+  MpcContext full_ctx(cfg, &full_ledger);
+  const BundleArena full_arena = BundleArena::from(full);
+  const auto shipped = fetch_bundles(full_ctx, full_arena, requests, "fetch");
+
+  BundleArena counts_only(full.size());
+  for (std::size_t v : {0u, 1u, 3u}) {
+    const std::span<Word> dst = counts_only.add(v, full[v].size());
+    std::copy(full[v].begin(), full[v].end(), dst.begin());
+  }
+  counts_only.set_words(2, full[2].size());
+  RoundLedger ledger(cfg);
+  MpcContext ctx(cfg, &ledger);
+  const auto got = fetch_bundles(ctx, counts_only, requests, "fetch");
+
+  // Literals: what the fetch charged when every payload was shipped.
+  EXPECT_EQ(got.stats.max_bundle_words, 6u);
+  EXPECT_EQ(got.stats.total_delivered_words, 1u + 3u + 2u + 1u + 1u);
+  EXPECT_EQ(got.stats.rounds_charged, 3u);
+  EXPECT_EQ(got.stats.max_bundle_words, shipped.stats.max_bundle_words);
+  EXPECT_EQ(got.stats.total_delivered_words,
+            shipped.stats.total_delivered_words);
+  EXPECT_EQ(got.stats.rounds_charged, shipped.stats.rounds_charged);
+  EXPECT_EQ(got.stats.max_requester_words,
+            shipped.stats.max_requester_words);
+  EXPECT_EQ(got.stats.max_copies, shipped.stats.max_copies);
+  for (std::size_t u = 0; u < requests.size(); ++u)
+    for (std::size_t slot = 0; slot < requests[u].size(); ++slot)
+      EXPECT_TRUE(std::ranges::equal(got.delivered(u, slot),
+                                     shipped.delivered(u, slot)));
+  EXPECT_EQ(ledger.rounds_by_label(), full_ledger.rounds_by_label());
+  EXPECT_EQ(ledger.peak_global_words(), full_ledger.peak_global_words());
+  EXPECT_EQ(ledger.peak_local_words(), full_ledger.peak_local_words());
+
+  // A request for a bundle that carries only a count is a caller bug.
+  const std::vector<std::vector<graph::VertexId>> asks_for_2{{2}};
+  EXPECT_THROW(fetch_bundles(ctx, counts_only, asks_for_2, "fetch"),
+               arbor::InvariantError);
+}
+
 TEST(BundleFetch, RejectsUnknownVertex) {
   const ClusterConfig cfg{8, 1024};
   RoundLedger ledger(cfg);
   MpcContext ctx(cfg, &ledger);
-  std::vector<std::vector<Word>> bundles{{1}};
+  const auto bundles = BundleArena::from({{1}});
   std::vector<std::vector<graph::VertexId>> requests{{5}};
   EXPECT_THROW(fetch_bundles(ctx, bundles, requests, "fetch"),
                arbor::InvariantError);

@@ -5,6 +5,10 @@
 // Claim 3.12 (out-degree of the min-projection).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 #include "util/assert.hpp"
 #include "core/layering.hpp"
 #include "core/partial_layer_tree.hpp"
@@ -61,10 +65,9 @@ TEST(PartialLayerTree, SynchronousSelectionWithinLayer) {
   // SIMULTANEOUSLY — b's membership of V_1 must not unblock a within the
   // same iteration (it doesn't change the count, but this pins semantics).
   const Graph g = graph::path(3);
-  std::vector<TreeView::Node> nodes(2);
-  nodes[0] = {1, TreeView::kNoNode, 0, {1}};
-  nodes[1] = {2, 0, 1, {}};
-  const TreeView t = TreeView::from_nodes(std::move(nodes));
+  // Wire format: (maps_to, parent) per node in arena order.
+  const TreeView t = TreeView::deserialize(
+      std::vector<std::uint64_t>{2, 1, TreeView::kNoNode, 2, 0});
   // missing(root) = deg(1) - 1 = 1; missing(child) = deg(2) = 1.
   const auto tight = partial_layer_assignment_tree(g, t, 1, 4);
   EXPECT_EQ(tight[1], 1u);
@@ -89,16 +92,18 @@ TEST(PartialLayerTree, Lemma38TreeLayersLowerBoundGraphLayers) {
     const auto start = static_cast<VertexId>(rng.next_below(80));
     TreeView t = TreeView::star(start, g.neighbors(start));
     {
-      std::vector<TreeView> stars;
-      std::vector<std::pair<NodeId, const TreeView*>> attachments;
+      std::vector<std::vector<std::uint64_t>> stars;
+      std::vector<TreeView::Attachment> attachments;
       const auto leaves = t.leaves_at_depth(1);
+      stars.reserve(leaves.size());
       for (NodeId leaf : leaves) {
         const VertexId u = t.vertex_of(leaf);
-        stars.push_back(TreeView::star(u, g.neighbors(u)));
+        stars.push_back(TreeView::star(u, g.neighbors(u)).serialize());
+        attachments.push_back({leaf, stars.back()});
       }
-      for (std::size_t i = 0; i < leaves.size(); ++i)
-        attachments.emplace_back(leaves[i], &stars[i]);
-      t = t.attach(attachments);
+      TreeView grown;
+      t.attach(attachments, grown);
+      t = std::move(grown);
     }
     // Leaves at depth 2 have missing = deg - 0 children... they have no
     // children, so missing = deg(map(x)). Use the global max degree as the
