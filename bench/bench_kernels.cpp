@@ -98,14 +98,15 @@ void BM_ListColoring(benchmark::State& state) {
   const graph::Graph g = bench_graph(n);
   std::vector<std::uint64_t> keys(n);
   for (std::size_t v = 0; v < n; ++v) keys[v] = v;
-  std::vector<graph::Color> palette(g.max_degree() + 1);
-  for (std::size_t c = 0; c < palette.size(); ++c)
-    palette[c] = static_cast<graph::Color>(c);
-  const std::vector<std::vector<graph::Color>> palettes(n, palette);
+  // One shared range [0, Δ+1), no exclusions.
+  const std::vector<std::size_t> no_exclusions(n + 1, 0);
+  const local::RangePalettes palettes{0, g.max_degree() + 1, no_exclusions,
+                                      {}};
   const util::StatelessCoin coin(9);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        local::list_color(g, keys, palettes, coin, state.iterations()));
+    benchmark::DoNotOptimize(local::list_color(local::ConflictView::of(g),
+                                               keys, palettes, coin,
+                                               state.iterations()));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));

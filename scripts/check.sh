@@ -41,8 +41,13 @@
 #                                        # tree-arena (tree_view,
 #                                        # local_prune, exponentiate,
 #                                        # partial_layering: raw offsets
-#                                        # and wire spans) and bundle-fetch
-#                                        # (mpc) tests clean
+#                                        # and wire spans), bundle-fetch
+#                                        # (mpc), list-coloring
+#                                        # (local_test: range palettes,
+#                                        # conflict CSR) and cone-gauge
+#                                        # (directed_exponentiation_test:
+#                                        # lane masks, active lists)
+#                                        # tests clean
 #   scripts/check.sh --lint              # style wall only: build and run
 #                                        # tools/arbor_lint over src/ (raw
 #                                        # getenv, unnamed distributable
@@ -220,13 +225,15 @@ if [[ "${1:-}" == "--asan" ]]; then
     --target engine_test net_test trace_test check_test graph_test \
              coloring_mpc_test partitioning_test pipeline_test \
              tree_view_test local_prune_test exponentiate_test \
-             partial_layering_test mpc_test arbor-worker
+             partial_layering_test mpc_test local_test \
+             directed_exponentiation_test arbor-worker
   # abort_on_error so a worker PROCESS dying on a report fails the driver
   # visibly; detect_leaks stays on (the default) — the wall is the point.
   for t in engine_test net_test trace_test check_test graph_test \
            coloring_mpc_test partitioning_test pipeline_test \
            tree_view_test local_prune_test exponentiate_test \
-           partial_layering_test mpc_test; do
+           partial_layering_test mpc_test local_test \
+           directed_exponentiation_test; do
     echo "== asan: ${t} =="
     ASAN_OPTIONS="abort_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
       "./build-asan/${t}"

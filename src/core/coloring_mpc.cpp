@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 
+#include "core/cone_gauge.hpp"
 #include "core/density_estimate.hpp"
 #include "core/orientation_mpc.hpp"
 #include "core/partitioning.hpp"
@@ -21,73 +22,20 @@ constexpr graph::Color kUncolored = 0xffffffffu;
 
 using util::EpochMarks;
 
-/// The cone gauge of one block of layers. `build` lays out a forward view
-/// over the block's members in block-local ids (local id i is members[i]):
-/// for each member v, its neighbours w with layer[v] ≤ layer[w] ≤ block_hi,
-/// in neighbour order, plus the number of v's neighbours above block_hi.
-/// Sampled cones then walk the view with no layer lookups; the scratch is
-/// reused across samples and blocks.
-class ConeGauge {
- public:
-  explicit ConeGauge(std::size_t n) : local_id_(n) {}
+/// Scratch of one colour descent, owned by its color_single_part call and
+/// reused across layers and blocks.
+struct DescentScratch {
+  explicit DescentScratch(std::size_t n) : local_id(n) {}
 
-  void build(const graph::Graph& g, const std::vector<Layer>& layer,
-             const std::vector<graph::VertexId>& members, Layer block_hi) {
-    for (std::size_t i = 0; i < members.size(); ++i)
-      local_id_[members[i]] = static_cast<graph::VertexId>(i);
-    offsets_.assign(1, 0);
-    targets_.clear();
-    above_.assign(members.size(), 0);
-    for (std::size_t i = 0; i < members.size(); ++i) {
-      const Layer lv = layer[members[i]];
-      for (graph::VertexId w : g.neighbors(members[i])) {
-        const Layer lw = layer[w];
-        if (lw < lv) continue;  // influence flows along non-decreasing layers
-        if (lw > block_hi) {
-          ++above_[i];
-        } else {
-          targets_.push_back(local_id_[w]);  // lv ≤ lw ≤ block_hi: a member
-        }
-      }
-      offsets_.push_back(targets_.size());
-    }
-    seen_.grow_to(members.size());
-  }
-
-  /// Size (in tree-of-influence nodes) of the cone of local vertex `start`:
-  /// block vertices reachable along paths whose layers never decrease, up to
-  /// `radius` hops, plus one word per edge from an expanded vertex to a
-  /// layer above the block (their colors are inputs to the replay).
-  std::size_t cone_size(graph::VertexId start, std::size_t radius) {
-    seen_.next_epoch();
-    seen_.mark(start);
-    queue_.assign(1, start);
-    std::size_t boundary = 0;
-    // The FIFO holds whole BFS levels back to back; [head, level_end) is
-    // the level `dist` hops out, expanded while dist < radius.
-    std::size_t head = 0;
-    for (std::size_t dist = 0; dist < radius && head < queue_.size();
-         ++dist) {
-      const std::size_t level_end = queue_.size();
-      for (; head < level_end; ++head) {
-        const graph::VertexId v = queue_[head];
-        boundary += above_[v];
-        for (std::size_t e = offsets_[v]; e < offsets_[v + 1]; ++e) {
-          const graph::VertexId w = targets_[e];
-          if (seen_.mark(w)) queue_.push_back(w);
-        }
-      }
-    }
-    return queue_.size() + boundary;
-  }
-
- private:
-  std::vector<graph::VertexId> local_id_;  // parent id -> block-local id
-  std::vector<std::size_t> offsets_;       // forward CSR over local ids
-  std::vector<graph::VertexId> targets_;
-  std::vector<std::size_t> above_;  // neighbours above block_hi
-  EpochMarks seen_;
-  std::vector<graph::VertexId> queue_;  // BFS FIFO, one level after another
+  /// parent id -> id in the current layer (or block, for the gauge)
+  std::vector<graph::VertexId> local_id;
+  std::vector<std::uint64_t> keys;       // coin keys in layer-local ids
+  std::vector<graph::EdgeId> offsets;    // same-layer conflict CSR
+  std::vector<graph::VertexId> targets;
+  std::vector<std::size_t> exclusion_offsets;  // higher-layer colours
+  std::vector<graph::Color> exclusions;        // inside the palette range
+  EpochMarks excluded;  // dedupes one vertex's exclusions
+  ConeGauge gauge;
 };
 
 struct LayerColoringOutcome {
@@ -96,45 +44,55 @@ struct LayerColoringOutcome {
 
 /// Color the vertices of one layer given the committed colors of all
 /// strictly higher layers. Palette: [palette_base, palette_base+C) minus
-/// higher-layer neighbor colors. Writes into `colors`. `forbidden` is
-/// scratch reused across layers.
+/// higher-layer neighbor colors. One pass over the members' neighbours
+/// lays out the same-layer conflict CSR and each member's distinct
+/// in-range higher-layer colours; writes into `colors`.
 LayerColoringOutcome color_one_layer(
     const graph::Graph& g, const LayerAssignment& layering, Layer j,
     const std::vector<graph::VertexId>& members, graph::Color palette_base,
     std::size_t palette_count, const std::vector<std::uint64_t>& global_keys,
     const util::StatelessCoin& coin, std::size_t trials,
-    std::vector<graph::Color>& colors, EpochMarks& forbidden) {
+    std::vector<graph::Color>& colors, DescentScratch& scratch) {
   LayerColoringOutcome outcome;
   if (members.empty()) return outcome;
 
-  const auto sub = g.induced(members);
-  std::vector<std::vector<graph::Color>> palettes(members.size());
-  std::vector<std::uint64_t> keys(members.size());
-  forbidden.grow_to(palette_count);
+  for (std::size_t i = 0; i < members.size(); ++i)
+    scratch.local_id[members[i]] = static_cast<graph::VertexId>(i);
+  scratch.keys.resize(members.size());
+  scratch.offsets.assign(1, 0);
+  scratch.targets.clear();
+  scratch.exclusion_offsets.assign(1, 0);
+  scratch.exclusions.clear();
+  scratch.excluded.grow_to(palette_count);
   for (std::size_t i = 0; i < members.size(); ++i) {
-    const graph::VertexId v = sub.to_original[i];
-    keys[i] = global_keys[v];
-    forbidden.next_epoch();
+    const graph::VertexId v = members[i];
+    scratch.keys[i] = global_keys[v];
+    scratch.excluded.next_epoch();
     for (graph::VertexId w : g.neighbors(v)) {
-      if (layering.layer[w] <= j || colors[w] == kUncolored) continue;
-      // A color below palette_base wraps past palette_count; colors outside
-      // the palette cannot shrink it.
-      const graph::Color offset = colors[w] - palette_base;
-      if (offset < palette_count) forbidden.mark(offset);
+      const Layer lw = layering.layer[w];
+      if (lw == j) {
+        scratch.targets.push_back(scratch.local_id[w]);
+      } else if (lw > j && colors[w] != kUncolored) {
+        // A color below palette_base wraps past palette_count; colors
+        // outside the palette cannot shrink it.
+        const graph::Color offset = colors[w] - palette_base;
+        if (offset < palette_count && scratch.excluded.mark(offset))
+          scratch.exclusions.push_back(colors[w]);
+      }
     }
-    palettes[i].reserve(palette_count);
-    for (std::size_t c = 0; c < palette_count; ++c) {
-      if (!forbidden.marked(c))
-        palettes[i].push_back(static_cast<graph::Color>(palette_base + c));
-    }
+    scratch.offsets.push_back(scratch.targets.size());
+    scratch.exclusion_offsets.push_back(scratch.exclusions.size());
   }
 
   const local::ListColoringResult colored = local::list_color(
-      sub.graph, keys, palettes, coin, /*phase_tag=*/j, /*max_rounds=*/trials);
+      {scratch.offsets, scratch.targets}, scratch.keys,
+      {palette_base, palette_count, scratch.exclusion_offsets,
+       scratch.exclusions},
+      coin, /*phase_tag=*/j, /*max_rounds=*/trials);
   ARBOR_CHECK_MSG(colored.complete,
                   "layer list-coloring did not converge — raise trials");
   for (std::size_t i = 0; i < members.size(); ++i)
-    colors[sub.to_original[i]] = colored.colors[i];
+    colors[members[i]] = colored.colors[i];
   outcome.local_rounds = colored.rounds;
   return outcome;
 }
@@ -171,8 +129,12 @@ SinglePartResult color_single_part(const graph::Graph& g,
   ctx.charge(1, "color.measure_d");  // one aggregate to publish d
   result.layering_outdegree = d;
 
-  const auto palette_count = static_cast<std::size_t>(
-      std::ceil(params.palette_factor * static_cast<double>(d)));
+  const double palette = std::ceil(params.palette_factor *
+                                   static_cast<double>(d));
+  ARBOR_CHECK_MSG(palette < static_cast<double>(kUncolored - palette_base),
+                  "ColoringParams.palette_factor: a palette of ⌈f·d⌉ colors "
+                  "overflows the color range");
+  const auto palette_count = static_cast<std::size_t>(palette);
   result.palette_size = palette_count;
 
   const util::StatelessCoin coin(params.seed);
@@ -188,8 +150,7 @@ SinglePartResult color_single_part(const graph::Graph& g,
   }
 
   util::SplitRng sample_rng(params.seed ^ 0x5a3b1e50ULL);
-  ConeGauge gauge(n);
-  EpochMarks forbidden;
+  DescentScratch scratch(n);
 
   // ---- Blocked descent with directed exponentiation. ----
   Layer j = top;
@@ -216,7 +177,7 @@ SinglePartResult color_single_part(const graph::Graph& g,
       const LayerColoringOutcome outcome = color_one_layer(
           g, layering.assignment, layer, layer_members[layer], palette_base,
           palette_count, global_keys, coin, params.trials_per_layer,
-          result.colors, forbidden);
+          result.colors, scratch);
       block_local_rounds += outcome.local_rounds;
     }
     result.local_rounds_replayed += block_local_rounds;
@@ -232,19 +193,20 @@ SinglePartResult color_single_part(const graph::Graph& g,
     ctx.charge(std::max<std::size_t>(1, doublings) * per_fetch,
                "color.block_gather");
 
-    // Cone gauge on a sample of block vertices.
+    // Cone gauge on a sample of block vertices: the starts are drawn in
+    // order on sample_rng as block-local ids (local id l is
+    // block_members[l]) and gauged together, one bit lane each.
     if (!block_members.empty()) {
-      gauge.build(g, layering.assignment.layer, block_members, j);
-      const std::size_t samples =
-          std::min(params.cone_sample, block_members.size());
-      for (std::size_t i = 0; i < samples; ++i) {
-        // The gauge's local id l is block_members[l].
-        const auto local = static_cast<graph::VertexId>(
+      scratch.gauge.build(g, layering.assignment.layer, block_members, j,
+                          scratch.local_id);
+      std::vector<graph::VertexId> starts(
+          std::min(params.cone_sample, block_members.size()));
+      for (graph::VertexId& start : starts)
+        start = static_cast<graph::VertexId>(
             sample_rng.next_below(block_members.size()));
-        const std::size_t cone = gauge.cone_size(local, radius);
+      for (std::size_t cone : scratch.gauge.cone_sizes(starts, radius))
         result.max_sampled_cone_nodes =
             std::max(result.max_sampled_cone_nodes, cone);
-      }
       ctx.note_local_words(result.max_sampled_cone_nodes);
     }
 
@@ -256,7 +218,7 @@ SinglePartResult color_single_part(const graph::Graph& g,
     const LayerColoringOutcome outcome = color_one_layer(
         g, layering.assignment, layer, layer_members[layer], palette_base,
         palette_count, global_keys, coin, params.trials_per_layer,
-        result.colors, forbidden);
+        result.colors, scratch);
     result.tail_mpc_rounds += outcome.local_rounds;
     ctx.charge(outcome.local_rounds, "color.tail");
   }
@@ -270,6 +232,18 @@ SinglePartResult color_single_part(const graph::Graph& g,
 MpcColoringResult mpc_color(const graph::Graph& g,
                             const ColoringParams& params,
                             mpc::MpcContext& ctx) {
+  // Hostile factors are rejected by name: a negative or NaN factor would
+  // otherwise be cast to size_t or silently compare false.
+  ARBOR_CHECK_MSG(std::isfinite(params.palette_factor) &&
+                      params.palette_factor > 0.0,
+                  "ColoringParams.palette_factor must be finite and > 0");
+  ARBOR_CHECK_MSG(std::isfinite(params.block_fraction) &&
+                      params.block_fraction >= 0.0 &&
+                      params.block_fraction <= 1.0,
+                  "ColoringParams.block_fraction must be finite in [0, 1]");
+  ARBOR_CHECK_MSG(std::isfinite(params.high_k_factor) &&
+                      params.high_k_factor >= 0.0,
+                  "ColoringParams.high_k_factor must be finite and >= 0");
   trace::Span stage_span = trace::Tracer::global().span("mpc", "coloring");
   const std::size_t n = g.num_vertices();
   MpcColoringResult result;

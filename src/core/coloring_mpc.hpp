@@ -10,7 +10,11 @@
 //     layer first) with palette size 3d: a vertex avoids the committed
 //     colors of its ≤ d higher-or-equal-layer neighbors and list-colors the
 //     ≤ d-degree graph induced by its own layer (degree+1 list coloring,
-//     palette slack 2d);
+//     palette slack 2d). One pass over a layer's neighbour lists lays out
+//     its same-layer conflict CSR and, per vertex, the distinct higher-
+//     layer colors inside the palette range; the palette is that range
+//     minus those exclusions (local/list_coloring.hpp), never a stored
+//     list of its 3d colors;
 //  3. MPC speed-up: instead of paying one MPC round per LOCAL round, whole
 //     BLOCKS of layers are colored at once. Each node in a block gathers —
 //     via directed graph exponentiation along non-decreasing-layer edges
@@ -26,15 +30,19 @@
 // Cone-size accounting: the influence cone of v is its reachable set along
 // paths with non-decreasing layers inside the block, up to the block's
 // realized radius (LOCAL rounds replayed plus one hop per layer), plus one
-// word per edge into a layer above the block. Once per block the gauge
-// builds a forward view of the block — each member's non-decreasing-layer
-// neighbours in block-local ids, and its count of neighbours above the
-// block — then runs a BFS from each of `cone_sample` sampled vertices over
-// that view, so a block costs O(block edges + sampled cone edges). Cones
-// are sampled rather than computed exactly for every vertex because exact
-// cones would cost more than the coloring itself (they overlap, so their
-// total size far exceeds the block's); the sample maximum gauges the
-// local-memory envelope. E10 (bench/bench_cone_sizes.cpp) sweeps this.
+// word per edge into a layer above the block (core/cone_gauge.hpp). Once
+// per block the gauge builds a forward view of the block — each member's
+// non-decreasing-layer neighbours in block-local ids, and its count of
+// neighbours above the block — then measures `cone_sample` sampled cones
+// as one bit-parallel multi-source BFS: each sample owns one bit lane of
+// a uint64 mask per block vertex, every level expands only the vertices
+// some lane reached at the previous level, and samples beyond 64 run in
+// further lane groups. A block costs O(block edges + levels × active
+// edges) per 64 samples. Cones are sampled rather than computed exactly
+// for every vertex because exact cones would cost more than the coloring
+// itself (they overlap, so their total size far exceeds the block's); the
+// sample maximum gauges the local-memory envelope. E10
+// (bench/bench_cone_sizes.cpp) sweeps this.
 #pragma once
 
 #include <cstdint>
@@ -52,11 +60,14 @@ struct ColoringParams {
   std::size_t k = 0;  ///< density parameter; 0 → estimate per `estimator`
   KEstimator estimator = KEstimator::kDegeneracyOracle;
   PipelineParams pipeline = PipelineParams::practical(1);
-  double palette_factor = 3.0;      ///< palette = ⌈f·d⌉ colors (paper: 3d)
+  double palette_factor = 3.0;      ///< palette = ⌈f·d⌉ colors (paper: 3d);
+                                    ///< finite, > 0
   std::size_t trials_per_layer = 64;///< LOCAL round cap per layer
-  double high_k_factor = 4.0;       ///< vertex partition when k > f·log2 n
+  double high_k_factor = 4.0;       ///< vertex partition when k > f·log2 n;
+                                    ///< finite, ≥ 0
   std::size_t tail_threshold = 4;   ///< direct LOCAL below this layer index
-  double block_fraction = 0.25;     ///< block width ≈ max(1, f·j)
+  double block_fraction = 0.25;     ///< block width ≈ max(1, f·j); finite,
+                                    ///< in [0, 1]
   std::size_t cone_sample = 64;     ///< cones measured per block
   std::uint64_t seed = 0xc0105ULL;
 };
@@ -73,6 +84,8 @@ struct MpcColoringResult {
   std::size_t max_sampled_cone_nodes = 0;
 };
 
+/// Throws InvariantError naming the field when a ColoringParams factor
+/// breaks its rule above (checked before any work, even on an empty graph).
 MpcColoringResult mpc_color(const graph::Graph& g,
                             const ColoringParams& params,
                             mpc::MpcContext& ctx);

@@ -12,9 +12,10 @@
 // expanding and are reported, mirroring the local-memory constraint
 // (E10/EXPERIMENTS.md discusses when that happens at practical n).
 //
-// core/coloring_mpc.cpp charges this gather analytically (and measures
-// cones by sampling); this module is the executable counterpart used by
-// tests and the E10 bench machinery to validate those charges.
+// core/coloring_mpc.cpp charges this gather analytically and gauges cones
+// with the bit-parallel core/cone_gauge; this module is the executable
+// counterpart, and its exact reach sets are the gauge's cross-check
+// (ConeGauge.MatchesDirectedGatherReachSets).
 #pragma once
 
 #include <cstddef>

@@ -57,6 +57,11 @@ class Graph {
             adjacency_.data() + offsets_[v + 1]};
   }
 
+  /// The CSR arrays: v's neighbours are adjacency()[offsets()[v] ..
+  /// offsets()[v+1]).
+  std::span<const EdgeId> offsets() const noexcept { return offsets_; }
+  std::span<const VertexId> adjacency() const noexcept { return adjacency_; }
+
   /// All undirected edges, canonical order (u < v), sorted lexicographically.
   std::span<const Edge> edges() const noexcept { return edges_; }
 

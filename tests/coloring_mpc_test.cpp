@@ -162,6 +162,65 @@ TEST(MpcColor, PaletteFactorIsHonored) {
   EXPECT_GE(result.palette_size, 5u * result.layering_outdegree);
 }
 
+/// mpc_color on gnm(2000, 8000) with one hostile factor must throw an
+/// InvariantError naming `field`, not reinterpret the value.
+void expect_rejected(const ColoringParams& params, const std::string& field) {
+  util::SplitRng rng(14);
+  const Graph g = graph::gnm(2000, 8000, rng);
+  mpc::RoundLedger* ledger = nullptr;
+  auto ctx = make_ctx(g, ledger);
+  try {
+    mpc_color(g, params, ctx);
+    ADD_FAILURE() << field << " was accepted";
+  } catch (const InvariantError& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(MpcColor, RejectsNegativePaletteFactor) {
+  ColoringParams params;
+  params.palette_factor = -1.0;
+  expect_rejected(params, "ColoringParams.palette_factor");
+}
+
+TEST(MpcColor, RejectsNanPaletteFactor) {
+  ColoringParams params;
+  params.palette_factor = std::nan("");
+  expect_rejected(params, "ColoringParams.palette_factor");
+}
+
+TEST(MpcColor, RejectsPaletteFactorOverflowingColorRange) {
+  // Finite, but ⌈f·d⌉ colors do not fit below the kUncolored sentinel.
+  ColoringParams params;
+  params.palette_factor = 1e300;
+  expect_rejected(params, "ColoringParams.palette_factor");
+}
+
+TEST(MpcColor, RejectsNegativeBlockFraction) {
+  ColoringParams params;
+  params.block_fraction = -0.5;
+  expect_rejected(params, "ColoringParams.block_fraction");
+}
+
+TEST(MpcColor, RejectsNanBlockFraction) {
+  ColoringParams params;
+  params.block_fraction = std::nan("");
+  expect_rejected(params, "ColoringParams.block_fraction");
+}
+
+TEST(MpcColor, RejectsBlockFractionAboveOne) {
+  ColoringParams params;
+  params.block_fraction = 3.0;
+  expect_rejected(params, "ColoringParams.block_fraction");
+}
+
+TEST(MpcColor, RejectsNanHighKFactor) {
+  ColoringParams params;
+  params.high_k_factor = std::nan("");
+  expect_rejected(params, "ColoringParams.high_k_factor");
+}
+
 /// FNV-1a (64-bit) over each colour's four bytes, low byte first.
 std::uint64_t fnv1a_colors(const std::vector<graph::Color>& colors) {
   std::uint64_t h = 0xcbf29ce484222325ULL;
@@ -177,6 +236,7 @@ std::uint64_t fnv1a_colors(const std::vector<graph::Color>& colors) {
 struct GoldenOutputs {
   std::string name;
   Graph g;
+  ColoringParams params;
   std::uint64_t colors_fnv1a;
   std::size_t palette_size;
   std::size_t blocks;
@@ -194,9 +254,19 @@ TEST(MpcColor, GoldenOutputsBitIdentical) {
   util::SplitRng gnm_draw(12);
   util::SplitRng gnm_relabel(13);
   util::SplitRng forest_rng(6);
+  util::SplitRng ba_rng_again(11);
+  util::SplitRng gnm_draw_again(12);
+  util::SplitRng gnm_relabel_again(13);
+  util::SplitRng ba_rng_wide(11);
+  ColoringParams one_sample;
+  one_sample.cone_sample = 1;
+  ColoringParams lane_groups;  // three lane groups, the last one partial
+  lane_groups.cone_sample = 130;
+  ColoringParams wide_blocks;
+  wide_blocks.block_fraction = 0.5;
   const std::vector<GoldenOutputs> cases = {
       {"barabasi_albert(2^12, 4)",
-       graph::barabasi_albert(std::size_t{1} << 12, 4, ba_rng),
+       graph::barabasi_albert(std::size_t{1} << 12, 4, ba_rng), {},
        0xd574b8f43ddb82ffULL, 60, 4, 8, 4, 1187, 85,
        {{"color.block_gather", 45},
         {"color.estimate_k", 1},
@@ -210,14 +280,14 @@ TEST(MpcColor, GoldenOutputsBitIdentical) {
        graph::relabel_randomly(
            graph::gnm(std::size_t{1} << 12, std::size_t{1} << 15, gnm_draw),
            gnm_relabel),
-       0x144c7f159a40b2ccULL, 33, 3, 11, 7, 1558, 62,
+       {}, 0x144c7f159a40b2ccULL, 33, 3, 11, 7, 1558, 62,
        {{"color.block_gather", 45},
         {"color.estimate_k", 1},
         {"color.measure_d", 1},
         {"color.tail", 7},
         {"layering.peel", 8}}},
       {"forest_union(5000, 2)", graph::forest_union(5000, 2, forest_rng),
-       0xc27bed3b945b8ce5ULL, 9, 3, 4, 13, 17, 52,
+       {}, 0xc27bed3b945b8ce5ULL, 9, 3, 4, 13, 17, 52,
        {{"color.block_gather", 24},
         {"color.estimate_k", 1},
         {"color.measure_d", 1},
@@ -226,19 +296,52 @@ TEST(MpcColor, GoldenOutputsBitIdentical) {
         {"exponentiate.init", 1},
         {"layering.peel", 5},
         {"partial_layering.min_project", 1}}},
-      {"clique(200)", graph::clique(200), 0x1eeff5aa1b7e1985ULL, 519, 0, 0, 3,
-       0, 5,
+      {"clique(200)", graph::clique(200), {}, 0x1eeff5aa1b7e1985ULL, 519, 0,
+       0, 3, 0, 5,
        {{"color.estimate_k", 1},
         {"color.measure_d", 1},
         {"color.tail", 3},
         {"color.vertex_partition", 1},
         {"layering.peel", 1}}},
+      {"barabasi_albert(2^12, 4), cone_sample = 1",
+       graph::barabasi_albert(std::size_t{1} << 12, 4, ba_rng_again),
+       one_sample, 0xd574b8f43ddb82ffULL, 60, 4, 8, 4, 1184, 85,
+       {{"color.block_gather", 45},
+        {"color.estimate_k", 1},
+        {"color.measure_d", 1},
+        {"color.tail", 4},
+        {"exponentiate.fetch", 23},
+        {"exponentiate.init", 2},
+        {"layering.peel", 6},
+        {"partial_layering.min_project", 3}}},
+      {"relabelled gnm(2^12, 2^15), cone_sample = 130",
+       graph::relabel_randomly(
+           graph::gnm(std::size_t{1} << 12, std::size_t{1} << 15,
+                      gnm_draw_again),
+           gnm_relabel_again),
+       lane_groups, 0x144c7f159a40b2ccULL, 33, 3, 11, 7, 1558, 62,
+       {{"color.block_gather", 45},
+        {"color.estimate_k", 1},
+        {"color.measure_d", 1},
+        {"color.tail", 7},
+        {"layering.peel", 8}}},
+      {"barabasi_albert(2^12, 4), block_fraction = 0.5",
+       graph::barabasi_albert(std::size_t{1} << 12, 4, ba_rng_wide),
+       wide_blocks, 0xd574b8f43ddb82ffULL, 60, 2, 8, 4, 840, 70,
+       {{"color.block_gather", 30},
+        {"color.estimate_k", 1},
+        {"color.measure_d", 1},
+        {"color.tail", 4},
+        {"exponentiate.fetch", 23},
+        {"exponentiate.init", 2},
+        {"layering.peel", 6},
+        {"partial_layering.min_project", 3}}},
   };
   for (const GoldenOutputs& want : cases) {
     SCOPED_TRACE(want.name);
     mpc::RoundLedger* ledger = nullptr;
     auto ctx = make_ctx(want.g, ledger);
-    const MpcColoringResult got = mpc_color(want.g, {}, ctx);
+    const MpcColoringResult got = mpc_color(want.g, want.params, ctx);
     EXPECT_EQ(fnv1a_colors(got.colors), want.colors_fnv1a);
     EXPECT_EQ(got.palette_size, want.palette_size);
     EXPECT_EQ(got.blocks, want.blocks);

@@ -1,13 +1,20 @@
 // Tests for the executable directed exponentiation (the §4 gather):
 // reach-sets must equal BFS ground truth along non-decreasing-layer paths,
 // doubling must cover radius R in ⌈log2 R⌉ fetches, and overflow caps must
-// engage instead of blowing past the memory budget.
+// engage instead of blowing past the memory budget. The gather's exact
+// reach sets are in turn the cross-check of the bit-parallel cone gauge
+// that core/coloring_mpc samples.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
+#include <numeric>
 #include <set>
+#include <string>
 
 #include "util/assert.hpp"
+#include "core/cone_gauge.hpp"
+#include "core/density_estimate.hpp"
 #include "core/directed_exponentiation.hpp"
 #include "core/layering_pipeline.hpp"
 #include "core/orientation_mpc.hpp"
@@ -152,6 +159,89 @@ TEST(DirectedGather, RadiusOneIsNeighborhood) {
               (std::vector<VertexId>{0, leaf}));
   EXPECT_EQ(result.reachable[0], (std::vector<VertexId>{0}));
   EXPECT_EQ(result.doublings, 0u);  // radius 1 needs no doubling
+}
+
+// Every lane of the bit-parallel gauge must report
+//   cone(v, R) = |reach(v, R)| + Σ_{u ∈ reach(v, R−1)} above(u),
+// with the reach sets taken from the exact (uncapped) directed gather.
+TEST(ConeGauge, MatchesDirectedGatherReachSets) {
+  util::SplitRng ba_rng(21);
+  util::SplitRng gnm_draw(22);
+  util::SplitRng gnm_relabel(23);
+  util::SplitRng chain_rng(24);
+  const std::vector<std::pair<std::string, Graph>> cases = {
+      {"barabasi_albert(2^9, 4)", graph::barabasi_albert(512, 4, ba_rng)},
+      {"relabelled gnm(2^9, 2^11)",
+       graph::relabel_randomly(graph::gnm(512, 2048, gnm_draw), gnm_relabel)},
+      {"slow_peeling_chain(4, 10)",
+       graph::slow_peeling_chain(4, 10, chain_rng).graph},
+  };
+  util::SplitRng start_rng(25);
+  for (const auto& [name, g] : cases) {
+    SCOPED_TRACE(name);
+    mpc::RoundLedger ledger(test_config());
+    mpc::MpcContext ctx(test_config(), &ledger);
+    const LayerAssignment ell =
+        complete_layering(
+            g, PipelineParams::practical(estimate_density_parameter(g)), ctx)
+            .assignment;
+    ASSERT_TRUE(ell.is_complete());
+    const Layer top = *std::max_element(ell.layer.begin(), ell.layer.end());
+    const std::vector<std::pair<Layer, Layer>> blocks = {
+        {1, top}, {1, 1}, {top, top}, {std::max<Layer>(1, top / 3),
+                                       std::max<Layer>(1, 2 * top / 3)}};
+    std::vector<VertexId> local_id(g.num_vertices());
+    ConeGauge gauge;
+    for (const auto& [lo, hi] : blocks) {
+      SCOPED_TRACE("block [" + std::to_string(lo) + ", " +
+                   std::to_string(hi) + "]");
+      std::vector<VertexId> members;
+      for (VertexId v = 0; v < g.num_vertices(); ++v)
+        if (ell.layer[v] >= lo && ell.layer[v] <= hi) members.push_back(v);
+      ASSERT_FALSE(members.empty());
+      std::vector<std::size_t> above(g.num_vertices(), 0);
+      for (VertexId v : members)
+        for (VertexId w : g.neighbors(v)) above[v] += ell.layer[w] > hi;
+
+      // Every member (several lane groups, the last one partial), 130
+      // starts with duplicates, and a single start.
+      std::vector<std::vector<VertexId>> start_sets(3);
+      start_sets[0].resize(members.size());
+      std::iota(start_sets[0].begin(), start_sets[0].end(), VertexId{0});
+      for (int i = 0; i < 130; ++i)
+        start_sets[1].push_back(
+            static_cast<VertexId>(start_rng.next_below(members.size())));
+      start_sets[1][129] = start_sets[1][64] = start_sets[1][0];
+      start_sets[2] = {
+          static_cast<VertexId>(start_rng.next_below(members.size()))};
+
+      gauge.build(g, ell.layer, members, hi, local_id);
+      std::vector<std::vector<VertexId>> inner;  // reach(·, R−1)
+      for (std::size_t radius = 0; radius <= 6; ++radius) {
+        SCOPED_TRACE("radius " + std::to_string(radius));
+        DirectedGatherParams params;
+        params.block_lo = lo;
+        params.block_hi = hi;
+        params.radius = radius;
+        params.max_set_words = 0;
+        std::vector<std::vector<VertexId>> reach =
+            directed_gather(g, ell, params, ctx).reachable;
+        for (const std::vector<VertexId>& starts : start_sets) {
+          const std::vector<std::size_t> cones =
+              gauge.cone_sizes(starts, radius);
+          ASSERT_EQ(cones.size(), starts.size());
+          for (std::size_t lane = 0; lane < starts.size(); ++lane) {
+            const VertexId v = members[starts[lane]];
+            std::size_t want = reach[v].size();
+            if (radius > 0)
+              for (VertexId u : inner[v]) want += above[u];
+            ASSERT_EQ(cones[lane], want) << "lane " << lane << " vertex " << v;
+          }
+        }
+        inner = std::move(reach);
+      }
+    }
+  }
 }
 
 }  // namespace
