@@ -44,10 +44,16 @@
 #                                        # and wire spans), bundle-fetch
 #                                        # (mpc), list-coloring
 #                                        # (local_test: range palettes,
-#                                        # conflict CSR) and cone-gauge
+#                                        # conflict CSR), cone-gauge
 #                                        # (directed_exponentiation_test:
-#                                        # lane masks, active lists)
-#                                        # tests clean
+#                                        # lane masks, active lists) and
+#                                        # peel-kernel (arboricity,
+#                                        # density_coreness, layering,
+#                                        # orientation_mpc,
+#                                        # orientation_coloring: the core
+#                                        # decomposition's raw pos/vert
+#                                        # swaps, ThresholdPeel's sentinel
+#                                        # arithmetic) tests clean
 #   scripts/check.sh --lint              # style wall only: build and run
 #                                        # tools/arbor_lint over src/ (raw
 #                                        # getenv, unnamed distributable
@@ -226,14 +232,18 @@ if [[ "${1:-}" == "--asan" ]]; then
              coloring_mpc_test partitioning_test pipeline_test \
              tree_view_test local_prune_test exponentiate_test \
              partial_layering_test mpc_test local_test \
-             directed_exponentiation_test arbor-worker
+             directed_exponentiation_test arboricity_test \
+             density_coreness_test layering_test orientation_mpc_test \
+             orientation_coloring_test arbor-worker
   # abort_on_error so a worker PROCESS dying on a report fails the driver
   # visibly; detect_leaks stays on (the default) — the wall is the point.
   for t in engine_test net_test trace_test check_test graph_test \
            coloring_mpc_test partitioning_test pipeline_test \
            tree_view_test local_prune_test exponentiate_test \
            partial_layering_test mpc_test local_test \
-           directed_exponentiation_test; do
+           directed_exponentiation_test arboricity_test \
+           density_coreness_test layering_test orientation_mpc_test \
+           orientation_coloring_test; do
     echo "== asan: ${t} =="
     ASAN_OPTIONS="abort_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
       "./build-asan/${t}"

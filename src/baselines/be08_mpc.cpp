@@ -1,7 +1,5 @@
 #include "baselines/be08_mpc.hpp"
 
-#include <cmath>
-
 #include "core/orientation_mpc.hpp"
 #include "local/peeling.hpp"
 #include "util/assert.hpp"
@@ -16,19 +14,14 @@ Be08Result be08_orient(const graph::Graph& g, std::size_t k, double epsilon,
   Be08Result result{
       graph::Orientation(g, std::vector<bool>(g.num_edges(), true)),
       {},
-      peel.rounds,
-      // Must match be08_h_partition's actual peel threshold (ceil).
-      static_cast<std::size_t>(
-          std::ceil((2.0 + epsilon) * static_cast<double>(k)))};
+      peel.rounds, local::be08_threshold(k, epsilon)};
 
   // One MPC round per LOCAL round (the peel predicate is a 1-hop rule).
   ctx.charge(peel.rounds, "be08.peel");
   ctx.note_balanced(2 * g.num_edges() + g.num_vertices());
 
   result.layering.num_layers = peel.num_layers;
-  result.layering.layer.assign(g.num_vertices(), core::kInfiniteLayer);
-  for (graph::VertexId v = 0; v < g.num_vertices(); ++v)
-    if (peel.layer[v] != 0) result.layering.layer[v] = peel.layer[v];
+  result.layering.layer = peel.layer;  // complete: no layer 0 (unpeeled)
 
   result.orientation = graph::orient_by_layers(
       g, result.layering.layer, core::kInfiniteLayer);

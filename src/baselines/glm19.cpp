@@ -6,6 +6,7 @@
 #include <unordered_set>
 
 #include "core/orientation_mpc.hpp"
+#include "local/peeling.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 
@@ -16,8 +17,7 @@ namespace {
 /// Size of v's T'-hop neighborhood restricted to vertices below `cap`
 /// residual degree (the sparsified subgraph a phase gathers).
 std::size_t sparsified_ball_size(const graph::Graph& g,
-                                 const std::vector<std::size_t>& degree,
-                                 const std::vector<bool>& removed,
+                                 const local::ThresholdPeel& peel,
                                  graph::VertexId start, std::size_t cap,
                                  std::size_t hops) {
   std::unordered_set<graph::VertexId> seen{start};
@@ -27,7 +27,7 @@ std::size_t sparsified_ball_size(const graph::Graph& g,
     queue.pop_front();
     if (dist == hops) continue;
     for (graph::VertexId w : g.neighbors(v)) {
-      if (removed[w] || degree[w] > cap) continue;
+      if (peel.residual_degree(w) > cap) continue;  // peeled or too dense
       if (seen.insert(w).second) queue.emplace_back(w, dist + 1);
     }
   }
@@ -40,9 +40,7 @@ Glm19Result glm19_orient(const graph::Graph& g, std::size_t k, double epsilon,
                          mpc::MpcContext& ctx) {
   if (k == 0) k = core::estimate_density_parameter(g);
   const std::size_t n = g.num_vertices();
-  const auto threshold = static_cast<std::size_t>(
-      std::ceil((2.0 + epsilon) * static_cast<double>(std::max<std::size_t>(
-                                      k, 1))));
+  const std::size_t threshold = local::be08_threshold(k, epsilon);
 
   const double log_n =
       std::log2(static_cast<double>(std::max<std::size_t>(n, 2)));
@@ -53,56 +51,44 @@ Glm19Result glm19_orient(const graph::Graph& g, std::size_t k, double epsilon,
       graph::Orientation(g, std::vector<bool>(g.num_edges(), true)),
       {}, 0, 0, phase_length, 0, 0};
 
-  std::vector<std::size_t> degree(n);
-  std::vector<bool> removed(n, false);
-  std::vector<std::uint32_t> layer(n, 0);
-  for (graph::VertexId v = 0; v < n; ++v) degree[v] = g.degree(v);
-  std::size_t remaining = n;
+  local::ThresholdPeel peel(g);
+  result.layering.layer.assign(n, core::kInfiniteLayer);
   std::uint32_t round = 0;
   util::SplitRng rng(0x61a19ULL);
 
   // Neighborhoods gathered in a phase live in the degree ≤ threshold·2^{T'}
-  // sparsified subgraph.
+  // sparsified subgraph. Capped at the max degree, the cap selects the same
+  // live vertices and no parked one.
   const double cap_raw = static_cast<double>(threshold) *
                          std::pow(2.0, static_cast<double>(phase_length));
   const auto degree_cap = static_cast<std::size_t>(
-      std::min(cap_raw, static_cast<double>(n)));
+      std::min(cap_raw, static_cast<double>(g.max_degree())));
 
-  while (remaining > 0) {
+  while (peel.remaining() > 0) {
     ++result.phases;
 
     // Memory gauge: sample a few low-degree vertices' balls before running
     // the phase (what one machine would gather).
     std::vector<graph::VertexId> low;
     for (graph::VertexId v = 0; v < n && low.size() < 4096; ++v)
-      if (!removed[v] && degree[v] <= degree_cap) low.push_back(v);
+      if (peel.residual_degree(v) <= degree_cap) low.push_back(v);
     for (std::size_t i = 0; i < std::min<std::size_t>(16, low.size()); ++i) {
       const graph::VertexId v =
           low[static_cast<std::size_t>(rng.next_below(low.size()))];
       result.max_sampled_neighborhood = std::max(
           result.max_sampled_neighborhood,
-          sparsified_ball_size(g, degree, removed, v, degree_cap,
-                               phase_length));
+          sparsified_ball_size(g, peel, v, degree_cap, phase_length));
     }
 
     // Simulate T' peel rounds locally (after one gather).
     bool progressed = false;
-    for (std::size_t t = 0; t < phase_length && remaining > 0; ++t) {
+    for (std::size_t t = 0; t < phase_length && peel.remaining() > 0; ++t) {
       ++round;
       ++result.local_rounds;
-      std::vector<graph::VertexId> peeled;
-      for (graph::VertexId v = 0; v < n; ++v)
-        if (!removed[v] && degree[v] <= threshold) peeled.push_back(v);
+      const auto peeled = peel.round(threshold);
       if (peeled.empty()) break;
       progressed = true;
-      for (graph::VertexId v : peeled) {
-        removed[v] = true;
-        layer[v] = round;
-      }
-      for (graph::VertexId v : peeled)
-        for (graph::VertexId w : g.neighbors(v))
-          if (!removed[w]) --degree[w];
-      remaining -= peeled.size();
+      for (graph::VertexId v : peeled) result.layering.layer[v] = round;
     }
     ARBOR_CHECK_MSG(progressed,
                     "GLM19 peeling stalled: threshold below arboricity?");
@@ -119,9 +105,6 @@ Glm19Result glm19_orient(const graph::Graph& g, std::size_t k, double epsilon,
   ctx.note_balanced(2 * g.num_edges() + n);
 
   result.layering.num_layers = round;
-  result.layering.layer.assign(n, core::kInfiniteLayer);
-  for (graph::VertexId v = 0; v < n; ++v)
-    if (layer[v] != 0) result.layering.layer[v] = layer[v];
   result.orientation =
       graph::orient_by_layers(g, result.layering.layer, core::kInfiniteLayer);
   ctx.charge(1, "glm19.finalize");

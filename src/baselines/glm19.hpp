@@ -1,7 +1,8 @@
 // Baseline B: the Ghaffari–Lattanzi–Mitrovic [GLM19] sparsification-based
 // orientation — the Θ̃(√log n)-round state of the art this paper breaks.
 //
-// Shape-faithful reimplementation (DESIGN.md §3): the T = Θ(log n) LOCAL
+// Shape-faithful reimplementation, not GLM19's full sparsification
+// analysis — it reproduces their round structure: the T = Θ(log n) LOCAL
 // peel rounds are grouped into phases of T' = Θ(√log n) rounds. Within a
 // phase, only vertices whose degree is below threshold·2^{T'} can be peeled
 // (the "relevant" sparsified subgraph); their T'-hop neighborhoods in that

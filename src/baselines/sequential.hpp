@@ -22,7 +22,8 @@ struct SequentialReference {
   std::size_t coloring_colors = 0;        ///< ≤ degeneracy + 1
 };
 
-/// Compute both references (single pass over the bucket-queue peeling).
+/// Compute both references along the processing order of the core
+/// decomposition (graph/coreness.hpp).
 SequentialReference sequential_reference(const graph::Graph& g);
 
 /// The proof-side reference layering ℓ_G: peel threshold-k rounds

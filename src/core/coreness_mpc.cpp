@@ -10,7 +10,12 @@ namespace arbor::core {
 CorenessResult approximate_coreness(const graph::Graph& g, double epsilon,
                                     mpc::MpcContext& ctx,
                                     double rounds_factor) {
-  ARBOR_CHECK(epsilon > 0.0);
+  // Rejected by name: casting a NaN, ∞ or negative value to size_t is UB,
+  // and an epsilon with 1 + epsilon == 1 never advances the guesses.
+  ARBOR_CHECK_MSG(std::isfinite(epsilon) && 1.0 + epsilon > 1.0,
+                  "approximate_coreness: epsilon must be finite, 1+epsilon>1");
+  ARBOR_CHECK_MSG(std::isfinite(rounds_factor) && rounds_factor >= 0.0,
+                  "approximate_coreness: rounds_factor must be finite, >= 0");
   const std::size_t n = g.num_vertices();
   CorenessResult result;
   result.estimate.assign(n, 0);
@@ -23,10 +28,8 @@ CorenessResult approximate_coreness(const graph::Graph& g, double epsilon,
                              1;
   result.rounds_budget = rounds_budget;
 
-  // Unassigned marker: will be overwritten by the first removing guess;
+  // estimate[v] = 0 until the first guess (≥ 1) whose peel removes v;
   // every vertex is removed at the guess with threshold ≥ max degree.
-  constexpr std::uint32_t kUnset = 0xffffffffu;
-  std::vector<std::uint32_t> assigned(n, kUnset);
   std::size_t remaining = n;
 
   double guess_value = 1.0;
@@ -41,14 +44,13 @@ CorenessResult approximate_coreness(const graph::Graph& g, double epsilon,
     const local::PeelingResult peel =
         local::peel_by_threshold(g, 2 * guess, rounds_budget);
     for (graph::VertexId v = 0; v < n; ++v) {
-      if (assigned[v] == kUnset && peel.layer[v] != 0) {
-        assigned[v] = static_cast<std::uint32_t>(guess);
+      if (result.estimate[v] == 0 && peel.layer[v] != 0) {
+        result.estimate[v] = static_cast<std::uint32_t>(guess);
         --remaining;
       }
     }
     ARBOR_CHECK_MSG(guess <= 2 * n, "coreness guesses failed to converge");
   }
-  result.estimate = std::move(assigned);
 
   // All guesses share the round budget (parallel); global memory pays the
   // ×guesses replication factor.

@@ -33,6 +33,8 @@ struct CorenessResult {
   std::size_t rounds_budget = 0;  ///< R (shared by the parallel guesses)
 };
 
+/// Throws an InvariantError naming the parameter unless epsilon is finite
+/// with 1 + epsilon > 1 and rounds_factor is finite and ≥ 0.
 CorenessResult approximate_coreness(const graph::Graph& g, double epsilon,
                                     mpc::MpcContext& ctx,
                                     double rounds_factor = 2.0);

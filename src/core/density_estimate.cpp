@@ -11,8 +11,11 @@ DensityEstimate estimate_density_mpc(const graph::Graph& g,
                                      mpc::MpcContext& ctx,
                                      double threshold_factor,
                                      double rounds_factor) {
-  ARBOR_CHECK_MSG(threshold_factor >= 4.0,
-                  "completion guarantee needs threshold >= 4*guess");
+  // Rejected by name: casting a NaN, ∞ or negative value to size_t is UB.
+  ARBOR_CHECK_MSG(std::isfinite(threshold_factor) && threshold_factor >= 4.0,
+                  "estimate_density_mpc: threshold_factor must be finite, >=4");
+  ARBOR_CHECK_MSG(std::isfinite(rounds_factor) && rounds_factor >= 0.0,
+                  "estimate_density_mpc: rounds_factor must be finite, >= 0");
   const std::size_t n = g.num_vertices();
   DensityEstimate estimate;
   if (n == 0 || g.num_edges() == 0) {

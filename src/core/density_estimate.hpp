@@ -19,7 +19,7 @@
 // Note the O(log n) rounds: the estimate is NOT the bottleneck the paper
 // is fighting (it is charged rounds = R once), but for the benches we
 // also expose the degeneracy-oracle estimator which is free of that
-// additive term; DESIGN.md §3 records both.
+// additive term; `KEstimator` selects between the two.
 #pragma once
 
 #include <cstddef>
@@ -47,7 +47,8 @@ struct DensityEstimate {
 };
 
 /// `threshold_factor` is f above (≥ 4 for the completion guarantee);
-/// `rounds_factor` scales R = ⌈rounds_factor·log2 n⌉ + 1.
+/// `rounds_factor` (finite, ≥ 0) scales R = ⌈rounds_factor·log2 n⌉ + 1.
+/// Other values throw an InvariantError naming the factor.
 DensityEstimate estimate_density_mpc(const graph::Graph& g,
                                      mpc::MpcContext& ctx,
                                      double threshold_factor = 4.0,

@@ -125,13 +125,9 @@ std::vector<std::uint64_t> num_paths_out(const graph::Graph& g,
 LayerAssignment reference_peeling_layering(const graph::Graph& g,
                                            std::size_t k,
                                            std::size_t max_rounds) {
-  const local::PeelingResult peel =
-      local::peel_by_threshold(g, k, max_rounds);
-  LayerAssignment out;
-  out.num_layers = peel.num_layers;
-  out.layer.resize(g.num_vertices());
-  for (graph::VertexId v = 0; v < g.num_vertices(); ++v)
-    out.layer[v] = peel.layer[v] == 0 ? kInfiniteLayer : peel.layer[v];
+  local::PeelingResult peel = local::peel_by_threshold(g, k, max_rounds);
+  LayerAssignment out{std::move(peel.layer), peel.num_layers};
+  std::replace(out.layer.begin(), out.layer.end(), Layer{0}, kInfiniteLayer);
   return out;
 }
 

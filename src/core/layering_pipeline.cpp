@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "local/peeling.hpp"
 #include "trace/trace.hpp"
 #include "util/assert.hpp"
 
@@ -118,9 +119,10 @@ PartialPipelineResult run_partial_iterated(const graph::Graph& g,
     offset += partial.assignment.num_layers;
 
     if (next_residue.size() == residue.size()) {
-      // Stall: no vertex assigned. Escalate (DESIGN.md §5.4): double the
-      // pruning parameter first; if the subgraph's min degree still beats
-      // the budget, the caller's fallback peeling will clear it.
+      // Stall: no vertex assigned. Escalate (the termination fallback of
+      // layering_pipeline.hpp): double the pruning parameter first; if the
+      // subgraph's min degree still beats the budget, the caller's fallback
+      // peeling will clear it.
       ++result.stats.escalations;
       current.k = std::max<std::size_t>(current.k * 2, current.k + 1);
     }
@@ -139,30 +141,19 @@ CompleteLayeringResult complete_layering(const graph::Graph& g,
   result.assignment.layer.assign(n, kInfiniteLayer);
   result.assignment.num_layers = 0;
 
-  std::vector<std::size_t> live_degree(n);
-  std::vector<bool> assigned(n, false);
-  for (graph::VertexId v = 0; v < n; ++v) live_degree[v] = g.degree(v);
-  std::size_t remaining = n;
   Layer offset = 0;
+  // A vertex is assigned iff its layer is finite; it is then parked here.
+  local::ThresholdPeel peel(g);
 
   // One synchronous threshold-peel round over the unassigned residue:
   // assigns layer `offset+1` to all residue vertices of residual degree
   // ≤ threshold. Charged as one MPC round (it is one LOCAL round simulated
   // directly). Returns the number of vertices assigned.
   const auto peel_round = [&](std::size_t threshold) -> std::size_t {
-    std::vector<graph::VertexId> peeled;
-    for (graph::VertexId v = 0; v < n; ++v)
-      if (!assigned[v] && live_degree[v] <= threshold) peeled.push_back(v);
+    const auto peeled = peel.round(threshold);
     if (peeled.empty()) return 0;
     ++offset;
-    for (graph::VertexId v : peeled) {
-      assigned[v] = true;
-      result.assignment.layer[v] = offset;
-    }
-    for (graph::VertexId v : peeled)
-      for (graph::VertexId w : g.neighbors(v))
-        if (!assigned[w]) --live_degree[w];
-    remaining -= peeled.size();
+    for (graph::VertexId v : peeled) result.assignment.layer[v] = offset;
     ctx.charge(1, "layering.peel");
     return peeled.size();
   };
@@ -171,7 +162,7 @@ CompleteLayeringResult complete_layering(const graph::Graph& g,
   const auto stage1_rounds = static_cast<std::size_t>(std::ceil(
       p.peel_rounds_factor *
       std::log2(static_cast<double>(p.k + 1) + 1.0)));
-  for (std::size_t r = 0; r < stage1_rounds && remaining > 0; ++r) {
+  for (std::size_t r = 0; r < stage1_rounds && peel.remaining() > 0; ++r) {
     ++result.stats.fallback_peel_rounds;  // Stage-1 peels counted here too
     peel_round(p.k);
   }
@@ -185,16 +176,16 @@ CompleteLayeringResult complete_layering(const graph::Graph& g,
                                   p.min_budget);
   std::size_t peel_threshold = std::max<std::size_t>(p.k, 1);
 
-  for (std::size_t phase = 0; phase < p.max_phases && remaining > 0;
+  for (std::size_t phase = 0; phase < p.max_phases && peel.remaining() > 0;
        ++phase) {
     ++result.stats.phases;
     result.stats.max_budget_used = std::max(result.stats.max_budget_used,
                                             budget);
 
     std::vector<graph::VertexId> residue;
-    residue.reserve(remaining);
+    residue.reserve(peel.remaining());
     for (graph::VertexId v = 0; v < n; ++v)
-      if (!assigned[v]) residue.push_back(v);
+      if (result.assignment.layer[v] == kInfiniteLayer) residue.push_back(v);
 
     const auto sub = g.induced(residue);
     const PartialPipelineResult partial =
@@ -204,27 +195,22 @@ CompleteLayeringResult complete_layering(const graph::Graph& g,
     result.stats.partial_iterations += partial.stats.partial_iterations;
     result.stats.escalations += partial.stats.escalations;
 
-    std::size_t newly_assigned = 0;
+    const std::size_t unassigned = peel.remaining();
     for (graph::VertexId sv = 0; sv < sub.graph.num_vertices(); ++sv) {
       const Layer l = partial.assignment.layer[sv];
       if (l == kInfiniteLayer) continue;
       const graph::VertexId v = sub.to_original[sv];
-      assigned[v] = true;
       result.assignment.layer[v] = offset + l;
-      ++newly_assigned;
-      // Keep residual degrees consistent for potential fallback peeling.
-      for (graph::VertexId w : g.neighbors(v))
-        if (!assigned[w]) --live_degree[w];
-      --remaining;
+      peel.park(v);  // residual degrees stay exact for fallback peeling
     }
     offset += partial.assignment.num_layers;
 
-    if (newly_assigned == 0 && remaining > 0) {
+    if (peel.remaining() == unassigned) {
       // Stall fallback: explicit peel rounds, raising the threshold until
       // one makes progress. Terminates because the threshold eventually
       // reaches the max residual degree.
       ++result.stats.escalations;
-      while (remaining > 0) {
+      while (peel.remaining() > 0) {
         ++result.stats.fallback_peel_rounds;
         if (peel_round(peel_threshold) > 0) break;
         peel_threshold *= 2;
@@ -237,7 +223,7 @@ CompleteLayeringResult complete_layering(const graph::Graph& g,
 
   // Hard guarantee of completeness: exhaust any remainder with doubling
   // threshold peeling (only reachable when max_phases is set very low).
-  while (remaining > 0) {
+  while (peel.remaining() > 0) {
     ++result.stats.fallback_peel_rounds;
     if (peel_round(peel_threshold) == 0) peel_threshold *= 2;
   }

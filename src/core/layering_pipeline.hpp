@@ -5,14 +5,14 @@
 //   1. out-degree ≤ O(k · log log n), and
 //   2. geometric decay |{v : ℓ(v) ≥ j}| ≤ 0.5^{j-1}·n.
 //
-// Constants policy (DESIGN.md §6): every proof constant is a field of
+// Constants policy: every proof constant is a field of
 // PipelineParams. `paper(k)` uses the literal formulas (B = k^100,
 // L = ⌈0.1·log_k B⌉, s = ⌈10·log log n⌉, …) clamped to the local-memory
 // cap; `practical(k)` uses constants tuned so experiment-scale graphs
 // exercise the same mechanisms. Benches print which preset produced each
 // row.
 //
-// Termination fallback (DESIGN.md §5.4): with practical constants a phase
+// Termination fallback: with practical constants a phase
 // can fail to assign any vertex (the paper's constants provably exclude
 // this). A stalled phase escalates — first doubling the pruning parameter,
 // then running one explicit threshold-peel round (1 MPC round, threshold

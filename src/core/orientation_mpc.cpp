@@ -15,14 +15,6 @@ std::size_t estimate_density_parameter(const graph::Graph& g) {
   return std::max<std::size_t>(1, graph::degeneracy(g));
 }
 
-namespace {
-
-/// Orient edge (u,v), u < v, by a layering: toward the strictly higher
-/// layer, ties toward the higher id (so toward v). ∞ sorts above finite.
-bool oriented_towards_v(Layer lu, Layer lv) { return lu <= lv; }
-
-}  // namespace
-
 MpcOrientationResult mpc_orient(const graph::Graph& g,
                                 const OrientationParams& params,
                                 mpc::MpcContext& ctx) {
@@ -60,13 +52,9 @@ MpcOrientationResult mpc_orient(const graph::Graph& g,
     result.outdegree_bound = layering.outdegree_bound;
     result.stats = layering.stats;
 
-    const auto edges = g.edges();
-    std::vector<bool> towards_v(edges.size());
-    for (std::size_t i = 0; i < edges.size(); ++i)
-      towards_v[i] = oriented_towards_v(layering.assignment.layer[edges[i].u],
-                                        layering.assignment.layer[edges[i].v]);
+    result.orientation = graph::orient_by_layers(
+        g, layering.assignment.layer, kInfiniteLayer);
     ctx.charge(1, "orient.finalize");
-    result.orientation = graph::Orientation(g, std::move(towards_v));
     result.layering = std::move(layering.assignment);
     return result;
   }
@@ -104,12 +92,13 @@ MpcOrientationResult mpc_orient(const graph::Graph& g,
     if (ctx.ledger()) ctx.ledger()->absorb_parallel(sub_ledger);
   }
 
+  // Each edge by its own part's layering, with orient_by_layers' rule:
+  // toward the higher layer, ties toward v (∞ = kInfiniteLayer is highest).
   const auto edges = g.edges();
   std::vector<bool> towards_v(edges.size());
   for (std::size_t i = 0; i < edges.size(); ++i) {
     const auto& layering = part_layering[partition.part_of_edge[i]];
-    towards_v[i] = oriented_towards_v(layering.layer[edges[i].u],
-                                      layering.layer[edges[i].v]);
+    towards_v[i] = layering.layer[edges[i].u] <= layering.layer[edges[i].v];
   }
   ctx.charge(1, "orient.finalize");
   result.orientation = graph::Orientation(g, std::move(towards_v));

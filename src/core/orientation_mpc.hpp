@@ -4,11 +4,11 @@
 //  1. obtain k = Θ(λ): the paper assumes k ∈ [100λ, 200λ] is given (running
 //     all O(log n) guesses in parallel costs only an extra log-factor of
 //     global memory). We estimate k from the degeneracy oracle
-//     (λ ≤ degeneracy ≤ 2λ-1) and charge that extra global factor —
-//     DESIGN.md §3 records the substitution;
+//     (λ ≤ degeneracy ≤ 2λ-1) in place of the guesses (kParallelGuess
+//     runs them) and charge that extra global factor;
 //  2. if k is small (≤ threshold·log n), run the Lemma 3.15 complete
 //     layering directly and orient every edge toward the higher layer
-//     (ties toward the higher id);
+//     (ties toward the higher id) with graph::orient_by_layers;
 //  3. otherwise randomly partition the edges into ⌈k/log n⌉ parts
 //     (Lemma 2.1), layer each part independently — in parallel, so rounds
 //     count as the max over parts — and orient each edge by its own part's
@@ -55,7 +55,7 @@ MpcOrientationResult mpc_orient(const graph::Graph& g,
                                 mpc::MpcContext& ctx);
 
 /// The paper's k-estimate contract: some k ∈ [λ, 2λ] via the degeneracy
-/// oracle (exposed for tests/benches that want the same estimate).
+/// oracle, graph::core_decomposition (exposed for tests and benches).
 std::size_t estimate_density_parameter(const graph::Graph& g);
 
 }  // namespace arbor::core

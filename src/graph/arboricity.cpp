@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "graph/coreness.hpp"
 #include "graph/maxflow.hpp"
 #include "util/assert.hpp"
 
@@ -101,75 +102,26 @@ DensestSubgraph exact_densest_subgraph(const Graph& g) {
 
 std::size_t degeneracy(const Graph& g,
                        std::vector<VertexId>* elimination_order) {
-  const std::size_t n = g.num_vertices();
-  if (elimination_order) {
-    elimination_order->clear();
-    elimination_order->reserve(n);
-  }
-  if (n == 0) return 0;
-
-  // Bucket queue over current degrees (Matula–Beck).
-  std::vector<std::size_t> degree(n);
-  std::size_t max_deg = 0;
-  for (VertexId v = 0; v < n; ++v) {
-    degree[v] = g.degree(v);
-    max_deg = std::max(max_deg, degree[v]);
-  }
-  std::vector<std::vector<VertexId>> buckets(max_deg + 1);
-  for (VertexId v = 0; v < n; ++v) buckets[degree[v]].push_back(v);
-
-  std::vector<bool> removed(n, false);
-  std::size_t result = 0;
-  std::size_t cursor = 0;  // lowest possibly-nonempty bucket
-  for (std::size_t peeled = 0; peeled < n; ++peeled) {
-    while (cursor < buckets.size() && buckets[cursor].empty()) ++cursor;
-    // Entries may be stale (degree has since dropped); skip those.
-    while (true) {
-      ARBOR_CHECK(cursor < buckets.size());
-      if (buckets[cursor].empty()) {
-        ++cursor;
-        continue;
-      }
-      const VertexId v = buckets[cursor].back();
-      buckets[cursor].pop_back();
-      if (removed[v] || degree[v] != cursor) continue;  // stale entry
-      removed[v] = true;
-      result = std::max(result, cursor);
-      if (elimination_order) elimination_order->push_back(v);
-      for (VertexId w : g.neighbors(v)) {
-        if (removed[w]) continue;
-        --degree[w];
-        buckets[degree[w]].push_back(w);
-        if (degree[w] < cursor) cursor = degree[w];
-      }
-      break;
-    }
-  }
-  return result;
+  CoreDecomposition cores = core_decomposition(g);
+  if (elimination_order) *elimination_order = std::move(cores.order);
+  return cores.degeneracy;
 }
 
 double peeling_density_lower_bound(const Graph& g) {
-  std::vector<VertexId> order;
-  degeneracy(g, &order);
-  // Peeling removes vertices one by one; the density of the *remaining* set
-  // just before each removal is a candidate. Track remaining edges by
-  // subtracting the removed vertex's residual degree.
   const std::size_t n = g.num_vertices();
   if (n == 0 || g.num_edges() == 0) return 0.0;
-
+  std::vector<VertexId> order;
+  degeneracy(g, &order);
+  // Each suffix of the order (what is left before a removal) is a
+  // candidate; a removal takes its edges into the suffix with it.
   std::vector<bool> removed(n, false);
   auto remaining_edges = static_cast<double>(g.num_edges());
   double best = remaining_edges / static_cast<double>(n);
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    const VertexId v = order[i];
-    std::size_t residual = 0;
-    for (VertexId w : g.neighbors(v))
-      if (!removed[w]) ++residual;
-    removed[v] = true;
-    remaining_edges -= static_cast<double>(residual);
-    const std::size_t left = n - i - 1;
-    if (left > 0)
-      best = std::max(best, remaining_edges / static_cast<double>(left));
+  for (std::size_t i = 0; i + 1 < n; ++i) {
+    removed[order[i]] = true;
+    for (VertexId w : g.neighbors(order[i]))
+      remaining_edges -= removed[w] ? 0.0 : 1.0;
+    best = std::max(best, remaining_edges / static_cast<double>(n - i - 1));
   }
   return best;
 }

@@ -7,9 +7,9 @@
 //  * an EXACT densest-subgraph oracle (Goldberg's min-cut construction,
 //    binary search over a 1/(2n²) density grid — exact because distinct
 //    subgraph densities differ by more than the grid resolution),
-//  * linear-time degeneracy (bucket-queue peeling), which sandwiches λ via
-//    ⌈α⌉ ≤ λ ≤ degeneracy,
-//  * the classic 2-approximation peeling density.
+//  * linear-time degeneracy (the bin-sort core decomposition of
+//    graph/coreness.hpp), which sandwiches λ via ⌈α⌉ ≤ λ ≤ degeneracy,
+//  * the classic 2-approximation peeling density along its order.
 #pragma once
 
 #include <cstdint>
@@ -31,15 +31,16 @@ struct DensestSubgraph {
 /// validation on graphs up to a few tens of thousands of vertices.
 DensestSubgraph exact_densest_subgraph(const Graph& g);
 
-/// Degeneracy d(G) = max over subgraphs of the minimum degree, computed by
-/// bucket-queue peeling in O(n + m). If `elimination_order` is non-null it
-/// receives the peel order (each vertex has ≤ d(G) neighbors later in the
-/// order). λ(G) ≤ d(G) ≤ 2λ(G) - 1.
+/// Degeneracy d(G) = max over subgraphs of the minimum degree, the max of
+/// `core_decomposition(g)`; λ(G) ≤ d(G) ≤ 2λ(G) - 1. `elimination_order`
+/// receives its processing order: core numbers nondecreasing, so v has
+/// ≤ core(v) ≤ d(G) neighbors later (ties in no specified order).
 std::size_t degeneracy(const Graph& g,
                        std::vector<VertexId>* elimination_order = nullptr);
 
-/// Density of the best prefix found by peeling minimum-degree vertices —
-/// the classic factor-2 approximation of α(G). O(n + m).
+/// Density of the best suffix of the degeneracy elimination order — the
+/// classic factor-2 approximation of α(G): one suffix is the max core,
+/// whose min degree d(G) ≥ α(G) gives density ≥ d(G)/2. O(n + m).
 double peeling_density_lower_bound(const Graph& g);
 
 /// Sandwich bounds for arboricity: lower = ⌈|E(S*)|/(|S*|-1)⌉ from the exact

@@ -2,46 +2,52 @@
 
 #include <algorithm>
 
-#include "util/assert.hpp"
-
 namespace arbor::graph {
 
-std::vector<std::uint32_t> exact_coreness(const Graph& g) {
-  const std::size_t n = g.num_vertices();
-  std::vector<std::uint32_t> coreness(n, 0);
-  if (n == 0) return coreness;
+CoreDecomposition core_decomposition(const Graph& g) {
+  const auto n = static_cast<std::uint32_t>(g.num_vertices());
+  CoreDecomposition result;
+  if (n == 0) return result;
+  // deg[v]: v's current degree until v is processed, then its core number.
+  std::vector<std::uint32_t> deg(n);
+  for (VertexId v = 0; v < n; ++v)
+    deg[v] = static_cast<std::uint32_t>(g.degree(v));
+  // Counting sort by degree; bin[d] is the first position of bin d.
+  std::vector<std::uint32_t> bin(*std::max_element(deg.begin(), deg.end()) +
+                                     std::size_t{2}, 0);
+  for (VertexId v = 0; v < n; ++v) ++bin[deg[v] + 1];
+  for (std::size_t d = 1; d < bin.size(); ++d) bin[d] += bin[d - 1];
+  std::vector<std::uint32_t> pos(n);
+  std::vector<VertexId> vert(n);
+  for (VertexId v = 0; v < n; ++v) vert[pos[v] = bin[deg[v]]++] = v;
+  std::copy_backward(bin.begin(), bin.end() - 1, bin.end());
+  bin[0] = 0;
 
-  std::vector<std::size_t> degree(n);
-  std::size_t max_deg = 0;
-  for (VertexId v = 0; v < n; ++v) {
-    degree[v] = g.degree(v);
-    max_deg = std::max(max_deg, degree[v]);
-  }
-  std::vector<std::vector<VertexId>> buckets(max_deg + 1);
-  for (VertexId v = 0; v < n; ++v) buckets[degree[v]].push_back(v);
-
-  std::vector<bool> removed(n, false);
-  std::size_t current_core = 0;
-  std::size_t cursor = 0;
-  for (std::size_t peeled = 0; peeled < n;) {
-    while (cursor < buckets.size() && buckets[cursor].empty()) ++cursor;
-    ARBOR_CHECK(cursor < buckets.size());
-    const VertexId v = buckets[cursor].back();
-    buckets[cursor].pop_back();
-    if (removed[v] || degree[v] != cursor) continue;  // stale entry
-    removed[v] = true;
-    ++peeled;
-    // Core number = running maximum of the removal degree.
-    current_core = std::max(current_core, cursor);
-    coreness[v] = static_cast<std::uint32_t>(current_core);
-    for (VertexId w : g.neighbors(v)) {
-      if (removed[w]) continue;
-      --degree[w];
-      buckets[degree[w]].push_back(w);
-      if (degree[w] < cursor) cursor = degree[w];
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const VertexId v = vert[i];
+    for (VertexId u : g.neighbors(v)) {
+      const std::uint32_t du = deg[u];
+      if (du <= deg[v]) continue;  // processed, or already at v's level
+      // Swap u with the first vertex w of its bin, then advance the bin's
+      // start past u: u now sits at the end of bin du - 1.
+      const std::uint32_t pu = pos[u];
+      const std::uint32_t pw = bin[du]++;
+      const VertexId w = vert[pw];
+      vert[pu] = w;
+      pos[w] = pu;
+      vert[pw] = u;
+      pos[u] = pw;
+      deg[u] = du - 1;
     }
   }
-  return coreness;
+  result.degeneracy = deg[vert[n - 1]];
+  result.core = std::move(deg);
+  result.order = std::move(vert);
+  return result;
+}
+
+std::vector<std::uint32_t> exact_coreness(const Graph& g) {
+  return core_decomposition(g).core;
 }
 
 }  // namespace arbor::graph

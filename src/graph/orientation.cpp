@@ -44,34 +44,33 @@ Orientation orient_by_layers(const Graph& g,
                              const std::vector<std::uint32_t>& layer,
                              std::uint32_t infinite_layer) {
   ARBOR_CHECK(layer.size() == g.num_vertices());
-  const auto edges = g.edges();
-  std::vector<bool> towards_v(edges.size());
+  // ∞ sorts above all finite layers.
   const auto rank = [&](VertexId v) {
-    // ∞ sorts above all finite layers.
     return layer[v] == infinite_layer ? 0xffffffffu : layer[v];
   };
-  for (std::size_t i = 0; i < edges.size(); ++i) {
-    const auto [u, v] = edges[i];
-    const std::uint32_t ru = rank(u), rv = rank(v);
-    // u -> v if v is in a strictly higher layer, or tie and v has larger id
-    // (v > u always holds in canonical order, so ties go u -> v).
-    towards_v[i] = ru < rv || (ru == rv);
+  // The canonical edge list is the suffix v > u of each sorted CSR row, rows
+  // in ascending u: walk the rows and append one bit per edge.
+  std::vector<bool> towards_v;
+  towards_v.reserve(g.num_edges());
+  for (VertexId u = 0; u < g.num_vertices(); ++u) {
+    const auto row = g.neighbors(u);
+    const std::uint32_t ru = rank(u);
+    // u -> v if v is in a strictly higher layer, or tie (v > u).
+    for (auto it = std::upper_bound(row.begin(), row.end(), u);
+         it != row.end(); ++it)
+      towards_v.push_back(ru <= rank(*it));
   }
   return Orientation(g, std::move(towards_v));
 }
 
 Orientation orient_by_degeneracy(const Graph& g) {
+  // Positions are distinct layers below 2^32 - 1: the earlier is the tail.
   std::vector<VertexId> order;
   degeneracy(g, &order);
-  std::vector<std::uint32_t> position(g.num_vertices(), 0);
+  std::vector<std::uint32_t> position(g.num_vertices());
   for (std::size_t i = 0; i < order.size(); ++i)
     position[order[i]] = static_cast<std::uint32_t>(i);
-
-  const auto edges = g.edges();
-  std::vector<bool> towards_v(edges.size());
-  for (std::size_t i = 0; i < edges.size(); ++i)
-    towards_v[i] = position[edges[i].u] < position[edges[i].v];
-  return Orientation(g, std::move(towards_v));
+  return orient_by_layers(g, position, 0xffffffffu);
 }
 
 }  // namespace arbor::graph

@@ -43,6 +43,8 @@ class Orientation {
 /// Layer value for each vertex; `infinite_layer` (e.g. ℓ = ∞) sorts above
 /// every finite layer. If a partial layering leaves both endpoints at ∞ the
 /// tie-break still orients the edge (ids), so the orientation is total.
+/// One pass over the sorted CSR rows (row u's suffix v > u is u's share of
+/// the canonical edge list); core::mpc_orient's single-part finalize.
 Orientation orient_by_layers(const Graph& g,
                              const std::vector<std::uint32_t>& layer,
                              std::uint32_t infinite_layer);

@@ -1,11 +1,12 @@
 // Randomized (degree+1)-list coloring in the LOCAL model.
 //
 // The paper uses state-of-the-art list coloring [HKNT22, GG24b] as a black
-// box inside each layer; our substitution (DESIGN.md §3) is the classic
-// trial/commit algorithm: each round every uncolored vertex proposes a
-// uniformly random color from its palette minus the colors of already-
-// colored neighbors, and commits unless an uncolored neighbor proposed the
-// same color. With |palette(v)| ≥ deg(v)+1 each vertex succeeds with
+// box inside each layer. We substitute the simpler classic trial/commit
+// algorithm, which keeps their (degree+1)-list contract but needs O(log n)
+// rounds where they need poly(log log n): each round every uncolored vertex
+// proposes a uniformly random color from its palette minus the colors of
+// already-colored neighbors, and commits unless an uncolored neighbor
+// proposed the same color. With |palette(v)| ≥ deg(v)+1 each vertex succeeds with
 // constant probability per round, so O(log n) rounds suffice whp.
 //
 // Palettes are ranges with holes: palette(v) is [base, base+count) minus

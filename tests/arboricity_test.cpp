@@ -1,10 +1,17 @@
 // Tests for density/arboricity measurement: Dinic max-flow, Goldberg's
-// exact densest subgraph, degeneracy, and the sandwich bounds.
+// exact densest subgraph, degeneracy, the Batagelj–Zaversnik core
+// decomposition against a bucket-queue reference, and the sandwich bounds.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <string>
+#include <vector>
 
 #include "util/assert.hpp"
 #include "graph/arboricity.hpp"
 #include "graph/builder.hpp"
+#include "graph/coreness.hpp"
 #include "graph/generators.hpp"
 #include "graph/maxflow.hpp"
 #include "util/rng.hpp"
@@ -136,6 +143,124 @@ TEST(Degeneracy, EliminationOrderWitnessesBound) {
     for (VertexId w : g.neighbors(v))
       if (pos[w] > pos[v]) ++later;
     EXPECT_LE(later, d);
+  }
+}
+
+/// The Matula–Beck bucket queue the bin sort replaced: peel a vertex of
+/// minimum current degree; its core is the running max of removal degrees.
+struct BucketQueueCores {
+  std::size_t degeneracy = 0;
+  std::vector<std::uint32_t> core;
+};
+
+BucketQueueCores bucket_queue_reference(const Graph& g) {
+  const std::size_t n = g.num_vertices();
+  BucketQueueCores result;
+  result.core.assign(n, 0);
+  if (n == 0) return result;
+  std::vector<std::size_t> degree(n);
+  std::size_t max_deg = 0;
+  for (VertexId v = 0; v < n; ++v) {
+    degree[v] = g.degree(v);
+    max_deg = std::max(max_deg, degree[v]);
+  }
+  std::vector<std::vector<VertexId>> buckets(max_deg + 1);
+  for (VertexId v = 0; v < n; ++v) buckets[degree[v]].push_back(v);
+  std::vector<bool> removed(n, false);
+  std::size_t cursor = 0;
+  for (std::size_t peeled = 0; peeled < n;) {
+    while (buckets[cursor].empty()) ++cursor;
+    const VertexId v = buckets[cursor].back();
+    buckets[cursor].pop_back();
+    if (removed[v] || degree[v] != cursor) continue;  // stale entry
+    removed[v] = true;
+    ++peeled;
+    result.degeneracy = std::max(result.degeneracy, cursor);
+    result.core[v] = static_cast<std::uint32_t>(result.degeneracy);
+    for (VertexId w : g.neighbors(v)) {
+      if (removed[w]) continue;
+      --degree[w];
+      buckets[degree[w]].push_back(w);
+      if (degree[w] < cursor) cursor = degree[w];
+    }
+  }
+  return result;
+}
+
+/// Checks core_decomposition(g) against the reference and its order
+/// contract; `exact_coreness` and `degeneracy` must be views of it.
+void expect_matches_reference(const Graph& g) {
+  const BucketQueueCores want = bucket_queue_reference(g);
+  const CoreDecomposition got = core_decomposition(g);
+  EXPECT_EQ(got.degeneracy, want.degeneracy);
+  EXPECT_EQ(got.core, want.core);
+  EXPECT_EQ(exact_coreness(g), want.core);
+  std::vector<VertexId> order;
+  EXPECT_EQ(degeneracy(g, &order), want.degeneracy);
+  EXPECT_EQ(order, got.order);
+
+  const std::size_t n = g.num_vertices();
+  ASSERT_EQ(got.order.size(), n);
+  std::vector<std::size_t> pos(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    ASSERT_LT(got.order[i], n);
+    ASSERT_EQ(pos[got.order[i]], n) << "vertex listed twice";
+    pos[got.order[i]] = i;
+  }
+  for (std::size_t i = 1; i < n; ++i)
+    EXPECT_LE(got.core[got.order[i - 1]], got.core[got.order[i]])
+        << "core decreases at position " << i;
+  for (VertexId v = 0; v < n; ++v) {
+    std::size_t later = 0;
+    for (VertexId w : g.neighbors(v)) later += pos[w] > pos[v] ? 1 : 0;
+    EXPECT_LE(later, got.core[v]) << "vertex " << v;
+  }
+}
+
+TEST(CoreDecomposition, MatchesBucketQueueReference) {
+  util::SplitRng rng(9);
+  {
+    SCOPED_TRACE("empty graph");
+    expect_matches_reference(GraphBuilder(0).build());
+  }
+  {
+    SCOPED_TRACE("single edge");
+    GraphBuilder b(2);
+    b.add_edge(0, 1);
+    expect_matches_reference(b.build());
+  }
+  for (int i = 0; i < 240; ++i) {
+    SCOPED_TRACE("graph " + std::to_string(i));
+    const std::size_t n = 1 + rng.next_below(400);
+    const std::size_t max_m = n * (n - 1) / 2;
+    switch (i % 6) {
+      case 0:
+        expect_matches_reference(
+            gnm(n, std::min(max_m, rng.next_below(4 * n + 1)), rng));
+        break;
+      case 1:
+        expect_matches_reference(
+            barabasi_albert(n + 8, 1 + rng.next_below(6), rng));
+        break;
+      case 2:
+        expect_matches_reference(planted_clique(
+            n + 40, rng.next_below(2 * n + 1), 2 + rng.next_below(30), rng));
+        break;
+      case 3:
+        expect_matches_reference(
+            forest_union(n + 1, 1 + rng.next_below(5), rng));
+        break;
+      case 4:  // mostly isolated vertices
+        expect_matches_reference(gnm(n, rng.next_below(n / 2 + 1), rng));
+        break;
+      default: {  // a dense core among isolated vertices
+        GraphBuilder b(n + 30);
+        for (VertexId u = 0; u < 12; ++u)
+          for (VertexId v = u + 1; v < 12; ++v)
+            if (rng.next_below(4) != 0) b.add_edge(u, v);
+        expect_matches_reference(b.build());
+      }
+    }
   }
 }
 

@@ -3,6 +3,10 @@
 // against exact sequential oracles.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <string>
+
 #include "util/assert.hpp"
 #include "core/coreness_mpc.hpp"
 #include "core/density_estimate.hpp"
@@ -115,6 +119,51 @@ TEST(DensityEstimateMpc, RejectsWeakThreshold) {
                arbor::InvariantError);
 }
 
+/// `run(g, ctx)` on a small forest union must throw an InvariantError whose
+/// message names `field`, not cast the hostile value.
+template <typename Run>
+void expect_rejected(Run run, const std::string& field) {
+  util::SplitRng rng(12);
+  const Graph g = graph::forest_union(300, 2, rng);
+  mpc::RoundLedger ledger(test_config());
+  mpc::MpcContext ctx(test_config(), &ledger);
+  try {
+    run(g, ctx);
+    ADD_FAILURE() << field << " was accepted";
+  } catch (const InvariantError& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+        << e.what();
+  }
+}
+
+void expect_rounds_factor_rejected(double rounds_factor) {
+  expect_rejected(
+      [&](const Graph& g, mpc::MpcContext& ctx) {
+        estimate_density_mpc(g, ctx, 4.0, rounds_factor);
+      },
+      "estimate_density_mpc: rounds_factor");
+}
+
+TEST(DensityEstimateMpc, RejectsNanRoundsFactor) {
+  expect_rounds_factor_rejected(std::nan(""));
+}
+
+TEST(DensityEstimateMpc, RejectsInfiniteRoundsFactor) {
+  expect_rounds_factor_rejected(std::numeric_limits<double>::infinity());
+}
+
+TEST(DensityEstimateMpc, RejectsNegativeRoundsFactor) {
+  expect_rounds_factor_rejected(-1.0);
+}
+
+TEST(DensityEstimateMpc, RejectsInfiniteThresholdFactor) {
+  expect_rejected(
+      [](const Graph& g, mpc::MpcContext& ctx) {
+        estimate_density_mpc(g, ctx, std::numeric_limits<double>::infinity());
+      },
+      "estimate_density_mpc: threshold_factor");
+}
+
 TEST(OrientWithParallelGuessEstimator, EndToEnd) {
   util::SplitRng rng(6);
   const Graph g = graph::forest_union(800, 3, rng);
@@ -179,6 +228,45 @@ TEST(ApproximateCoreness, RoundsSharedAcrossGuesses) {
   // Rounds = one shared budget, NOT budget × guesses.
   EXPECT_EQ(ledger.rounds_by_label().at("coreness.parallel_guesses"),
             result.rounds_budget);
+}
+
+void expect_coreness_rejected(double epsilon, double rounds_factor,
+                              const std::string& field) {
+  expect_rejected(
+      [&](const Graph& g, mpc::MpcContext& ctx) {
+        approximate_coreness(g, epsilon, ctx, rounds_factor);
+      },
+      "approximate_coreness: " + field);
+}
+
+TEST(ApproximateCoreness, RejectsNanEpsilon) {
+  expect_coreness_rejected(std::nan(""), 2.0, "epsilon");
+}
+
+TEST(ApproximateCoreness, RejectsInfiniteEpsilon) {
+  expect_coreness_rejected(std::numeric_limits<double>::infinity(), 2.0,
+                           "epsilon");
+}
+
+TEST(ApproximateCoreness, RejectsNegativeEpsilon) {
+  expect_coreness_rejected(-0.5, 2.0, "epsilon");
+}
+
+TEST(ApproximateCoreness, RejectsEpsilonThatCannotAdvanceGuesses) {
+  expect_coreness_rejected(1e-20, 2.0, "epsilon");  // 1 + 1e-20 == 1
+}
+
+TEST(ApproximateCoreness, RejectsNanRoundsFactor) {
+  expect_coreness_rejected(0.5, std::nan(""), "rounds_factor");
+}
+
+TEST(ApproximateCoreness, RejectsInfiniteRoundsFactor) {
+  expect_coreness_rejected(0.5, std::numeric_limits<double>::infinity(),
+                           "rounds_factor");
+}
+
+TEST(ApproximateCoreness, RejectsNegativeRoundsFactor) {
+  expect_coreness_rejected(0.5, -2.0, "rounds_factor");
 }
 
 TEST(ApproximateCoreness, EpsilonControlsGranularity) {

@@ -4,8 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "util/assert.hpp"
 #include "graph/builder.hpp"
@@ -103,6 +108,137 @@ TEST(Peeling, GeometricDecayAtDoubleAverageDegree) {
   EXPECT_LE(result.rounds, 12u);
 }
 
+/// The scan peel `ThresholdPeel` replaced: size_t degrees, a layer-0 test
+/// per vertex and a liveness test per decrement.
+PeelingResult scan_peel_reference(const Graph& g, std::size_t threshold,
+                                  std::size_t max_rounds) {
+  const std::size_t n = g.num_vertices();
+  PeelingResult result;
+  result.layer.assign(n, 0);
+  std::vector<std::size_t> degree(n);
+  std::size_t remaining = n;
+  for (VertexId v = 0; v < n; ++v) degree[v] = g.degree(v);
+  std::vector<VertexId> peeled_this_round;
+  std::uint32_t round = 0;
+  while (remaining > 0 && round < max_rounds) {
+    peeled_this_round.clear();
+    for (VertexId v = 0; v < n; ++v)
+      if (result.layer[v] == 0 && degree[v] <= threshold)
+        peeled_this_round.push_back(v);
+    if (peeled_this_round.empty()) break;
+    ++round;
+    for (VertexId v : peeled_this_round) result.layer[v] = round;
+    for (VertexId v : peeled_this_round)
+      for (VertexId w : g.neighbors(v))
+        if (result.layer[w] == 0 || result.layer[w] == round) {
+          EXPECT_GT(degree[w], 0u);
+          --degree[w];
+        }
+    remaining -= peeled_this_round.size();
+  }
+  result.num_layers = round;
+  result.rounds = round;
+  result.complete = remaining == 0;
+  return result;
+}
+
+Graph random_peel_graph(int i, util::SplitRng& rng) {
+  const std::size_t n = 1 + rng.next_below(300);
+  switch (i % 4) {
+    case 0:
+      return graph::gnm(n, std::min(n * (n - 1) / 2, rng.next_below(5 * n)),
+                        rng);
+    case 1:
+      return graph::barabasi_albert(n + 8, 1 + rng.next_below(5), rng);
+    case 2:
+      return graph::forest_union(n + 1, 1 + rng.next_below(4), rng);
+    default:
+      return graph::planted_clique(n + 30, rng.next_below(2 * n + 1),
+                                   2 + rng.next_below(25), rng);
+  }
+}
+
+TEST(ThresholdPeel, MatchesScanReference) {
+  util::SplitRng rng(21);
+  for (int i = 0; i < 120; ++i) {
+    const Graph g = random_peel_graph(i, rng);
+    for (const std::size_t threshold : {0u, 1u, 2u, 3u, 5u, 8u, 13u, 40u}) {
+      for (const std::size_t max_rounds : {0u, 1u, 3u, 100u}) {
+        SCOPED_TRACE("graph " + std::to_string(i) + ", threshold " +
+                     std::to_string(threshold) + ", max_rounds " +
+                     std::to_string(max_rounds));
+        const PeelingResult want =
+            scan_peel_reference(g, threshold, max_rounds);
+        const PeelingResult got = peel_by_threshold(g, threshold, max_rounds);
+        EXPECT_EQ(got.layer, want.layer);
+        EXPECT_EQ(got.num_layers, want.num_layers);
+        EXPECT_EQ(got.rounds, want.rounds);
+        EXPECT_EQ(got.complete, want.complete);
+      }
+    }
+  }
+}
+
+TEST(ThresholdPeel, ReplaysLayeringPatternAgainstNaiveReference) {
+  // complete_layering's use: rounds at a threshold that doubles when a
+  // round stalls, and vertices assigned from outside between rounds.
+  util::SplitRng rng(22);
+  for (int i = 0; i < 120; ++i) {
+    SCOPED_TRACE("graph " + std::to_string(i));
+    const Graph g = random_peel_graph(i, rng);
+    const std::size_t n = g.num_vertices();
+    ThresholdPeel peel(g);
+    std::vector<std::size_t> degree(n);
+    std::vector<bool> live(n, true);
+    for (VertexId v = 0; v < n; ++v) degree[v] = g.degree(v);
+    std::size_t remaining = n;
+    const auto remove = [&](VertexId v) {
+      live[v] = false;
+      --remaining;
+      for (VertexId w : g.neighbors(v))
+        if (live[w]) --degree[w];
+    };
+    std::size_t threshold = rng.next_below(3);
+    while (remaining > 0) {
+      std::vector<VertexId> want;
+      for (VertexId v = 0; v < n; ++v)
+        if (live[v] && degree[v] <= threshold) want.push_back(v);
+      for (VertexId v : want) live[v] = false;
+      remaining -= want.size();
+      for (VertexId v : want)
+        for (VertexId w : g.neighbors(v))
+          if (live[w]) --degree[w];
+      const auto got = peel.round(threshold);
+      ASSERT_EQ(std::vector<VertexId>(got.begin(), got.end()), want);
+      ASSERT_EQ(peel.remaining(), remaining);
+      if (want.empty()) threshold = 2 * threshold + 1;
+      // Assign a few live vertices from outside, as Stage 2 does.
+      for (int a = 0; a < 3 && remaining > 0; ++a) {
+        VertexId v = static_cast<VertexId>(rng.next_below(n));
+        while (!live[v]) v = (v + 1) % n;
+        remove(v);
+        peel.park(v);
+        ASSERT_EQ(peel.remaining(), remaining);
+      }
+    }
+    EXPECT_TRUE(peel.round(threshold).empty());
+  }
+}
+
+TEST(ThresholdPeel, RejectsParkingTwice) {
+  const Graph g = graph::path(4);
+  ThresholdPeel peel(g);
+  peel.park(1);
+  EXPECT_THROW(peel.park(1), arbor::InvariantError);
+  const auto isolated = peel.round(0);  // 0 lost its only neighbour
+  EXPECT_EQ(std::vector<VertexId>(isolated.begin(), isolated.end()),
+            (std::vector<VertexId>{0}));
+  const auto rest = peel.round(1);
+  EXPECT_EQ(std::vector<VertexId>(rest.begin(), rest.end()),
+            (std::vector<VertexId>{2, 3}));
+  EXPECT_EQ(peel.remaining(), 0u);
+}
+
 TEST(Be08, RoundsLogarithmicAndComplete) {
   util::SplitRng rng(4);
   const Graph g = graph::forest_union(4096, 4, rng);
@@ -115,6 +251,32 @@ TEST(Be08, RoundsLogarithmicAndComplete) {
 TEST(Be08, ThrowsWhenThresholdBelowArboricity) {
   const Graph g = graph::clique(64);  // λ = 32
   EXPECT_THROW(be08_h_partition(g, 1, 0.2), arbor::InvariantError);
+}
+
+/// be08_h_partition with a hostile epsilon must throw an InvariantError
+/// naming it, not cast the value to a threshold.
+void expect_epsilon_rejected(double epsilon) {
+  util::SplitRng rng(4);
+  const Graph g = graph::forest_union(256, 2, rng);
+  try {
+    be08_h_partition(g, 2, epsilon);
+    ADD_FAILURE() << "epsilon " << epsilon << " was accepted";
+  } catch (const arbor::InvariantError& e) {
+    EXPECT_NE(std::string(e.what()).find("epsilon"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Be08, RejectsNanEpsilon) { expect_epsilon_rejected(std::nan("")); }
+
+TEST(Be08, RejectsInfiniteEpsilon) {
+  expect_epsilon_rejected(std::numeric_limits<double>::infinity());
+}
+
+TEST(Be08, RejectsNegativeEpsilon) { expect_epsilon_rejected(-0.5); }
+
+TEST(Be08, RejectsEpsilonOverflowingThreshold) {
+  expect_epsilon_rejected(1e300);
 }
 
 // ---------------- list coloring ----------------

@@ -4,6 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <map>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "util/assert.hpp"
 #include "baselines/be08_mpc.hpp"
@@ -171,6 +176,85 @@ TEST(MpcOrient, DeterministicForFixedSeed) {
     EXPECT_EQ(r1.orientation.oriented_towards_v(i),
               r2.orientation.oriented_towards_v(i));
   EXPECT_EQ(l1->total_rounds(), l2->total_rounds());
+}
+
+
+std::uint64_t fnv1a_orientation(const graph::Orientation& o) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (std::size_t i = 0; i < o.num_edges(); ++i) {
+    h ^= o.oriented_towards_v(i) ? 1u : 0u;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+struct GoldenOrientation {
+  std::string name;
+  Graph g;
+  bool distributed_level1;
+  double high_k_factor;
+  std::uint64_t bits_fnv1a;
+  std::size_t parts;
+  std::size_t k_used;
+  std::size_t outdegree_bound;
+  std::map<std::string, std::size_t> rounds_by_label;
+};
+
+TEST(MpcOrient, GoldenOutputsBitIdentical) {
+  // Pinned literals: a faster k estimate, peel or finalize must reproduce
+  // the orientation bits, k, the bound and the ledger bit for bit.
+  util::SplitRng ba_rng(11);
+  util::SplitRng gnm_draw(12);
+  util::SplitRng gnm_relabel(13);
+  util::SplitRng dense_draw(14);
+  util::SplitRng dense_relabel(15);
+  const std::vector<GoldenOrientation> cases = {
+      {"barabasi_albert(2^12, 4)",
+       graph::barabasi_albert(std::size_t{1} << 12, 4, ba_rng), false, 4.0,
+       0xb309d3cec520f17fULL, 1, 4, 20,
+       {{"exponentiate.fetch", 23},
+        {"exponentiate.init", 2},
+        {"layering.peel", 6},
+        {"orient.estimate_k", 1},
+        {"orient.finalize", 1},
+        {"partial_layering.min_project", 3}}},
+      {"relabelled gnm(2^12, 2^15), distributed Level-1",
+       graph::relabel_randomly(
+           graph::gnm(std::size_t{1} << 12, std::size_t{1} << 15, gnm_draw),
+           gnm_relabel),
+       true, 4.0, 0x8e43f458531cf3caULL, 1, 11, 11,
+       {{"layering.peel", 8},
+        {"orient.estimate_k", 1},
+        {"orient.finalize", 1}}},
+      {"relabelled gnm(2^10, 2^14), high_k_factor = 1 (Lemma 2.1 parts)",
+       graph::relabel_randomly(
+           graph::gnm(std::size_t{1} << 10, std::size_t{1} << 14, dense_draw),
+           dense_relabel),
+       false, 1.0, 0xcc1732172b495011ULL, 3, 23, 105,
+       {{"exponentiate.fetch", 17},
+        {"exponentiate.init", 1},
+        {"layering.peel", 7},
+        {"orient.edge_partition", 1},
+        {"orient.estimate_k", 1},
+        {"orient.finalize", 1},
+        {"partial_layering.min_project", 2}}},
+  };
+  for (const GoldenOrientation& want : cases) {
+    SCOPED_TRACE(want.name);
+    auto cfg = mpc::ClusterConfig::for_problem(want.g.num_vertices(),
+                                               want.g.num_edges(), 0.6);
+    cfg.distributed_level1 = want.distributed_level1;
+    mpc::RoundLedger ledger(cfg);
+    mpc::MpcContext ctx(cfg, &ledger);
+    OrientationParams params;
+    params.high_k_factor = want.high_k_factor;
+    const MpcOrientationResult got = mpc_orient(want.g, params, ctx);
+    EXPECT_EQ(fnv1a_orientation(got.orientation), want.bits_fnv1a);
+    EXPECT_EQ(got.parts, want.parts);
+    EXPECT_EQ(got.k_used, want.k_used);
+    EXPECT_EQ(got.outdegree_bound, want.outdegree_bound);
+    EXPECT_EQ(ledger.rounds_by_label(), want.rounds_by_label);
+  }
 }
 
 }  // namespace
