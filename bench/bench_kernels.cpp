@@ -33,31 +33,32 @@ void BM_LocalPrune(benchmark::State& state) {
   graph::VertexId center = 0;
   for (graph::VertexId v = 0; v < g.num_vertices(); ++v)
     if (g.degree(v) > g.degree(center)) center = v;
-  const core::TreeView star =
-      core::TreeView::star(center, g.neighbors(center));
-  core::TreeView tree;
+  const core::TreeForest star =
+      core::TreeForest::star(center, g.neighbors(center));
+  core::TreeForest tree;
   {
     // Attach every leaf's star from its wire format, as Algorithm 2 does.
     std::vector<std::vector<std::uint64_t>> stars;
-    std::vector<core::TreeView::Attachment> attachments;
-    const auto leaves = star.leaves_at_depth(1);
+    std::vector<core::TreeForest::Attachment> attachments;
+    const auto leaves = star.tree(0).leaves_at_depth(1);
     stars.reserve(leaves.size());
     for (auto leaf : leaves) {
-      const graph::VertexId u = star.vertex_of(leaf);
-      stars.push_back(core::TreeView::star(u, g.neighbors(u)).serialize());
+      const graph::VertexId u = star.tree(0).vertex_of(leaf);
+      stars.push_back(
+          core::TreeForest::star(u, g.neighbors(u)).tree(0).serialize());
       attachments.push_back({leaf, stars.back()});
     }
-    star.attach(attachments, tree);
+    tree.append_attached(star.tree(0), attachments);
   }
-  // The output arena is reused across iterations, as across vertices and
-  // steps in Algorithm 2.
-  core::TreeView pruned;
+  // The output forest is reused across iterations, as across steps in
+  // Algorithm 2.
+  core::TreeForest pruned;
   for (auto _ : state) {
     core::local_prune(tree, 4, pruned);
-    benchmark::DoNotOptimize(pruned.size());
+    benchmark::DoNotOptimize(pruned.total_nodes());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(tree.size()));
+                          static_cast<std::int64_t>(tree.total_nodes()));
 }
 BENCHMARK(BM_LocalPrune)->Arg(1 << 10)->Arg(1 << 14);
 
@@ -67,16 +68,18 @@ void BM_ExponentiateStep(benchmark::State& state) {
   const mpc::ClusterConfig cfg{64, 4096};
   // Items are tree nodes held after each step, summed over the steps: the
   // unit the exponentiation's cost scales with.
+  // One result and scratch for every call, as the layering keeps them.
   std::size_t nodes = 0;
+  core::ExponentiateScratch scratch;
+  core::ExponentiateResult result;
   for (auto _ : state) {
     mpc::RoundLedger ledger(cfg);
     mpc::MpcContext ctx(cfg, &ledger);
     core::ExponentiateParams p{/*budget=*/64, /*prune_k=*/4, /*steps=*/2};
-    const core::ExponentiateResult result =
-        core::exponentiate_and_local_prune(g, p, ctx);
+    core::exponentiate_and_local_prune(g, p, ctx, scratch, result);
     for (const core::ExponentiateStepStats& step : result.per_step)
       nodes += step.total_tree_nodes;
-    benchmark::DoNotOptimize(result.trees.data());
+    benchmark::DoNotOptimize(result.trees.total_nodes());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(nodes));
 }

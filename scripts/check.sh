@@ -38,10 +38,15 @@
 #                                        # induced remap), MPC coloring
 #                                        # (block-local cone views, epoch
 #                                        # marks), partitioning, pipeline,
-#                                        # tree-arena (tree_view,
+#                                        # forest-arena (tree_view,
 #                                        # local_prune, exponentiate,
-#                                        # partial_layering: raw offsets
-#                                        # and wire spans), bundle-fetch
+#                                        # partial_layering,
+#                                        # property_fuzz: raw
+#                                        # per-vertex offsets into one
+#                                        # shared column buffer, its
+#                                        # growth, branch-free slack
+#                                        # writes, wire spans),
+#                                        # bundle-fetch
 #                                        # (mpc), list-coloring
 #                                        # (local_test: range palettes,
 #                                        # conflict CSR), cone-gauge
@@ -231,7 +236,7 @@ if [[ "${1:-}" == "--asan" ]]; then
     --target engine_test net_test trace_test check_test graph_test \
              coloring_mpc_test partitioning_test pipeline_test \
              tree_view_test local_prune_test exponentiate_test \
-             partial_layering_test mpc_test local_test \
+             partial_layering_test property_fuzz_test mpc_test local_test \
              directed_exponentiation_test arboricity_test \
              density_coreness_test layering_test orientation_mpc_test \
              orientation_coloring_test arbor-worker
@@ -240,7 +245,7 @@ if [[ "${1:-}" == "--asan" ]]; then
   for t in engine_test net_test trace_test check_test graph_test \
            coloring_mpc_test partitioning_test pipeline_test \
            tree_view_test local_prune_test exponentiate_test \
-           partial_layering_test mpc_test local_test \
+           partial_layering_test property_fuzz_test mpc_test local_test \
            directed_exponentiation_test arboricity_test \
            density_coreness_test layering_test orientation_mpc_test \
            orientation_coloring_test; do

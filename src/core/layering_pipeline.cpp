@@ -40,8 +40,26 @@ PipelineParams PipelineParams::paper(std::size_t k) {
   return p;
 }
 
+void PipelineParams::validate() const {
+  // Each of these is cast to an integer somewhere below; a NaN, infinite or
+  // negative value would make that cast undefined. Too large a finite
+  // value is caught where its count is derived.
+  const auto check = [](double value, const char* message) {
+    ARBOR_CHECK_MSG(std::isfinite(value) && value >= 0.0, message);
+  };
+  check(budget_exponent,
+        "PipelineParams.budget_exponent must be finite and >= 0");
+  check(layer_fraction, "PipelineParams.layer_fraction must be finite and >= 0");
+  check(steps_loglog_factor,
+        "PipelineParams.steps_loglog_factor must be finite and >= 0");
+  check(peel_rounds_factor,
+        "PipelineParams.peel_rounds_factor must be finite and >= 0");
+  check(boost_exponent, "PipelineParams.boost_exponent must be finite and >= 0");
+}
+
 std::size_t PipelineParams::derive_budget(
     std::size_t words_per_machine) const {
+  validate();
   const std::size_t cap =
       budget_cap != 0 ? budget_cap
                       : std::max<std::size_t>(words_per_machine, min_budget);
@@ -50,42 +68,64 @@ std::size_t PipelineParams::derive_budget(
 }
 
 Layer PipelineParams::derive_layers(std::size_t budget) const {
+  validate();
   const double base = static_cast<double>(std::max<std::size_t>(k, 2));
   const double l =
       layer_fraction * std::log(static_cast<double>(std::max<std::size_t>(
                            budget, 2))) /
       std::log(base);
+  ARBOR_CHECK_MSG(std::ceil(l) < static_cast<double>(kInfiniteLayer),
+                  "PipelineParams.layer_fraction gives L >= 2^32 - 1 layers");
   return std::max<Layer>(1, static_cast<Layer>(std::ceil(l)));
 }
 
 std::size_t PipelineParams::derive_steps(std::size_t n, Layer layers) const {
+  validate();
   // Lemma 3.7 requires s > log2 L; the paper sets s = ⌈10·log log n⌉.
-  const auto from_loglog = static_cast<std::size_t>(
-      std::ceil(steps_loglog_factor *
-                log2_safe(log2_safe(static_cast<double>(std::max<std::size_t>(
-                    n, 4))))));
+  const double loglog = std::ceil(
+      steps_loglog_factor *
+      log2_safe(log2_safe(static_cast<double>(std::max<std::size_t>(n, 4)))));
+  ARBOR_CHECK_MSG(loglog < 64.0,
+                  "PipelineParams.steps_loglog_factor gives s >= 64 steps");
+  const auto from_loglog = static_cast<std::size_t>(loglog);
   const auto from_layers = static_cast<std::size_t>(
       std::floor(std::log2(static_cast<double>(std::max<Layer>(layers, 1))))) +
                            1;
   return std::max({from_loglog, from_layers, std::size_t{2}});
 }
 
+std::size_t PipelineParams::derive_peel_rounds() const {
+  validate();
+  const double rounds = std::ceil(
+      peel_rounds_factor * std::log2(static_cast<double>(k + 1) + 1.0));
+  ARBOR_CHECK_MSG(rounds < 0x1p63,
+                  "PipelineParams.peel_rounds_factor gives >= 2^63 Stage-1 "
+                  "rounds");
+  return static_cast<std::size_t>(rounds);
+}
+
 PartialLayeringResult run_partial_once(const graph::Graph& g,
                                        const PipelineParams& p,
                                        std::size_t budget,
-                                       mpc::MpcContext& ctx) {
+                                       mpc::MpcContext& ctx,
+                                       PartialLayeringScratch* scratch) {
+  p.validate();
   PartialLayeringParams params;
   params.budget = std::max<std::size_t>(budget, 4);
   params.prune_k = std::max<std::size_t>(p.k, 1);
   params.num_layers = p.derive_layers(params.budget);
   params.steps = p.derive_steps(g.num_vertices(), params.num_layers);
-  return partial_layer_assignment(g, params, ctx);
+  return partial_layer_assignment(g, params, ctx, scratch);
 }
 
 PartialPipelineResult run_partial_iterated(const graph::Graph& g,
                                            const PipelineParams& p,
                                            std::size_t budget,
-                                           mpc::MpcContext& ctx) {
+                                           mpc::MpcContext& ctx,
+                                           PartialLayeringScratch* scratch) {
+  p.validate();
+  PartialLayeringScratch own;
+  PartialLayeringScratch& work = scratch != nullptr ? *scratch : own;
   trace::Span stage_span =
       trace::Tracer::global().span("mpc", "layering.partial_iterated");
   const std::size_t n = g.num_vertices();
@@ -93,28 +133,32 @@ PartialPipelineResult run_partial_iterated(const graph::Graph& g,
   result.assignment.layer.assign(n, kInfiniteLayer);
   result.assignment.num_layers = 0;
 
-  // Unassigned residue, as original vertex ids.
+  // Unassigned residue, as original vertex ids (ascending). The first
+  // iteration's residue is every vertex: it runs on `g` itself, later ones
+  // on the subgraph the residue induces.
   std::vector<graph::VertexId> residue(n);
   for (graph::VertexId v = 0; v < n; ++v) residue[v] = v;
+  graph::InducedSubgraph sub;
 
   Layer offset = 0;
   PipelineParams current = p;
   for (std::size_t iter = 0; iter < p.max_phases && !residue.empty();
        ++iter) {
     ++result.stats.partial_iterations;
-    const auto sub = g.induced(residue);
+    if (iter > 0) sub = g.induced(residue);
+    const graph::Graph& h = iter > 0 ? sub.graph : g;
     const PartialLayeringResult partial =
-        run_partial_once(sub.graph, current, budget, ctx);
+        run_partial_once(h, current, budget, ctx, &work);
     result.outdegree_bound =
         std::max(result.outdegree_bound, partial.outdegree_bound);
 
     std::vector<graph::VertexId> next_residue;
-    for (graph::VertexId sv = 0; sv < sub.graph.num_vertices(); ++sv) {
+    for (graph::VertexId sv = 0; sv < h.num_vertices(); ++sv) {
       const Layer l = partial.assignment.layer[sv];
       if (l == kInfiniteLayer)
-        next_residue.push_back(sub.to_original[sv]);
+        next_residue.push_back(residue[sv]);
       else
-        result.assignment.layer[sub.to_original[sv]] = offset + l;
+        result.assignment.layer[residue[sv]] = offset + l;
     }
     offset += partial.assignment.num_layers;
 
@@ -136,6 +180,7 @@ PartialPipelineResult run_partial_iterated(const graph::Graph& g,
 CompleteLayeringResult complete_layering(const graph::Graph& g,
                                          const PipelineParams& p,
                                          mpc::MpcContext& ctx) {
+  p.validate();
   const std::size_t n = g.num_vertices();
   CompleteLayeringResult result;
   result.assignment.layer.assign(n, kInfiniteLayer);
@@ -158,10 +203,20 @@ CompleteLayeringResult complete_layering(const graph::Graph& g,
     return peeled.size();
   };
 
-  // ---- Stage 1: initial peeling, ⌈f·log2(k+1)⌉ rounds at threshold k. ----
-  const auto stage1_rounds = static_cast<std::size_t>(std::ceil(
-      p.peel_rounds_factor *
-      std::log2(static_cast<double>(p.k + 1) + 1.0)));
+  const std::size_t budget_cap =
+      p.budget_cap != 0
+          ? p.budget_cap
+          : std::max<std::size_t>(ctx.config().words_per_machine,
+                                  p.min_budget);
+  // Every phase derives L from a budget of at most max(cap, 4) and s from
+  // at most n vertices, and both grow with their input: deriving them here
+  // rejects, before any round runs, a field that would overflow in some
+  // phase.
+  (void)p.derive_steps(
+      n, p.derive_layers(std::max<std::size_t>(budget_cap, 4)));
+
+  // ---- Stage 1: initial peeling, ⌈f·log2(k+2)⌉ rounds at threshold k. ----
+  const std::size_t stage1_rounds = p.derive_peel_rounds();
   for (std::size_t r = 0; r < stage1_rounds && peel.remaining() > 0; ++r) {
     ++result.stats.fallback_peel_rounds;  // Stage-1 peels counted here too
     peel_round(p.k);
@@ -169,11 +224,7 @@ CompleteLayeringResult complete_layering(const graph::Graph& g,
 
   // ---- Stage 2: Lemma 3.14 phases with budget boosting. ----
   std::size_t budget = p.derive_budget(ctx.config().words_per_machine);
-  const std::size_t budget_cap =
-      p.budget_cap != 0
-          ? p.budget_cap
-          : std::max<std::size_t>(ctx.config().words_per_machine,
-                                  p.min_budget);
+  PartialLayeringScratch scratch;  // both forests, kept across phases
   std::size_t peel_threshold = std::max<std::size_t>(p.k, 1);
 
   for (std::size_t phase = 0; phase < p.max_phases && peel.remaining() > 0;
@@ -189,7 +240,7 @@ CompleteLayeringResult complete_layering(const graph::Graph& g,
 
     const auto sub = g.induced(residue);
     const PartialPipelineResult partial =
-        run_partial_iterated(sub.graph, p, budget, ctx);
+        run_partial_iterated(sub.graph, p, budget, ctx, &scratch);
     result.outdegree_bound =
         std::max(result.outdegree_bound, partial.outdegree_bound);
     result.stats.partial_iterations += partial.stats.partial_iterations;

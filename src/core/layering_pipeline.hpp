@@ -39,16 +39,27 @@ struct PipelineParams {
   std::size_t budget_cap = 0;        ///< ceiling for B; 0 → machine words S
   double layer_fraction = 0.5;       ///< L = ⌈f·log_k B⌉   (paper: 0.1)
   double steps_loglog_factor = 1.0;  ///< s ≈ f·log2 log2 n (paper: 10)
-  double peel_rounds_factor = 2.0;   ///< Stage-1 rounds = ⌈f·log2(k+1)⌉ (100)
+  double peel_rounds_factor = 2.0;   ///< Stage-1 rounds = ⌈f·log2(k+2)⌉ (100)
   double boost_exponent = 2.0;       ///< B ← B^e between phases (paper: 100)
   std::size_t max_phases = 64;       ///< loop guards (paper: O(log log n))
 
   static PipelineParams practical(std::size_t k);
   static PipelineParams paper(std::size_t k);
 
+  /// Rejects, by name, a double field that is NaN, infinite or negative
+  /// (0 is legal). The derive_* helpers and every entry point below run it
+  /// first. A finite field too large for the count derived from it is
+  /// rejected, by name, where that count is derived: L ≥ kInfiniteLayer in
+  /// derive_layers, s ≥ 64 in derive_steps, and 2^63 or more Stage-1
+  /// rounds in derive_peel_rounds. The two exponents only feed a power
+  /// that saturates at the budget cap, so any finite value is safe.
+  void validate() const;
+
   std::size_t derive_budget(std::size_t words_per_machine) const;
   Layer derive_layers(std::size_t budget) const;
   std::size_t derive_steps(std::size_t n, Layer layers) const;
+  /// Stage-1 peel rounds of complete_layering: ⌈f·log2(k+2)⌉.
+  std::size_t derive_peel_rounds() const;
 };
 
 struct LayeringRunStats {
@@ -72,18 +83,18 @@ struct CompleteLayeringResult {
 };
 
 /// Lemma 3.13: one PartialLayerAssignment call with derived (B, L, s).
-PartialLayeringResult run_partial_once(const graph::Graph& g,
-                                       const PipelineParams& p,
-                                       std::size_t budget,
-                                       mpc::MpcContext& ctx);
+/// Each entry below works in `scratch` when one is given (see
+/// partial_layer_assignment), else in a scratch of its own.
+PartialLayeringResult run_partial_once(
+    const graph::Graph& g, const PipelineParams& p, std::size_t budget,
+    mpc::MpcContext& ctx, PartialLayeringScratch* scratch = nullptr);
 
 /// Lemma 3.14: iterate Lemma 3.13 on the unassigned residue, offsetting
 /// layers between iterations, until the residue is empty or the phase
 /// budget of iterations is exhausted.
-PartialPipelineResult run_partial_iterated(const graph::Graph& g,
-                                           const PipelineParams& p,
-                                           std::size_t budget,
-                                           mpc::MpcContext& ctx);
+PartialPipelineResult run_partial_iterated(
+    const graph::Graph& g, const PipelineParams& p, std::size_t budget,
+    mpc::MpcContext& ctx, PartialLayeringScratch* scratch = nullptr);
 
 /// Lemma 3.15: Stage-1 threshold peeling, then Lemma 3.14 phases with
 /// budget boosting until every vertex is assigned. The result satisfies

@@ -13,11 +13,15 @@
 //     NumPathsIn(map(root)).
 // Runs locally on one machine; costs no MPC rounds.
 //
-// On the preorder arena (core/tree_view.hpp) the recursion is one reverse
-// scan computing pruned sizes bottom-up, with a partial selection of the k
-// heaviest children per node; the kept nodes are then written breadth-first
-// into `out`. The sizes (0 marks a dropped child) and the selection buffer
-// are per-thread scratch the next call reuses; `out` keeps its buffer.
+// Pruning is one pass over a forest arena (core/tree_view.hpp) into a
+// second forest: tree t of the output is tree t of the input pruned. Per
+// tree the recursion is one reverse scan computing pruned sizes bottom-up,
+// with a selection of the k heaviest children per node; the kept nodes are
+// then written breadth-first into the output, so depths ascend within each
+// output tree (Algorithm 2 finds its frontier leaves by that). The output is
+// sized once from the input's node total (pruning never grows a tree); the
+// sizes (0 marks a dropped child) and the selection buffer are per-thread
+// scratch the next call reuses, and `out` keeps its buffer.
 #pragma once
 
 #include <cstddef>
@@ -26,10 +30,11 @@
 
 namespace arbor::core {
 
-/// Writes local_prune(tree, k) into `out` (which must not be `tree`).
-/// Deterministic tie-breaking: subtrees of equal size are ordered by the
-/// child's mapped vertex id, then by node id ("ties broken arbitrarily" in
-/// the paper; fixing them makes runs reproducible).
-void local_prune(const TreeView& tree, std::size_t k, TreeView& out);
+/// Replaces `out` (which must not be `forest`) by the forest whose tree t
+/// is local_prune(forest.tree(t), k). Deterministic tie-breaking: subtrees
+/// of equal size are ordered by the child's mapped vertex id, then by node
+/// id ("ties broken arbitrarily" in the paper; fixing them makes runs
+/// reproducible).
+void local_prune(const TreeForest& forest, std::size_t k, TreeForest& out);
 
 }  // namespace arbor::core

@@ -18,6 +18,11 @@ std::size_t estimate_density_parameter(const graph::Graph& g) {
 MpcOrientationResult mpc_orient(const graph::Graph& g,
                                 const OrientationParams& params,
                                 mpc::MpcContext& ctx) {
+  // A NaN factor would compare false and silently skip the Lemma 2.1
+  // partition; a negative one would always take it. Both are rejected.
+  ARBOR_CHECK_MSG(std::isfinite(params.high_k_factor) &&
+                      params.high_k_factor >= 0.0,
+                  "OrientationParams.high_k_factor must be finite and >= 0");
   trace::Span stage_span = trace::Tracer::global().span("mpc", "orientation");
   const std::size_t n = g.num_vertices();
   std::size_t k = params.k;

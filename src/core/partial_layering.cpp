@@ -1,6 +1,7 @@
 #include "core/partial_layering.hpp"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "core/partial_layer_tree.hpp"
 #include "util/assert.hpp"
@@ -9,7 +10,8 @@ namespace arbor::core {
 
 PartialLayeringResult partial_layer_assignment(
     const graph::Graph& g, const PartialLayeringParams& p,
-    mpc::MpcContext& ctx) {
+    mpc::MpcContext& ctx, PartialLayeringScratch* scratch) {
+  ARBOR_CHECK_MSG(p.steps < 64, "PartialLayeringParams.steps must be < 64");
   ARBOR_CHECK_MSG(p.steps > 0 && (std::size_t{1} << p.steps) > p.num_layers,
                   "Lemma 3.7 requires s > log2(L)");
   const std::size_t n = g.num_vertices();
@@ -18,20 +20,23 @@ PartialLayeringResult partial_layer_assignment(
   exp_params.budget = p.budget;
   exp_params.prune_k = p.prune_k;
   exp_params.steps = p.steps;
-  ExponentiateResult trees = exponentiate_and_local_prune(g, exp_params, ctx);
+  PartialLayeringScratch own;
+  PartialLayeringScratch& work = scratch != nullptr ? *scratch : own;
+  const ExponentiateResult& trees = work.trees;
+  exponentiate_and_local_prune(g, exp_params, ctx, work.exponentiate,
+                               work.trees);
 
-  // Per-vertex local peeling of the tree view with a = (s+1)·k.
+  // Local peeling of every vertex's tree view with a = (s+1)·k.
   const std::size_t a = (p.steps + 1) * p.prune_k;
   // (v, layer) contributions from every tree node, then min-by-key. Each
   // pair is 2 words; this is the Algorithm 4 final line in MPC form.
-  std::vector<std::pair<graph::VertexId, Layer>> contributions;
-  for (graph::VertexId v = 0; v < n; ++v) {
-    const TreeView& tree = trees.trees[v];
-    const std::vector<Layer> tree_layers =
-        partial_layer_assignment_tree(g, tree, a, p.num_layers);
-    for (TreeView::NodeId x = 0; x < tree.size(); ++x)
-      contributions.emplace_back(tree.vertex_of(x), tree_layers[x]);
-  }
+  const std::vector<Layer> tree_layers =
+      partial_layer_assignment_tree(g, trees.trees, a, p.num_layers);
+  const std::uint32_t* maps_to = trees.trees.column(TreeView::kMapsTo);
+  std::vector<std::pair<graph::VertexId, Layer>> contributions(
+      tree_layers.size());
+  for (std::size_t x = 0; x < contributions.size(); ++x)
+    contributions[x] = {maps_to[x], tree_layers[x]};
 
   const auto combined = ctx.aggregate_by_key<graph::VertexId, Layer>(
       std::move(contributions),

@@ -35,8 +35,17 @@ struct PartialLayeringResult {
   std::size_t max_tree_nodes = 0;
 };
 
-PartialLayeringResult partial_layer_assignment(const graph::Graph& g,
-                                               const PartialLayeringParams& p,
-                                               mpc::MpcContext& ctx);
+/// Both forests and the flat arrays one partial_layer_assignment call
+/// works in. The layering passes one to all its calls, so their arenas are
+/// allocated once per layering, not once per call.
+struct PartialLayeringScratch {
+  ExponentiateResult trees;
+  ExponentiateScratch exponentiate;
+};
+
+/// Works in `scratch` when one is given, else in a scratch of its own.
+PartialLayeringResult partial_layer_assignment(
+    const graph::Graph& g, const PartialLayeringParams& p,
+    mpc::MpcContext& ctx, PartialLayeringScratch* scratch = nullptr);
 
 }  // namespace arbor::core

@@ -32,22 +32,72 @@ std::uint32_t wire_id(std::span<const std::uint64_t> words, std::size_t i) {
 
 }  // namespace
 
-void TreeView::reset(std::size_t size, graph::VertexId v) {
-  size_ = size;
-  data_.resize(5 * size);
-  // The two child-range columns are adjacent: clear both at once.
-  std::fill(col(kFirstChild), col(kFirstChild) + 2 * size, 0);
-  col(kMapsTo)[0] = v;
-  col(kParent)[0] = kNoNode;
-  col(kDepth)[0] = 0;
+void TreeForest::reserve(std::size_t total_nodes) {
+  const std::size_t old = capacity();
+  if (total_nodes <= old) return;
+  std::vector<std::uint32_t> grown(5 * total_nodes);
+  for (std::size_t c = 0; c < 5; ++c)
+    std::copy_n(data_.data() + c * old, this->total_nodes(),
+                grown.data() + c * total_nodes);
+  data_.swap(grown);
 }
 
-TreeView TreeView::star(graph::VertexId v,
-                        std::span<const graph::VertexId> neighbors) {
-  TreeView t;
-  t.reset(neighbors.size() + 1, v);
-  for (NodeId x = 1; x < t.size_; ++x) t.link(x, neighbors[x - 1], 0);
-  return t;
+std::size_t TreeForest::open(std::size_t size, graph::VertexId v) {
+  const std::size_t b = total_nodes();
+  if (b + size > capacity()) reserve(std::max(b + size, 2 * capacity()));
+  begin_.push_back(b + size);
+  col(TreeView::kMapsTo)[b] = v;
+  col(TreeView::kParent)[b] = kNoNode;
+  col(TreeView::kDepth)[b] = 0;
+  col(TreeView::kFirstChild)[b] = 0;
+  col(TreeView::kChildCount)[b] = 0;
+  return b;
+}
+
+void TreeForest::assign_stars(const graph::Graph& g,
+                              std::size_t degree_below) {
+  const std::size_t n = g.num_vertices();
+  begin_.resize(n + 1);
+  for (graph::VertexId v = 0; v < n; ++v)
+    begin_[v + 1] =
+        begin_[v] + 1 + (g.degree(v) < degree_below ? g.degree(v) : 0);
+  const std::size_t total = begin_[n];
+  if (total > capacity()) data_.assign(5 * total, 0);  // trees gone: no copy
+  // Column by column: every non-root node is a depth-1 leaf under node 0;
+  // then each root and its row.
+  std::fill_n(col(TreeView::kParent), total, 0);
+  std::fill_n(col(TreeView::kDepth), total, 1);
+  std::fill_n(col(TreeView::kFirstChild), total, 0);
+  std::fill_n(col(TreeView::kChildCount), total, 0);
+  std::uint32_t* maps_to = col(TreeView::kMapsTo);
+  for (graph::VertexId v = 0; v < n; ++v) {
+    const std::size_t b = begin_[v];
+    const auto deg = static_cast<std::uint32_t>(begin_[v + 1] - b - 1);
+    maps_to[b] = v;
+    col(TreeView::kParent)[b] = kNoNode;
+    col(TreeView::kDepth)[b] = 0;
+    col(TreeView::kFirstChild)[b] = deg == 0 ? 0 : 1;
+    col(TreeView::kChildCount)[b] = deg;
+    const auto row = g.neighbors(v).first(deg);
+    std::copy(row.begin(), row.end(), maps_to + b + 1);
+  }
+}
+
+TreeForest TreeForest::star(graph::VertexId v,
+                            std::span<const graph::VertexId> neighbors) {
+  TreeForest f;
+  const std::size_t b = f.open(neighbors.size() + 1, v);
+  // The root's children are nodes 1..deg in row order, all at depth 1.
+  std::copy(neighbors.begin(), neighbors.end(),
+            f.col(TreeView::kMapsTo) + b + 1);
+  for (Column c : {TreeView::kParent, TreeView::kFirstChild,
+                   TreeView::kChildCount})
+    std::fill_n(f.col(c) + b + 1, neighbors.size(), 0);
+  std::fill_n(f.col(TreeView::kDepth) + b + 1, neighbors.size(), 1);
+  f.col(TreeView::kFirstChild)[b] = neighbors.empty() ? 0 : 1;
+  f.col(TreeView::kChildCount)[b] =
+      static_cast<std::uint32_t>(neighbors.size());
+  return f;
 }
 
 std::uint32_t TreeView::height() const noexcept {
@@ -62,38 +112,57 @@ std::vector<TreeView::NodeId> TreeView::leaves_at_depth(
   return out;
 }
 
-void TreeView::attach(std::span<const Attachment> attachments,
-                      TreeView& out) const {
+void TreeForest::append_trees(const TreeForest& from, std::size_t first,
+                              std::size_t last) {
+  ARBOR_CHECK_MSG(&from != this && first <= last && last <= from.num_trees(),
+                  "append_trees: bad range");
+  // Node ids are local, so the trees' columns copy verbatim as one block.
+  const std::size_t b = total_nodes();
+  const std::size_t from_b = from.begin_[first];
+  const std::size_t nodes = from.begin_[last] - from_b;
+  if (b + nodes > capacity()) reserve(std::max(b + nodes, 2 * capacity()));
+  for (std::size_t c = 0; c < 5; ++c)
+    std::copy_n(from.column(static_cast<Column>(c)) + from_b, nodes,
+                col(static_cast<Column>(c)) + b);
+  for (std::size_t t = first; t < last; ++t)
+    begin_.push_back(b + from.begin_[t + 1] - from_b);
+}
+
+void TreeForest::append_attached(const TreeView& tree,
+                                 std::span<const Attachment> attachments) {
   // Definition 2.5's preconditions; per-thread marks find duplicate leaves.
-  ARBOR_CHECK_MSG(&out != this, "attach: output aliases the tree");
+  ARBOR_CHECK_MSG(tree.forest_ != this, "attach: output aliases the tree");
   thread_local util::EpochMarks leaf_marks;
-  leaf_marks.grow_to(size_);
+  leaf_marks.grow_to(tree.size());
   leaf_marks.next_epoch();
-  std::size_t total = size_;
-  for (const auto& [leaf, tree] : attachments) {
-    ARBOR_CHECK_MSG(leaf < size_, "attach: no such node");
-    ARBOR_CHECK_MSG(child_count(leaf) == 0, "attach: not a leaf");
+  std::size_t total = tree.size();
+  for (const auto& [leaf, words] : attachments) {
+    ARBOR_CHECK_MSG(leaf < tree.size(), "attach: no such node");
+    ARBOR_CHECK_MSG(tree.child_count(leaf) == 0, "attach: not a leaf");
     ARBOR_CHECK_MSG(leaf_marks.mark(leaf), "attach: duplicate leaf");
-    total += wire_count(tree) - 1;
-    ARBOR_CHECK_MSG(wire_id(tree, 1) == vertex_of(leaf),
+    total += wire_count(words) - 1;
+    ARBOR_CHECK_MSG(wire_id(words, 1) == tree.vertex_of(leaf),
                     "attach: replacement root maps to different vertex");
   }
 
-  // Copy this arena, then append each replacement's non-root nodes as one
+  // Copy the tree, then append each replacement's non-root nodes as one
   // block; the leaf's slot stands in for the replacement's root.
-  out.reset(total, root_vertex());
-  for (Column c : {kMapsTo, kParent, kDepth, kFirstChild, kChildCount})
-    std::copy(col(c), col(c) + size_, out.col(c));
-  auto next = static_cast<NodeId>(size_);
-  for (const auto& [leaf, tree] : attachments) {
+  const std::size_t b = open(total, tree.root_vertex());
+  for (Column c : {TreeView::kMapsTo, TreeView::kParent, TreeView::kDepth,
+                   TreeView::kFirstChild, TreeView::kChildCount})
+    std::copy_n(tree.col(c), tree.size(), col(c) + b);
+  for (Column c : {TreeView::kFirstChild, TreeView::kChildCount})
+    std::fill_n(col(c) + b + tree.size(), total - tree.size(), 0);
+  auto next = static_cast<NodeId>(tree.size());
+  for (const auto& [leaf, words] : attachments) {
     const NodeId base = next - 1;  // replacement node y lands at base + y
-    for (std::size_t y = 1; 2 * y + 1 < tree.size(); ++y, ++next) {
-      const NodeId p = wire_id(tree, 2 * y + 2);
+    for (std::size_t y = 1; 2 * y + 1 < words.size(); ++y, ++next) {
+      const NodeId p = wire_id(words, 2 * y + 2);
       ARBOR_CHECK_MSG(p < y, "tree wire: a parent must precede its child");
-      out.link(next, wire_id(tree, 2 * y + 1), p == 0 ? leaf : base + p);
+      link(b, next, wire_id(words, 2 * y + 1), p == 0 ? leaf : base + p);
     }
   }
-  ARBOR_DCHECK(out.structurally_sound());
+  ARBOR_DCHECK(this->tree(num_trees() - 1).structurally_sound());
 }
 
 std::size_t TreeView::missing_count(const graph::Graph& g, NodeId x) const {
@@ -149,7 +218,7 @@ bool TreeView::structurally_sound() const {
   for (NodeId x = 1; x < size_; ++x) {
     const NodeId p = parent_of(x);
     if (p >= x || depth_of(p) + 1 != depth_of(x)) return false;
-    if (x < col(kFirstChild)[p] || x - col(kFirstChild)[p] >= child_count(p))
+    if (x < at(kFirstChild, p) || x - at(kFirstChild, p) >= child_count(p))
       return false;
     slots += child_count(x);
   }
@@ -165,13 +234,15 @@ void TreeView::serialize_to(std::span<std::uint64_t> out) const {
   }
 }
 
-TreeView TreeView::deserialize(std::span<const std::uint64_t> words) {
+TreeForest TreeForest::deserialize(std::span<const std::uint64_t> words) {
   // The payload attached at a lone root of its root's vertex is its tree.
   wire_count(words);  // the header first: it proves words[1] exists
   const Attachment whole{0, words};
-  TreeView t;
-  single(wire_id(words, 1)).attach({&whole, 1}, t);
-  ARBOR_CHECK_MSG(t.structurally_sound(), "deserialize: malformed arena");
+  const TreeForest root = single(wire_id(words, 1));
+  TreeForest t;
+  t.append_attached(root.tree(0), {&whole, 1});
+  ARBOR_CHECK_MSG(t.tree(0).structurally_sound(),
+                  "deserialize: malformed arena");
   return t;
 }
 

@@ -1,6 +1,7 @@
 #include "graph/graph.hpp"
 
 #include <algorithm>
+#include <memory>
 
 #include "util/assert.hpp"
 
@@ -41,38 +42,49 @@ InducedSubgraph Graph::induced(std::span<const VertexId> vertices) const {
     slot = static_cast<VertexId>(i);
   }
 
-  // Build CSR for the subgraph directly: count, then fill.
+  // Build CSR for the subgraph directly, in one branch-free pass (whether a
+  // neighbour is selected is a coin flip to the predictor): every neighbour
+  // is written and the cursor advances past the selected ones, into a
+  // buffer with room for every selected row; the kept prefix is then copied
+  // out.
   const std::size_t sub_n = vertices.size();
+  std::size_t room = 1;
+  for (VertexId v : vertices) room += degree(v);
+  const auto buffer = std::make_unique_for_overwrite<VertexId[]>(room);
   std::vector<EdgeId> offsets(sub_n + 1, 0);
-  for (std::size_t i = 0; i < sub_n; ++i) {
-    for (VertexId w : neighbors(vertices[i]))
-      if (to_new[w] != kAbsent) ++offsets[i + 1];
-  }
-  for (std::size_t i = 0; i < sub_n; ++i) offsets[i + 1] += offsets[i];
-
-  std::vector<VertexId> adjacency(offsets[sub_n]);
   EdgeId next = 0;
   for (std::size_t i = 0; i < sub_n; ++i) {
     for (VertexId w : neighbors(vertices[i])) {
       const VertexId j = to_new[w];
-      if (j != kAbsent) adjacency[next++] = j;
+      buffer[next] = j;
+      next += j != kAbsent;
+    }
+    offsets[i + 1] = next;
+  }
+  std::vector<VertexId> adjacency(buffer.get(), buffer.get() + next);
+  // Neighbor lists inherit the original order keyed by *original* ids; the
+  // subgraph must be sorted by *new* ids. An ascending selection remaps
+  // monotonically, so its rows are sorted already.
+  if (!std::is_sorted(vertices.begin(), vertices.end())) {
+    for (std::size_t i = 0; i < sub_n; ++i) {
+      std::sort(
+          adjacency.begin() + static_cast<std::ptrdiff_t>(offsets[i]),
+          adjacency.begin() + static_cast<std::ptrdiff_t>(offsets[i + 1]));
     }
   }
-  // Neighbor lists inherit the original order keyed by *original* ids; the
-  // subgraph must be sorted by *new* ids.
-  for (std::size_t i = 0; i < sub_n; ++i) {
-    std::sort(adjacency.begin() + static_cast<std::ptrdiff_t>(offsets[i]),
-              adjacency.begin() + static_cast<std::ptrdiff_t>(offsets[i + 1]));
-  }
   // Each edge listed at its smaller endpoint, rows in order, comes out
-  // canonical and already sorted.
-  std::vector<Edge> edges;
-  edges.reserve(offsets[sub_n] / 2);
+  // canonical and already sorted; written branch-free like the rows, into
+  // one slot of slack.
+  std::vector<Edge> edges(offsets[sub_n] / 2 + 1);
+  std::size_t kept = 0;
   for (std::size_t i = 0; i < sub_n; ++i) {
-    for (EdgeId e = offsets[i]; e < offsets[i + 1]; ++e)
-      if (i < adjacency[e])
-        edges.push_back({static_cast<VertexId>(i), adjacency[e]});
+    for (EdgeId e = offsets[i]; e < offsets[i + 1]; ++e) {
+      edges[kept] = {static_cast<VertexId>(i), adjacency[e]};
+      kept += i < adjacency[e];
+    }
   }
+  ARBOR_DCHECK(kept + 1 == edges.size());
+  edges.pop_back();
 
   return {Graph(std::move(offsets), std::move(adjacency), std::move(edges)),
           std::move(to_original)};

@@ -73,6 +73,7 @@ class Graph {
 
   /// Subgraph induced by `vertices` (need not be sorted; duplicates
   /// rejected). Also returns the mapping from new ids to original ids.
+  /// An ascending selection skips the per-row sorts.
   InducedSubgraph induced(std::span<const VertexId> vertices) const;
 
  private:

@@ -3,6 +3,11 @@
 // behaviour on paths and the inactive-vertex rules.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "util/assert.hpp"
 #include "core/exponentiate.hpp"
 #include "graph/builder.hpp"
@@ -18,17 +23,26 @@ using graph::VertexId;
 
 mpc::ClusterConfig test_config() { return mpc::ClusterConfig{64, 4096}; }
 
+/// Algorithm 2 on g into a fresh result, in a fresh scratch.
+ExponentiateResult exponentiate(const Graph& g, const ExponentiateParams& p,
+                                mpc::MpcContext& ctx) {
+  ExponentiateScratch scratch;
+  ExponentiateResult result;
+  exponentiate_and_local_prune(g, p, ctx, scratch, result);
+  return result;
+}
+
 TEST(Exponentiate, Claim33ValidMappingsThroughout) {
   util::SplitRng rng(1);
   const Graph g = graph::gnm(80, 200, rng);
   mpc::RoundLedger ledger(test_config());
   mpc::MpcContext ctx(test_config(), &ledger);
   ExponentiateParams p{/*budget=*/64, /*prune_k=*/3, /*steps=*/3};
-  const ExponentiateResult result = exponentiate_and_local_prune(g, p, ctx);
-  ASSERT_EQ(result.trees.size(), g.num_vertices());
+  const ExponentiateResult result = exponentiate(g, p, ctx);
+  ASSERT_EQ(result.trees.num_trees(), g.num_vertices());
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    EXPECT_TRUE(result.trees[v].is_valid_mapping(g)) << "vertex " << v;
-    EXPECT_EQ(result.trees[v].root_vertex(), v);
+    EXPECT_TRUE(result.trees.tree(v).is_valid_mapping(g)) << "vertex " << v;
+    EXPECT_EQ(result.trees.tree(v).root_vertex(), v);
   }
 }
 
@@ -39,8 +53,9 @@ TEST(Exponentiate, Claim34BudgetNeverExceeded) {
     mpc::RoundLedger ledger(test_config());
     mpc::MpcContext ctx(test_config(), &ledger);
     ExponentiateParams p{budget, /*prune_k=*/2, /*steps=*/4};
-    const ExponentiateResult result = exponentiate_and_local_prune(g, p, ctx);
-    for (const TreeView& t : result.trees) EXPECT_LE(t.size(), budget);
+    const ExponentiateResult result = exponentiate(g, p, ctx);
+    for (VertexId v = 0; v < g.num_vertices(); ++v)
+      EXPECT_LE(result.trees.tree(v).size(), budget);
     EXPECT_LE(result.max_tree_nodes, budget);
   }
 }
@@ -51,9 +66,9 @@ TEST(Exponentiate, HighDegreeVerticesStartInactive) {
   mpc::RoundLedger ledger(test_config());
   mpc::MpcContext ctx(test_config(), &ledger);
   ExponentiateParams p{/*budget=*/16, /*prune_k=*/2, /*steps=*/2};
-  const ExponentiateResult result = exponentiate_and_local_prune(g, p, ctx);
+  const ExponentiateResult result = exponentiate(g, p, ctx);
   EXPECT_FALSE(result.active[0]);
-  EXPECT_EQ(result.trees[0].size(), 1u);
+  EXPECT_EQ(result.trees.tree(0).size(), 1u);
 }
 
 TEST(Exponentiate, ReachDoublesOnBipartiteCore) {
@@ -71,10 +86,10 @@ TEST(Exponentiate, ReachDoublesOnBipartiteCore) {
   mpc::RoundLedger ledger(test_config());
   mpc::MpcContext ctx(test_config(), &ledger);
   ExponentiateParams p{/*budget=*/4096, /*prune_k=*/1, /*steps=*/2};
-  const ExponentiateResult result = exponentiate_and_local_prune(g, p, ctx);
+  const ExponentiateResult result = exponentiate(g, p, ctx);
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    EXPECT_EQ(result.trees[v].height(), 4u) << "vertex " << v;
-    EXPECT_EQ(result.trees[v].size(), 121u) << "vertex " << v;
+    EXPECT_EQ(result.trees.tree(v).height(), 4u) << "vertex " << v;
+    EXPECT_EQ(result.trees.tree(v).size(), 121u) << "vertex " << v;
     EXPECT_TRUE(result.active[v]);
   }
 }
@@ -89,12 +104,12 @@ TEST(Exponentiate, PrunedTreesOfInactiveVerticesKeepShrinking) {
   mpc::MpcContext ctx(test_config(), &ledger);
   // sqrt(9)=3 < 7 tree size after the initial star → inactive after step 1.
   ExponentiateParams p{/*budget=*/9, /*prune_k=*/1, /*steps=*/2};
-  const ExponentiateResult result = exponentiate_and_local_prune(g, p, ctx);
+  const ExponentiateResult result = exponentiate(g, p, ctx);
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
     EXPECT_FALSE(result.active[v]);
     // Star with 6 children pruned with k=1 → at most 5 children remain...
     // then the size check (6 > 3) deactivates; step 2 prunes once more.
-    EXPECT_LE(result.trees[v].size(), 5u);
+    EXPECT_LE(result.trees.tree(v).size(), 5u);
   }
 }
 
@@ -104,7 +119,7 @@ TEST(Exponentiate, ChargesOrderStepsRounds) {
   mpc::RoundLedger ledger(test_config());
   mpc::MpcContext ctx(test_config(), &ledger);
   ExponentiateParams p{/*budget=*/64, /*prune_k=*/4, /*steps=*/5};
-  const ExponentiateResult result = exponentiate_and_local_prune(g, p, ctx);
+  const ExponentiateResult result = exponentiate(g, p, ctx);
   EXPECT_EQ(result.per_step.size(), 5u);
   // Claim 3.5: O(s) rounds — each step charges O(1) fetch rounds.
   std::size_t fetch_rounds = 0;
@@ -120,7 +135,7 @@ TEST(Exponentiate, GlobalMemoryWithinNBPlusM) {
   mpc::MpcContext ctx(test_config(), &ledger);
   const std::size_t budget = 32;
   ExponentiateParams p{budget, /*prune_k=*/3, /*steps=*/3};
-  (void)exponentiate_and_local_prune(g, p, ctx);
+  (void)exponentiate(g, p, ctx);
   // Claim 3.5: global O(nB + m) words. Allow the constant from the
   // serialized-tree overhead (2 words per node + header).
   EXPECT_LE(ledger.peak_global_words(),
@@ -132,9 +147,9 @@ TEST(Exponentiate, IsolatedVerticesStaySingletons) {
   mpc::RoundLedger ledger(test_config());
   mpc::MpcContext ctx(test_config(), &ledger);
   ExponentiateParams p{/*budget=*/8, /*prune_k=*/1, /*steps=*/2};
-  const ExponentiateResult result = exponentiate_and_local_prune(g, p, ctx);
+  const ExponentiateResult result = exponentiate(g, p, ctx);
   for (VertexId v = 0; v < 5; ++v) {
-    EXPECT_EQ(result.trees[v].size(), 1u);
+    EXPECT_EQ(result.trees.tree(v).size(), 1u);
     EXPECT_TRUE(result.active[v]);
   }
 }
@@ -144,8 +159,120 @@ TEST(Exponentiate, RejectsTinyBudget) {
   mpc::RoundLedger ledger(test_config());
   mpc::MpcContext ctx(test_config(), &ledger);
   ExponentiateParams p{/*budget=*/1, /*prune_k=*/1, /*steps=*/1};
-  EXPECT_THROW(exponentiate_and_local_prune(g, p, ctx),
+  EXPECT_THROW(exponentiate(g, p, ctx),
                arbor::InvariantError);
+}
+
+// Steps of 64 or more would shift the frontier depth out of range.
+TEST(Exponentiate, RejectsSixtyFourSteps) {
+  const Graph g = graph::path(4);
+  mpc::RoundLedger ledger(test_config());
+  mpc::MpcContext ctx(test_config(), &ledger);
+  ExponentiateParams p{/*budget=*/8, /*prune_k=*/1, /*steps=*/64};
+  try {
+    (void)exponentiate(g, p, ctx);
+    ADD_FAILURE() << "64 steps accepted";
+  } catch (const InvariantError& e) {
+    EXPECT_NE(std::string(e.what()).find("ExponentiateParams.steps"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+// One scratch and result reused across calls on graphs of different sizes
+// (larger, smaller, larger again) give exactly what fresh ones give: the
+// same trees, activity, per-step statistics and ledger.
+TEST(Exponentiate, ReusedScratchMatchesFresh) {
+  util::SplitRng rng(6);
+  std::vector<Graph> graphs;
+  graphs.push_back(graph::barabasi_albert(600, 3, rng));
+  graphs.push_back(graph::gnm(90, 300, rng));
+  graphs.push_back(graph::relabel_randomly(graph::gnm(500, 1500, rng), rng));
+  const ExponentiateParams p{/*budget=*/100, /*prune_k=*/2, /*steps=*/3};
+  ExponentiateScratch scratch;
+  ExponentiateResult reused;
+  for (std::size_t i = 0; i < graphs.size(); ++i) {
+    SCOPED_TRACE(i);
+    const Graph& g = graphs[i];
+    mpc::RoundLedger fresh_ledger(test_config());
+    mpc::MpcContext fresh_ctx(test_config(), &fresh_ledger);
+    const ExponentiateResult fresh = exponentiate(g, p, fresh_ctx);
+    mpc::RoundLedger ledger(test_config());
+    mpc::MpcContext ctx(test_config(), &ledger);
+    exponentiate_and_local_prune(g, p, ctx, scratch, reused);
+
+    ASSERT_EQ(reused.trees.num_trees(), g.num_vertices());
+    EXPECT_EQ(reused.trees.total_nodes(), fresh.trees.total_nodes());
+    for (VertexId v = 0; v < g.num_vertices(); ++v)
+      EXPECT_EQ(reused.trees.tree(v).serialize(),
+                fresh.trees.tree(v).serialize())
+          << "vertex " << v;
+    EXPECT_EQ(reused.active, fresh.active);
+    ASSERT_EQ(reused.per_step.size(), fresh.per_step.size());
+    for (std::size_t s = 0; s < fresh.per_step.size(); ++s) {
+      EXPECT_EQ(reused.per_step[s].active_vertices,
+                fresh.per_step[s].active_vertices);
+      EXPECT_EQ(reused.per_step[s].max_tree_nodes,
+                fresh.per_step[s].max_tree_nodes);
+      EXPECT_EQ(reused.per_step[s].total_tree_nodes,
+                fresh.per_step[s].total_tree_nodes);
+      EXPECT_EQ(reused.per_step[s].fetch_rounds,
+                fresh.per_step[s].fetch_rounds);
+    }
+    EXPECT_EQ(reused.max_tree_nodes, fresh.max_tree_nodes);
+    EXPECT_EQ(ledger.rounds_by_label(), fresh_ledger.rounds_by_label());
+  }
+}
+
+// Every tree of the final forest, read back through its view: a sound
+// arena holding a valid mapping rooted at its own vertex within the budget,
+// whose wire form deserializes to the same tree. The graphs give trees of
+// many sizes next to each other, including single nodes.
+TEST(Exponentiate, ForestTreesRoundTripWire) {
+  util::SplitRng rng(5);
+  const std::size_t budget = 256;
+  std::vector<Graph> graphs;
+  graphs.push_back(graph::barabasi_albert(1 << 10, 3, rng));
+  graphs.push_back(graph::relabel_randomly(graph::gnm(1 << 10, 3 << 10, rng),
+                                           rng));
+  graphs.push_back(graph::forest_union(1 << 10, 3, rng));
+  for (const Graph& g : graphs) {
+    mpc::RoundLedger ledger(test_config());
+    mpc::MpcContext ctx(test_config(), &ledger);
+    ExponentiateParams p{budget, /*prune_k=*/2, /*steps=*/3};
+    const ExponentiateResult result = exponentiate(g, p, ctx);
+    ASSERT_EQ(result.trees.num_trees(), g.num_vertices());
+    std::size_t nodes = 0;
+    std::uint32_t height = 0;
+    for (VertexId v = 0; v < g.num_vertices(); ++v) {
+      const TreeView t = result.trees.tree(v);
+      EXPECT_EQ(result.trees.begin(v), nodes) << "vertex " << v;
+      nodes += t.size();
+      height = std::max(height, t.height());
+      ASSERT_TRUE(t.structurally_sound()) << "vertex " << v;
+      EXPECT_TRUE(t.is_valid_mapping(g)) << "vertex " << v;
+      EXPECT_EQ(t.root_vertex(), v);
+      EXPECT_LE(t.size(), budget);
+      const std::vector<std::uint64_t> words = t.serialize();
+      const TreeForest back = TreeForest::deserialize(words);
+      ASSERT_EQ(back.num_trees(), 1u);
+      const TreeView b = back.tree(0);
+      ASSERT_EQ(b.size(), t.size()) << "vertex " << v;
+      for (TreeView::NodeId x = 0; x < t.size(); ++x) {
+        EXPECT_EQ(b.vertex_of(x), t.vertex_of(x));
+        EXPECT_EQ(b.parent_of(x), t.parent_of(x));
+        EXPECT_EQ(b.depth_of(x), t.depth_of(x));
+        EXPECT_EQ(b.child_count(x), t.child_count(x));
+        if (t.child_count(x) != 0) {
+          EXPECT_EQ(*b.children(x).begin(), *t.children(x).begin());
+        }
+      }
+      EXPECT_EQ(b.serialize(), words) << "vertex " << v;
+    }
+    EXPECT_EQ(result.trees.total_nodes(), nodes);
+    EXPECT_EQ(result.per_step.back().total_tree_nodes, nodes);
+    EXPECT_GE(height, 2u);  // the trees did grow past their stars
+  }
 }
 
 // Parameterized sweep over (budget, steps): the budget invariant holds
@@ -161,10 +288,10 @@ TEST_P(ExponentiateSweep, BudgetInvariant) {
   mpc::RoundLedger ledger(test_config());
   mpc::MpcContext ctx(test_config(), &ledger);
   ExponentiateParams p{budget, /*prune_k=*/2, steps};
-  const ExponentiateResult result = exponentiate_and_local_prune(g, p, ctx);
-  for (const TreeView& t : result.trees) {
-    EXPECT_LE(t.size(), budget);
-    EXPECT_TRUE(t.structurally_sound());
+  const ExponentiateResult result = exponentiate(g, p, ctx);
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    EXPECT_LE(result.trees.tree(v).size(), budget);
+    EXPECT_TRUE(result.trees.tree(v).structurally_sound());
   }
 }
 

@@ -2,12 +2,15 @@
 // induced subgraphs, edge-list I/O (including a seeded parser fuzz).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "graph/builder.hpp"
+#include "graph/generators.hpp"
 #include "graph/graph.hpp"
 #include "graph/io.hpp"
 #include "util/assert.hpp"
@@ -143,6 +146,56 @@ TEST(Graph, InducedRejectsOutOfRange) {
   expect_induced_rejected(g, {0, 3}, "induced(): vertex id out of range");
   expect_induced_rejected(g, {1, ~VertexId{0}},
                           "induced(): vertex id out of range");
+}
+
+/// The edges of `sub` as original ids, canonical and sorted; every row of
+/// `sub` must be strictly ascending and its edge list canonical and sorted.
+std::vector<Edge> original_edges(const InducedSubgraph& sub) {
+  const Graph& h = sub.graph;
+  for (VertexId v = 0; v < h.num_vertices(); ++v) {
+    const auto ns = h.neighbors(v);
+    EXPECT_TRUE(std::adjacent_find(ns.begin(), ns.end(),
+                                   std::greater_equal<VertexId>()) ==
+                ns.end())
+        << "row " << v << " not strictly ascending";
+  }
+  EXPECT_TRUE(std::is_sorted(h.edges().begin(), h.edges().end()));
+  std::vector<Edge> out;
+  for (const Edge& e : h.edges()) {
+    EXPECT_LT(e.u, e.v);
+    const VertexId a = sub.to_original[e.u];
+    const VertexId b = sub.to_original[e.v];
+    out.push_back({std::min(a, b), std::max(a, b)});
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+TEST(Graph, InducedAscendingSelectionMatchesShuffled) {
+  util::SplitRng rng(17);
+  const Graph g = gnm(400, 2400, rng);
+  std::vector<VertexId> ascending;
+  for (VertexId v = 0; v < g.num_vertices(); ++v)
+    if (rng.next_below(3) != 0) ascending.push_back(v);
+  std::vector<VertexId> shuffled = ascending;
+  for (std::size_t i = shuffled.size(); i > 1; --i)
+    std::swap(shuffled[i - 1], shuffled[rng.next_below(i)]);
+  ASSERT_FALSE(std::is_sorted(shuffled.begin(), shuffled.end()));
+
+  // The edges of g with both ends selected, as the reference.
+  std::vector<bool> picked(g.num_vertices(), false);
+  for (VertexId v : ascending) picked[v] = true;
+  std::vector<Edge> want;
+  for (const Edge& e : g.edges())
+    if (picked[e.u] && picked[e.v]) want.push_back(e);
+
+  const InducedSubgraph in_order = g.induced(ascending);
+  const InducedSubgraph mixed = g.induced(shuffled);
+  EXPECT_EQ(in_order.to_original, ascending);
+  EXPECT_EQ(mixed.to_original, shuffled);
+  EXPECT_EQ(original_edges(in_order), want);
+  EXPECT_EQ(original_edges(mixed), want);
+  EXPECT_FALSE(want.empty());
 }
 
 TEST(Graph, InducedFollowsSelectionOrder) {

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -251,6 +252,133 @@ struct GoldenLayering {
   std::map<std::string, std::size_t> rounds_by_label;
 };
 
+/// Every public entry of core/layering_pipeline.hpp (or, when `entries` is
+/// not empty, each entry it names) must reject `p` with an InvariantError
+/// naming `field`.
+void expect_pipeline_rejects(const PipelineParams& p, const std::string& field,
+                             const std::set<std::string>& entries = {}) {
+  const Graph g = graph::path(16);
+  const auto cfg = mpc::ClusterConfig::for_problem(16, 15, 0.6);
+  mpc::RoundLedger ledger(cfg);
+  mpc::MpcContext ctx(cfg, &ledger);
+  const auto expect = [&](const char* entry, const auto& call) {
+    if (!entries.empty() && !entries.contains(entry)) return;
+    try {
+      call();
+      ADD_FAILURE() << entry << " accepted a bad " << field;
+    } catch (const InvariantError& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << entry << ": " << e.what();
+    }
+  };
+  expect("complete_layering", [&] { (void)complete_layering(g, p, ctx); });
+  expect("run_partial_iterated",
+         [&] { (void)run_partial_iterated(g, p, 64, ctx); });
+  expect("run_partial_once", [&] { (void)run_partial_once(g, p, 64, ctx); });
+  expect("derive_budget", [&] { (void)p.derive_budget(4096); });
+  expect("derive_layers", [&] { (void)p.derive_layers(64); });
+  expect("derive_steps", [&] { (void)p.derive_steps(16, 2); });
+  expect("derive_peel_rounds", [&] { (void)p.derive_peel_rounds(); });
+}
+
+/// NaN, ±∞ and a negative value of `field` are rejected by name; 0 stays
+/// legal and still yields a complete layering.
+void expect_field_checked(double PipelineParams::*field,
+                          const std::string& name) {
+  util::SplitRng rng(21);
+  const Graph g = graph::gnm(400, 2000, rng);
+  const PipelineParams base =
+      PipelineParams::practical(estimate_density_parameter(g));
+  for (double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL, -1.0}) {
+    SCOPED_TRACE(bad);
+    PipelineParams p = base;
+    p.*field = bad;
+    expect_pipeline_rejects(p, "PipelineParams." + name);
+  }
+  PipelineParams zero = base;
+  zero.*field = 0.0;
+  const auto cfg = mpc::ClusterConfig::for_problem(g.num_vertices(),
+                                                   g.num_edges(), 0.6);
+  mpc::RoundLedger ledger(cfg);
+  mpc::MpcContext ctx(cfg, &ledger);
+  EXPECT_TRUE(complete_layering(g, zero, ctx).assignment.is_complete());
+}
+
+TEST(Layering, RejectsBadBudgetExponent) {
+  expect_field_checked(&PipelineParams::budget_exponent, "budget_exponent");
+}
+
+TEST(Layering, RejectsBadLayerFraction) {
+  expect_field_checked(&PipelineParams::layer_fraction, "layer_fraction");
+}
+
+TEST(Layering, RejectsBadStepsLoglogFactor) {
+  expect_field_checked(&PipelineParams::steps_loglog_factor,
+                       "steps_loglog_factor");
+}
+
+TEST(Layering, RejectsBadPeelRoundsFactor) {
+  expect_field_checked(&PipelineParams::peel_rounds_factor,
+                       "peel_rounds_factor");
+}
+
+TEST(Layering, RejectsBadBoostExponent) {
+  expect_field_checked(&PipelineParams::boost_exponent, "boost_exponent");
+}
+
+// A finite field too large for the count derived from it is rejected by
+// name wherever that count is derived, before any round runs.
+TEST(Layering, RejectsLayerFractionOverflowingLayers) {
+  PipelineParams p = PipelineParams::practical(2);
+  p.layer_fraction = 1e30;
+  expect_pipeline_rejects(p, "PipelineParams.layer_fraction",
+                          {"complete_layering", "run_partial_iterated",
+                           "run_partial_once", "derive_layers"});
+}
+
+TEST(Layering, RejectsStepsLoglogFactorOverflowingSteps) {
+  PipelineParams p = PipelineParams::practical(2);
+  p.steps_loglog_factor = 1e30;
+  expect_pipeline_rejects(p, "PipelineParams.steps_loglog_factor",
+                          {"complete_layering", "run_partial_iterated",
+                           "run_partial_once", "derive_steps"});
+  // s = 64 exactly is already out of range; 63 is not.
+  p.steps_loglog_factor = 64.0;
+  expect_pipeline_rejects(p, "PipelineParams.steps_loglog_factor",
+                          {"derive_steps"});
+  p.steps_loglog_factor = 63.0;
+  EXPECT_EQ(p.derive_steps(4, 1), 63u);
+}
+
+TEST(Layering, RejectsPeelRoundsFactorOverflowingRounds) {
+  PipelineParams p = PipelineParams::practical(2);
+  p.peel_rounds_factor = 1e30;
+  expect_pipeline_rejects(p, "PipelineParams.peel_rounds_factor",
+                          {"complete_layering", "derive_peel_rounds"});
+}
+
+// The exponents only feed a power that saturates at the budget cap, so a
+// huge one is legal and still completes the layering.
+TEST(Layering, HugeExponentsSaturateAtTheBudgetCap) {
+  util::SplitRng rng(22);
+  const Graph g = graph::gnm(400, 2000, rng);
+  const auto cfg = mpc::ClusterConfig::for_problem(g.num_vertices(),
+                                                   g.num_edges(), 0.6);
+  const PipelineParams base =
+      PipelineParams::practical(estimate_density_parameter(g));
+  PipelineParams budget = base;
+  budget.budget_exponent = 1e30;
+  EXPECT_EQ(budget.derive_budget(cfg.words_per_machine),
+            std::max(cfg.words_per_machine, base.min_budget));
+  PipelineParams boost = base;
+  boost.boost_exponent = 1e30;
+  for (const PipelineParams& p : {budget, boost}) {
+    mpc::RoundLedger ledger(cfg);
+    mpc::MpcContext ctx(cfg, &ledger);
+    EXPECT_TRUE(complete_layering(g, p, ctx).assignment.is_complete());
+  }
+}
+
 TEST(Layering, GoldenAssignmentsBitIdentical) {
   // Pinned literals: a faster exponentiation must reproduce the complete
   // layering, Algorithm 2's per-step tree statistics and the ledger bit for
@@ -336,8 +464,9 @@ TEST(Layering, GoldenAssignmentsBitIdentical) {
     ep.steps = p.derive_steps(g.num_vertices(), p.derive_layers(ep.budget));
     mpc::RoundLedger exp_ledger(cfg);
     mpc::MpcContext exp_ctx(cfg, &exp_ledger);
-    const ExponentiateResult trees =
-        exponentiate_and_local_prune(g, ep, exp_ctx);
+    ExponentiateScratch scratch;
+    ExponentiateResult trees;
+    exponentiate_and_local_prune(g, ep, exp_ctx, scratch, trees);
     std::vector<std::array<std::size_t, 4>> steps;
     for (const ExponentiateStepStats& s : trees.per_step)
       steps.push_back({s.active_vertices, s.max_tree_nodes,

@@ -26,40 +26,45 @@ using graph::Graph;
 using graph::VertexId;
 using NodeId = TreeView::NodeId;
 
-TreeView pruned_copy(const TreeView& tree, std::size_t k) {
-  TreeView out;
+/// The forest of one holding local_prune of `tree`'s only tree.
+TreeForest pruned_copy(const TreeForest& tree, std::size_t k) {
+  TreeForest out;
   local_prune(tree, k, out);
   return out;
 }
 
-/// `tree` with every depth-`depth` leaf replaced by the star of its vertex.
-TreeView grow_stars(const Graph& g, const TreeView& tree, std::uint32_t depth) {
+/// `tree` (a forest of one) with every depth-`depth` leaf replaced by the
+/// star of its vertex.
+TreeForest grow_stars(const Graph& g, const TreeForest& tree,
+                      std::uint32_t depth) {
+  const TreeView view = tree.tree(0);
   std::vector<std::vector<std::uint64_t>> stars;
-  std::vector<TreeView::Attachment> attachments;
-  const auto leaves = tree.leaves_at_depth(depth);
+  std::vector<TreeForest::Attachment> attachments;
+  const auto leaves = view.leaves_at_depth(depth);
   stars.reserve(leaves.size());
   for (NodeId leaf : leaves) {
-    const VertexId u = tree.vertex_of(leaf);
-    stars.push_back(TreeView::star(u, g.neighbors(u)).serialize());
+    const VertexId u = view.vertex_of(leaf);
+    stars.push_back(TreeForest::star(u, g.neighbors(u)).tree(0).serialize());
     attachments.push_back({leaf, stars.back()});
   }
-  TreeView out;
-  tree.attach(attachments, out);
+  TreeForest out;
+  out.append_attached(view, attachments);
   return out;
 }
 
 TEST(LocalPrune, RootWithAtMostKChildrenBecomesSingleton) {
   const Graph g = graph::star(4);
-  const TreeView t = TreeView::star(0, g.neighbors(0));  // 3 children
-  EXPECT_EQ(pruned_copy(t, 3).size(), 1u);
-  EXPECT_EQ(pruned_copy(t, 5).size(), 1u);
+  const TreeForest t = TreeForest::star(0, g.neighbors(0));  // 3 children
+  EXPECT_EQ(pruned_copy(t, 3).tree(0).size(), 1u);
+  EXPECT_EQ(pruned_copy(t, 5).tree(0).size(), 1u);
 }
 
 TEST(LocalPrune, RootAboveKDropsKLargest) {
   const Graph g = graph::star(6);
-  const TreeView t = TreeView::star(0, g.neighbors(0));  // 5 children
+  const TreeForest t = TreeForest::star(0, g.neighbors(0));  // 5 children
   // All child subtrees have size 1; pruning k=2 keeps 3 of them.
-  const TreeView pruned = pruned_copy(t, 2);
+  const TreeForest pruned_forest = pruned_copy(t, 2);
+  const TreeView pruned = pruned_forest.tree(0);
   EXPECT_EQ(pruned.size(), 4u);
   EXPECT_EQ(pruned.child_count(0), 3u);
   EXPECT_TRUE(pruned.is_valid_mapping(g));
@@ -82,10 +87,11 @@ TEST(LocalPrune, PrunesHeaviestSubtreesFirst) {
 
   // Tree: root(0) -> {1, 2, 3}; 3 -> 4 -> 5.
   // Wire format: (maps_to, parent) per node in arena order.
-  const TreeView t = TreeView::deserialize(std::vector<std::uint64_t>{
+  const TreeForest t = TreeForest::deserialize(std::vector<std::uint64_t>{
       6, 0, TreeView::kNoNode, 1, 0, 2, 0, 3, 0, 4, 3, 5, 4});
 
-  const TreeView pruned = pruned_copy(t, 1);
+  const TreeForest pruned_forest = pruned_copy(t, 1);
+  const TreeView pruned = pruned_forest.tree(0);
   // Chain under 3 collapses (each node ≤ 1 child = k → singleton), so all
   // three child subtrees have size 1; k=1 drops one → root keeps 2.
   EXPECT_EQ(pruned.size(), 3u);
@@ -95,9 +101,11 @@ TEST(LocalPrune, PrunesHeaviestSubtreesFirst) {
 
 TEST(LocalPrune, DeterministicTieBreaks) {
   const Graph g = graph::star(8);
-  const TreeView t = TreeView::star(0, g.neighbors(0));
-  const TreeView p1 = pruned_copy(t, 3);
-  const TreeView p2 = pruned_copy(t, 3);
+  const TreeForest t = TreeForest::star(0, g.neighbors(0));
+  const TreeForest p1_forest = pruned_copy(t, 3);
+  const TreeForest p2_forest = pruned_copy(t, 3);
+  const TreeView p1 = p1_forest.tree(0);
+  const TreeView p2 = p2_forest.tree(0);
   ASSERT_EQ(p1.size(), p2.size());
   for (NodeId x = 0; x < p1.size(); ++x)
     EXPECT_EQ(p1.vertex_of(x), p2.vertex_of(x));
@@ -161,34 +169,75 @@ std::string reference_prune(const TreeView& t, NodeId x, std::size_t k,
   return form(t.vertex_of(x), std::move(kept));
 }
 
-// The partial selection of the k heaviest children must prune exactly as
-// the full sort of Algorithm 1 does, ties included: random trees whose
-// siblings often share a vertex and a pruned size.
-TEST(LocalPrune, MatchesFullSortReference) {
-  util::SplitRng rng(9);
-  TreeView pruned;  // one output arena reused across every call
-  for (int trial = 0; trial < 300; ++trial) {
-    // Breadth-first wire payload: each node gets 0..6 children labelled
-    // from a small vertex range, so labels repeat among siblings.
+/// Random breadth-first wire payloads, each pruned with k = k_of(trial),
+/// must prune exactly as the full sort of Algorithm 1 does: the root gets
+/// up to max_fan - 1 children, other nodes up to max_fan - 3, labelled from
+/// a small vertex range so labels and pruned sizes repeat among siblings.
+template <typename KOf>
+void expect_matches_reference(std::uint64_t seed, int trials,
+                              std::uint64_t max_fan, KOf k_of) {
+  util::SplitRng rng(seed);
+  TreeForest pruned;  // one output arena reused across every call
+  for (int trial = 0; trial < trials; ++trial) {
     std::vector<std::uint64_t> words{0, rng.next_below(4),
                                      TreeView::kNoNode};
     std::uint64_t count = 1;
     for (std::uint64_t y = 0; y < count && count < 200; ++y) {
-      const std::uint64_t fan = rng.next_below(y == 0 ? 7 : 5);
+      const std::uint64_t fan = rng.next_below(y == 0 ? max_fan : max_fan - 2);
       for (std::uint64_t c = 0; c < fan; ++c, ++count) {
         words.push_back(rng.next_below(4));
         words.push_back(y);
       }
     }
     words[0] = count;
-    const TreeView t = TreeView::deserialize(words);
-    const std::size_t k = trial % 4;
+    const TreeForest t = TreeForest::deserialize(words);
+    const std::size_t k = k_of(trial);
     local_prune(t, k, pruned);
     std::size_t want_size = 0;
-    EXPECT_EQ(canonical(pruned, 0), reference_prune(t, 0, k, want_size))
+    EXPECT_EQ(canonical(pruned.tree(0), 0),
+              reference_prune(t.tree(0), 0, k, want_size))
         << "trial " << trial;
-    EXPECT_EQ(pruned.size(), want_size);
-    EXPECT_TRUE(pruned.structurally_sound());
+    EXPECT_EQ(pruned.tree(0).size(), want_size);
+    EXPECT_TRUE(pruned.tree(0).structurally_sound());
+  }
+}
+
+// The selection of the k heaviest children must prune exactly as the full
+// sort of Algorithm 1 does, ties included: random trees whose siblings
+// often share a vertex and a pruned size.
+TEST(LocalPrune, MatchesFullSortReference) {
+  expect_matches_reference(9, 300, 7, [](int trial) { return trial % 4; });
+}
+
+// The same at larger k: fans up to 23 around k = 7..12.
+TEST(LocalPrune, MatchesFullSortReferenceAtLargeK) {
+  expect_matches_reference(11, 120, 24,
+                           [](int trial) { return 7 + trial % 6; });
+}
+
+// One pass over a forest prunes each tree exactly as a forest of one does,
+// whatever trees sit before it and whatever the output held.
+TEST(LocalPrune, ForestPassMatchesTreeByTree) {
+  util::SplitRng rng(10);
+  const Graph g = graph::gnm(60, 240, rng);
+  for (std::size_t k : {1u, 2u, 3u}) {
+    TreeForest forest;
+    for (VertexId v = 0; v < g.num_vertices(); ++v) {
+      const TreeForest one =
+          v % 3 == 0 ? TreeForest::single(v)
+                     : grow_stars(g, TreeForest::star(v, g.neighbors(v)), 1);
+      forest.append_attached(one.tree(0), {});
+    }
+    TreeForest pruned = TreeForest::star(0, g.neighbors(0));  // overwritten
+    local_prune(forest, k, pruned);
+    ASSERT_EQ(pruned.num_trees(), forest.num_trees());
+    for (VertexId v = 0; v < g.num_vertices(); ++v) {
+      TreeForest one;
+      one.append_attached(forest.tree(v), {});
+      EXPECT_EQ(pruned.tree(v).serialize(),
+                pruned_copy(one, k).tree(0).serialize())
+          << "k " << k << ", tree " << v;
+    }
   }
 }
 
@@ -201,11 +250,12 @@ TEST(LocalPrune, Claim31MissingGrowsByAtMostK) {
     // Grow a random tree view by repeated star attachment (valid by
     // construction).
     const auto start = static_cast<VertexId>(rng.next_below(60));
-    TreeView t = TreeView::star(start, g.neighbors(start));
+    TreeForest tree = TreeForest::star(start, g.neighbors(start));
     for (int grow = 0; grow < 2; ++grow) {
-      t = grow_stars(g, t, t.height());
-      if (t.size() > 4000) break;
+      tree = grow_stars(g, tree, tree.tree(0).height());
+      if (tree.total_nodes() > 4000) break;
     }
+    const TreeView t = tree.tree(0);
     ASSERT_TRUE(t.is_valid_mapping(g));
 
     const std::size_t k = 1 + trial % 4;
@@ -214,7 +264,8 @@ TEST(LocalPrune, Claim31MissingGrowsByAtMostK) {
     // identity only implicitly, so compare by matching root-to-node paths.
     // Simpler sound check: missing is determined by (maps_to, #children);
     // children only shrink during pruning, and Claim 3.1 says by ≤ k.
-    const TreeView pruned = pruned_copy(t, k);
+    const TreeForest pruned_forest = pruned_copy(tree, k);
+    const TreeView pruned = pruned_forest.tree(0);
     ASSERT_TRUE(pruned.is_valid_mapping(g));
 
     // Walk both trees in parallel from the roots: children of a pruned
@@ -251,13 +302,13 @@ TEST(LocalPrune, Lemma32SizeBoundedByPathCount) {
     const auto paths_in = num_paths_in(g, ell);
 
     const auto start = static_cast<VertexId>(rng.next_below(80));
-    TreeView t = TreeView::star(start, g.neighbors(start));
     // One round of star expansion to create depth-2 trees.
-    t = grow_stars(g, t, 1);
+    const TreeForest t =
+        grow_stars(g, TreeForest::star(start, g.neighbors(start)), 1);
 
     const std::size_t k = std::max<std::size_t>(d, 1);
-    const TreeView pruned = pruned_copy(t, k);
-    EXPECT_LE(pruned.size(), paths_in[start])
+    const TreeForest pruned = pruned_copy(t, k);
+    EXPECT_LE(pruned.tree(0).size(), paths_in[start])
         << "Lemma 3.2 violated at vertex " << start << " (trial " << trial
         << ")";
   }

@@ -178,6 +178,34 @@ TEST(MpcOrient, DeterministicForFixedSeed) {
   EXPECT_EQ(l1->total_rounds(), l2->total_rounds());
 }
 
+/// `params` must be rejected with an InvariantError naming `field`.
+void expect_rejected(const OrientationParams& params,
+                     const std::string& field) {
+  util::SplitRng rng(14);
+  const Graph g = graph::gnm(2000, 8000, rng);
+  mpc::RoundLedger* ledger = nullptr;
+  auto ctx = make_ctx(g, ledger);
+  try {
+    mpc_orient(g, params, ctx);
+    ADD_FAILURE() << field << " was accepted";
+  } catch (const InvariantError& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(MpcOrient, RejectsNanHighKFactor) {
+  OrientationParams params;
+  params.high_k_factor = std::nan("");
+  expect_rejected(params, "OrientationParams.high_k_factor");
+}
+
+TEST(MpcOrient, RejectsNegativeHighKFactor) {
+  OrientationParams params;
+  params.high_k_factor = -1.0;
+  expect_rejected(params, "OrientationParams.high_k_factor");
+}
+
 
 std::uint64_t fnv1a_orientation(const graph::Orientation& o) {
   std::uint64_t h = 0xcbf29ce484222325ULL;

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -30,7 +31,7 @@ mpc::ClusterConfig test_config() { return mpc::ClusterConfig{64, 4096}; }
 TEST(PartialLayerTree, SingletonRootAssignsWhenMissingSmall) {
   // Tree = single node mapping to the center of a star: Missing = deg = 4.
   const Graph g = graph::star(5);
-  const TreeView t = TreeView::single(0);
+  const TreeForest t = TreeForest::single(0);
   const auto small = partial_layer_assignment_tree(g, t, /*a=*/3, /*L=*/4);
   EXPECT_EQ(small[0], kInfiniteLayer);  // 4 > 3: never assignable
   const auto big = partial_layer_assignment_tree(g, t, /*a=*/4, /*L=*/4);
@@ -43,19 +44,19 @@ TEST(PartialLayerTree, PeelsLeavesBeforeRoot) {
   // 1; root has 4 unassigned children at layer-1 start → waits; at layer 2
   // its children are gone → |children ∩ V_≥2| = 0 ≤ 1 → layer 2.
   const Graph g = graph::star(5);
-  const TreeView t = TreeView::star(0, g.neighbors(0));
+  const TreeForest t = TreeForest::star(0, g.neighbors(0));
   const auto layers = partial_layer_assignment_tree(g, t, /*a=*/1, /*L=*/4);
   EXPECT_EQ(layers[0], 2u);
-  for (NodeId x = 1; x < t.size(); ++x) EXPECT_EQ(layers[x], 1u);
+  for (NodeId x = 1; x < t.tree(0).size(); ++x) EXPECT_EQ(layers[x], 1u);
 }
 
 TEST(PartialLayerTree, RespectsLayerBudgetL) {
   // Same setup but L=1: the root cannot be assigned within 1 layer.
   const Graph g = graph::star(5);
-  const TreeView t = TreeView::star(0, g.neighbors(0));
+  const TreeForest t = TreeForest::star(0, g.neighbors(0));
   const auto layers = partial_layer_assignment_tree(g, t, /*a=*/1, /*L=*/1);
   EXPECT_EQ(layers[0], kInfiniteLayer);
-  for (NodeId x = 1; x < t.size(); ++x) EXPECT_EQ(layers[x], 1u);
+  for (NodeId x = 1; x < t.tree(0).size(); ++x) EXPECT_EQ(layers[x], 1u);
 }
 
 TEST(PartialLayerTree, SynchronousSelectionWithinLayer) {
@@ -66,7 +67,7 @@ TEST(PartialLayerTree, SynchronousSelectionWithinLayer) {
   // same iteration (it doesn't change the count, but this pins semantics).
   const Graph g = graph::path(3);
   // Wire format: (maps_to, parent) per node in arena order.
-  const TreeView t = TreeView::deserialize(
+  const TreeForest t = TreeForest::deserialize(
       std::vector<std::uint64_t>{2, 1, TreeView::kNoNode, 2, 0});
   // missing(root) = deg(1) - 1 = 1; missing(child) = deg(2) = 1.
   const auto tight = partial_layer_assignment_tree(g, t, 1, 4);
@@ -75,6 +76,29 @@ TEST(PartialLayerTree, SynchronousSelectionWithinLayer) {
   const auto loose = partial_layer_assignment_tree(g, t, 2, 4);
   EXPECT_EQ(loose[0], 1u);
   EXPECT_EQ(loose[1], 1u);
+}
+
+// The flat pass over a forest peels each tree on its own: the layers of
+// tree t are those of t as a forest of one, entry begin(t) + x for node x.
+TEST(PartialLayerTree, ForestPeelsEachTreeOnItsOwn) {
+  util::SplitRng rng(4);
+  const Graph g = graph::gnm(40, 100, rng);
+  // Stars below degree 7, lone roots from there on.
+  TreeForest forest;
+  forest.assign_stars(g, 7);
+  ASSERT_NE(g.max_degree(), 0u);
+  for (std::size_t a : {1u, 2u, 4u}) {
+    const auto layers = partial_layer_assignment_tree(g, forest, a, 3);
+    ASSERT_EQ(layers.size(), forest.total_nodes());
+    for (VertexId v = 0; v < g.num_vertices(); ++v) {
+      TreeForest one;
+      one.append_attached(forest.tree(v), {});
+      const auto want = partial_layer_assignment_tree(g, one, a, 3);
+      for (NodeId x = 0; x < want.size(); ++x)
+        EXPECT_EQ(layers[forest.begin(v) + x], want[x])
+            << "a " << a << ", tree " << v << ", node " << x;
+    }
+  }
 }
 
 // Lemma 3.8: for strictly monotonically reachable nodes,
@@ -90,28 +114,29 @@ TEST(PartialLayerTree, Lemma38TreeLayersLowerBoundGraphLayers) {
     // Full star trees have missing = 0 everywhere (all neighbors present
     // as children), so a = d suffices.
     const auto start = static_cast<VertexId>(rng.next_below(80));
-    TreeView t = TreeView::star(start, g.neighbors(start));
+    TreeForest grown;
     {
+      const TreeForest star = TreeForest::star(start, g.neighbors(start));
       std::vector<std::vector<std::uint64_t>> stars;
-      std::vector<TreeView::Attachment> attachments;
-      const auto leaves = t.leaves_at_depth(1);
+      std::vector<TreeForest::Attachment> attachments;
+      const auto leaves = star.tree(0).leaves_at_depth(1);
       stars.reserve(leaves.size());
       for (NodeId leaf : leaves) {
-        const VertexId u = t.vertex_of(leaf);
-        stars.push_back(TreeView::star(u, g.neighbors(u)).serialize());
+        const VertexId u = star.tree(0).vertex_of(leaf);
+        stars.push_back(
+            TreeForest::star(u, g.neighbors(u)).tree(0).serialize());
         attachments.push_back({leaf, stars.back()});
       }
-      TreeView grown;
-      t.attach(attachments, grown);
-      t = std::move(grown);
+      grown.append_attached(star.tree(0), attachments);
     }
+    const TreeView t = grown.tree(0);
     // Leaves at depth 2 have missing = deg - 0 children... they have no
     // children, so missing = deg(map(x)). Use the global max degree as the
     // missing bound.
     const std::size_t missing_bound = g.max_degree();
     const std::size_t a = d + missing_bound;
     const auto tree_layers =
-        partial_layer_assignment_tree(g, t, a, ell.num_layers);
+        partial_layer_assignment_tree(g, grown, a, ell.num_layers);
     const auto reachable = t.monotonically_reachable(ell);
     for (NodeId x = 0; x < t.size(); ++x) {
       if (!reachable[x]) continue;
@@ -193,6 +218,23 @@ TEST(PartialLayering, RejectsTooFewSteps) {
   p.num_layers = 8;
   p.steps = 3;  // 2^3 = 8 is NOT > 8
   EXPECT_THROW(partial_layer_assignment(g, p, ctx), arbor::InvariantError);
+}
+
+// 64 steps satisfy Lemma 3.7 for any L, but 1 << 64 is out of range.
+TEST(PartialLayering, RejectsSixtyFourSteps) {
+  const Graph g = graph::path(4);
+  mpc::RoundLedger ledger(test_config());
+  mpc::MpcContext ctx(test_config(), &ledger);
+  PartialLayeringParams p;
+  p.steps = 64;
+  try {
+    (void)partial_layer_assignment(g, p, ctx);
+    ADD_FAILURE() << "64 steps accepted";
+  } catch (const InvariantError& e) {
+    EXPECT_NE(std::string(e.what()).find("PartialLayeringParams.steps"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace
