@@ -282,8 +282,8 @@ int main(int argc, char** argv) {
               "(%.2fx)\n",
               route_p50_agg, route_p50_noagg,
               route_p50_agg > 0 ? route_p50_noagg / route_p50_agg : 0.0);
-  // Parallel zero-copy scatter: the pooled staging must keep the route
-  // rounds' p50 within ~1.2x of serial.
+  // Route rounds under parallel(8): the pool runs only the compute, and
+  // every executor delivers through the same single pass as serial.
   std::printf("route round p50 at parallel(8): %.1fus (%.2fx of serial)\n",
               route_p50_par8,
               route_p50_agg > 0 ? route_p50_par8 / route_p50_agg : 0.0);

@@ -9,7 +9,7 @@
 #                                        # engine_test, level0_programs_test,
 #                                        # level1_distributed_test, net_test,
 #                                        # trace_test, check_test (pooled
-#                                        # compute + zero-copy scatter staging
+#                                        # compute over zero-copy inbox spans
 #                                        # on a real 4-thread pool AND
 #                                        # pooled-context reuse must be
 #                                        # provably race-free)
@@ -206,12 +206,12 @@ if [[ "${1:-}" == "--tsan" ]]; then
     --target engine_test level0_programs_test level1_distributed_test \
              net_test trace_test check_test arbor-worker
   echo "== tsan: engine_test (Scheduler.Pooled*WithRealThreads drive the"
-  echo "         parallel compute and the pooled scatter staging on an"
+  echo "         pooled compute over zero-copy inbox spans on an"
   echo "         unclamped 4-thread pool) =="
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/engine_test
   echo "== tsan: level0_programs_test (DeterminismMatrix's parallel(4)"
-  echo "         rows drive the worker-staged zero-copy direct scatter:"
-  echo "         concurrent per-destination span staging must be race-free) =="
+  echo "         rows run every program's compute on the pool over the"
+  echo "         zero-copy spans one delivery pass staged: race-free) =="
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/level0_programs_test
   echo "== tsan: level1_distributed_test (pooled-context reuse: live"
   echo "         worker groups + retained arenas across repeated sorts"

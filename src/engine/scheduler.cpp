@@ -17,8 +17,8 @@ ProgramStats Scheduler::run(RoundState& state, std::size_t capacity,
   ARBOR_CHECK(state.num_machines() > 0);
   ARBOR_CHECK(capacity > 0);
   ARBOR_CHECK_MSG(!program.steps.empty(), "RoundProgram has no steps");
-  // Shared schedulers must serialize programs: the pool and the scratch
-  // routing tables hold one round at a time. Fail loudly instead of
+  // Shared schedulers must serialize programs: the pool and the delivery
+  // scratch hold one round at a time. Fail loudly instead of
   // corrupting. (exchange: if the flag was already set we throw without
   // constructing the reset guard, leaving the owner's flag intact.)
   ARBOR_CHECK_MSG(
@@ -101,13 +101,6 @@ ProgramStats Scheduler::run(RoundState& state, std::size_t capacity,
   return stats;
 }
 
-void Scheduler::run_parallel(std::size_t n, const ThreadPool::BlockFn& fn) {
-  if (pool_)
-    pool_->run_blocks(n, fn);
-  else
-    fn(0, n);
-}
-
 void Scheduler::compute(RoundState& state, std::size_t capacity,
                         const ProgramStep& step, check::Monitor* monitor,
                         FetchCache* fetch_cache) {
@@ -124,7 +117,7 @@ void Scheduler::compute(RoundState& state, std::size_t capacity,
     return;
   }
   trace::Tracer& tracer = trace::Tracer::global();
-  run_parallel(machines, [&](std::size_t begin, std::size_t end) {
+  const auto block = [&](std::size_t begin, std::size_t end) {
     // One span per machine block: pool threads show up as their own trace
     // lanes, and the block spans' alignment makes load imbalance visible.
     trace::Span span = tracer.span("engine", "block " + step.name);
@@ -133,50 +126,11 @@ void Scheduler::compute(RoundState& state, std::size_t capacity,
       Sender sender(m, capacity, machines, out[m], fetch);
       step.fn(m, state.inbox(m), sender);
     }
-  });
-}
-
-RoundStats Scheduler::route(RoundState& state, std::size_t capacity,
-                            std::size_t round_index,
-                            const std::string& step_name) {
-  const std::size_t machines = state.num_machines();
-  const std::vector<Outbox>& outboxes = state.front_outboxes();
-  RoundStats stats;
-
-  // Count per-destination volume and group the outbox records by
-  // destination with a stable counting sort (source asc, send order) — the
-  // delivery order of the serial reference executor.
-  recv_words_.assign(machines, 0);
-  recv_msgs_.assign(machines, 0);
-  std::size_t total_msgs = 0;
-  for (std::size_t src = 0; src < machines; ++src) {
-    const Outbox& out = outboxes[src];
-    total_msgs += out.msgs.size();
-    // Sent volume is the sum of message lengths, not the arena size: a
-    // sender that aliases one arena payload under several messages must
-    // still be charged per message sent.
-    std::size_t sent = 0;
-    for (const Outbox::Msg& msg : out.msgs) {
-      sent += msg.length;
-      recv_words_[msg.dst] += msg.length;
-      recv_msgs_[msg.dst] += 1;
-    }
-    stats.max_sent = std::max(stats.max_sent, sent);
-  }
-  check_receive_caps(capacity, round_index, step_name, stats);
-
-  route_begin_.resize(machines + 1);
-  route_begin_[0] = 0;
-  for (std::size_t dst = 0; dst < machines; ++dst)
-    route_begin_[dst + 1] = route_begin_[dst] + recv_msgs_[dst];
-  route_cursor_.assign(route_begin_.begin(), route_begin_.end() - 1);
-  routes_.resize(total_msgs);
-  for (std::size_t src = 0; src < machines; ++src)
-    for (const Outbox::Msg& msg : outboxes[src].msgs)
-      routes_[route_cursor_[msg.dst]++] = {static_cast<std::uint32_t>(src),
-                                           msg.offset, msg.length};
-
-  return stats;
+  };
+  if (pool_)
+    pool_->run_blocks(machines, block);
+  else
+    block(0, machines);
 }
 
 void Scheduler::check_receive_caps(std::size_t capacity,
@@ -204,51 +158,29 @@ RoundStats Scheduler::route_and_deliver_direct(RoundState& state,
   if (scatter_scratch_.size() != machines) scatter_scratch_.resize(machines);
   RoundStats stats;
 
-  if (pool_ != nullptr) {
-    // Parallel zero-copy scatter: route() groups the outbox records by
-    // destination and validates the receiver caps before any inbox
-    // mutation, then worker threads convert each destination's route
-    // entries into span references concurrently. Destinations are
-    // disjoint across threads, so the staging is lock-free, and still no
-    // payload word moves.
-    stats = route(state, capacity, round_index, step_name);
-    run_parallel(machines, [&](std::size_t begin, std::size_t end) {
-      for (std::size_t dst = begin; dst < end; ++dst) {
-        ScatterInbox& sc = scatter_scratch_[dst];
-        sc.clear();
-        sc.msgs.reserve(recv_msgs_[dst]);
-        for (std::size_t r = route_begin_[dst]; r < route_begin_[dst + 1];
-             ++r) {
-          const Route& route = routes_[r];
-          sc.msgs.push_back(
-              {outboxes[route.src].words.data() + route.offset, route.length});
-        }
-        sc.words = recv_words_[dst];
-      }
-    });
-  } else {
-    // One source-major pass: count per-destination volume AND stage span
-    // references. Each destination sees its messages in (source asc, send
-    // order) — the counting-sorted order route() builds — but no routing
-    // table is built. On a cap violation the staged spans are simply
-    // discarded and the previous round's inboxes remain current.
-    recv_words_.assign(machines, 0);
-    for (ScatterInbox& in : scatter_scratch_) in.clear();
-    for (std::size_t src = 0; src < machines; ++src) {
-      const Outbox& out = outboxes[src];
-      std::size_t sent = 0;  // Σ msg lengths, like route() — see there
-      for (const Outbox::Msg& msg : out.msgs) {
-        sent += msg.length;
-        recv_words_[msg.dst] += msg.length;
-        scatter_scratch_[msg.dst].msgs.push_back(
-            {out.words.data() + msg.offset, msg.length});
-      }
-      stats.max_sent = std::max(stats.max_sent, sent);
+  // One source-major pass: count per-destination volume AND stage span
+  // references. Each destination sees its messages in (source asc, send
+  // order), and no payload word moves. On a cap violation the staged spans
+  // are simply discarded and the previous round's inboxes remain current.
+  recv_words_.assign(machines, 0);
+  for (ScatterInbox& in : scatter_scratch_) in.clear();
+  for (std::size_t src = 0; src < machines; ++src) {
+    const Outbox& out = outboxes[src];
+    // Sent volume is the sum of message lengths, not the arena size: a
+    // sender that aliases one arena payload under several messages must
+    // still be charged per message sent.
+    std::size_t sent = 0;
+    for (const Outbox::Msg& msg : out.msgs) {
+      sent += msg.length;
+      recv_words_[msg.dst] += msg.length;
+      scatter_scratch_[msg.dst].msgs.push_back(
+          {out.words.data() + msg.offset, msg.length});
     }
-    check_receive_caps(capacity, round_index, step_name, stats);
-    for (std::size_t dst = 0; dst < machines; ++dst)
-      scatter_scratch_[dst].words = recv_words_[dst];
+    stats.max_sent = std::max(stats.max_sent, sent);
   }
+  check_receive_caps(capacity, round_index, step_name, stats);
+  for (std::size_t dst = 0; dst < machines; ++dst)
+    scatter_scratch_[dst].words = recv_words_[dst];
 
   // Commit: the staged bank becomes the live inboxes. The spans alias the
   // current front bank, which flips so the next round's compute writes the

@@ -12,27 +12,24 @@
 //             (ScatterInbox); the banks flip, and the next compute reads
 //             the spans where they lie — no payload word moves.
 //
-// Pool-less rounds deliver in ONE source-major pass with no routing table.
-// Under a pool, route() first builds the destination-grouped routing table
-// (a stable counting sort by dst, which also validates the receiver caps)
-// and worker threads then stage each destination's spans — destinations
-// are disjoint, so the staging is lock-free. The caps are validated with
-// the same error text, before any inbox mutation, on both sides of the
-// split, so a violating round leaves the previous round's inboxes current.
-// The final round's spans are materialized into flat inboxes before run()
-// returns, so only the scheduler ever observes the scatter representation.
+// Every executor — serial, parallel(k), checked — delivers in the same ONE
+// source-major pass with no routing table; the pool, when there is one,
+// runs only the compute phase. The caps are validated before any inbox
+// mutation, so a violating round leaves the previous round's inboxes
+// current. The final round's spans are materialized into flat inboxes
+// before run() returns, so only the scheduler ever observes the scatter
+// representation.
 //
 // Delivery order is (source machine asc, send order) for every destination
-// on both sides of the split — exactly the order the serial reference
-// executor produces — so inboxes, fingerprints, and ledger totals are
+// under every executor, so inboxes, fingerprints, and ledger totals are
 // bit-identical across {serial, parallel, checked} (tests/engine_test.cpp,
-// tests/level0_programs_test.cpp). Traffic accounting is computed from
-// per-machine totals, so it is exact under concurrency without atomics.
+// tests/level0_programs_test.cpp).
+// Traffic accounting is computed from per-machine totals, so it is exact
+// under concurrency without atomics.
 #pragma once
 
-#include <cstddef>
-#include <cstdint>
 #include <atomic>
+#include <cstddef>
 #include <functional>
 #include <vector>
 
@@ -57,7 +54,7 @@ using RoundHook = std::function<void(const RoundStats&)>;
 
 class Scheduler {
  public:
-  /// `pool` may be null (phases run inline on the calling thread); it is
+  /// `pool` may be null (compute runs inline on the calling thread); it is
   /// borrowed, not owned.
   Scheduler(ExecutionPolicy policy, ThreadPool* pool)
       : policy_(policy), pool_(pool) {}
@@ -74,31 +71,20 @@ class Scheduler {
                    const RoundHook& on_round);
 
  private:
-  void run_parallel(std::size_t n, const ThreadPool::BlockFn& fn);
-  /// `monitor` non-null routes the phase through checked execution
-  /// (inline, single-threaded) instead of the parallel block loop.
+  /// The only pooled phase: machines run in contiguous blocks, one per
+  /// worker. `monitor` non-null routes the phase through checked execution
+  /// (inline, single-threaded) instead.
   /// `fetch_cache` non-null wires the per-run FetchCache into the step's
   /// Senders (the program opted in via RoundProgram::fetch_cache).
   void compute(RoundState& state, std::size_t capacity,
                const ProgramStep& step, check::Monitor* monitor,
                FetchCache* fetch_cache);
-  /// Build the destination-grouped routing table for the pooled delivery
-  /// (a stable counting sort of the outbox records by destination) and
-  /// validate the caps.
-  RoundStats route(RoundState& state, std::size_t capacity,
-                   std::size_t round_index, const std::string& step_name);
-  /// Zero-copy route+delivery: count per-destination volume, validate the
-  /// caps, and stage span references into the frozen outbox bank (then
-  /// flip banks so the spans survive the next compute). Pool-less
-  /// execution does it in ONE source-major pass with no routing table;
-  /// under a pool, route() builds the destination-grouped table (and
-  /// validates the caps) first and worker threads stage the spans sharded
-  /// by destination. Caps are validated — with route()'s exact error text
-  /// — before any inbox state changes, so a violating round leaves the
-  /// previous round's inboxes intact. Both sides deliver in (source asc,
-  /// send order): the counting sort groups by destination but keeps that
-  /// order inside each group, which is exactly the order a single
-  /// source-major pass produces.
+  /// Zero-copy route+delivery in ONE source-major pass: count
+  /// per-destination volume, stage span references into the frozen outbox
+  /// bank, validate the caps, then commit and flip banks so the spans
+  /// survive the next compute. The caps are validated before any inbox
+  /// state changes, so a violating round leaves the previous round's
+  /// inboxes intact.
   RoundStats route_and_deliver_direct(RoundState& state, std::size_t capacity,
                                       std::size_t round_index,
                                       const std::string& step_name);
@@ -113,23 +99,14 @@ class Scheduler {
                           RoundStats& stats) const;
 
   ExecutionPolicy policy_;
-  ThreadPool* pool_;  // null => phases run inline
+  ThreadPool* pool_;  // null => compute runs inline
   // Reentrancy/concurrency guard. Atomic so that a step function calling
   // back into a shared scheduler from a worker thread is reported as the
   // programming error it is instead of being a data race on the flag.
   std::atomic<bool> in_program_{false};
 
-  // Scratch routing tables, reused across rounds.
-  struct Route {
-    std::uint32_t src = 0;
-    std::size_t offset = 0;
-    std::size_t length = 0;
-  };
+  // Per-destination receive volume of the round being delivered.
   std::vector<std::size_t> recv_words_;
-  std::vector<std::size_t> recv_msgs_;
-  std::vector<std::size_t> route_begin_;  // per dst: first index into routes_
-  std::vector<std::size_t> route_cursor_;
-  std::vector<Route> routes_;
   // Staging bank for route_and_deliver_direct: spans are collected here and
   // swapped into the state only after the caps validate, so a cap violation
   // leaves the previous round's inboxes untouched.

@@ -26,7 +26,6 @@
 #pragma once
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -105,14 +104,25 @@ class MpcContext {
     return rounds;
   }
 
-  /// Rounds for a fan-out-√S broadcast tree producing `copies` replicas.
+  /// Rounds for a fan-out-√S broadcast tree producing `copies` replicas:
+  /// the smallest r with √S'^r ≥ copies, i.e. S'^r ≥ copies², where
+  /// S' = max(S, 4) keeps the fan-out at least 2. Integer powering like
+  /// sort_rounds: a floating-point log ratio overcharges by one round at
+  /// exact powers of the fan-out. copies² is exact in 128 bits, and once
+  /// the power would pass 2^128 it already exceeds it.
   std::size_t broadcast_rounds(std::size_t copies) const {
     if (copies <= 1) return 1;
-    const double fanout = std::max(
-        2.0, std::sqrt(static_cast<double>(config_.words_per_machine)));
-    const double r =
-        std::log(static_cast<double>(copies)) / std::log(fanout);
-    return std::max<std::size_t>(1, static_cast<std::size_t>(std::ceil(r)));
+    using Wide = unsigned __int128;
+    const Wide s = std::max<std::size_t>(config_.words_per_machine, 4);
+    const Wide target = static_cast<Wide>(copies) * copies;
+    std::size_t rounds = 1;
+    Wide reach = s;  // S'^rounds, saturating
+    while (reach < target) {
+      ++rounds;
+      if (reach > ~Wide{0} / s) break;
+      reach *= s;
+    }
+    return rounds;
   }
 
   void charge(std::size_t rounds, const std::string& label) {

@@ -7,194 +7,24 @@ namespace arbor::trace {
 
 namespace {
 
-class Checker {
+// One grammar walk for both entry points. With a null output the walker
+// only validates: check_json runs it that way, so trace-validate walks
+// multi-megabyte traces without allocating a tree.
+class Walker {
  public:
-  explicit Checker(std::string_view text) : text_(text) {}
+  explicit Walker(std::string_view text) : text_(text) {}
 
-  JsonCheckResult run() {
+  /// Walks exactly one value plus whitespace; builds it into `out` unless
+  /// `out` is null.
+  JsonCheckResult run(JsonValue* out) {
     skip_ws();
-    if (!value()) return result_;
+    if (!value(out)) return result_;
     skip_ws();
     if (pos_ != text_.size()) {
       fail("trailing characters after value");
       return result_;
     }
     return {true, 0, ""};
-  }
-
- private:
-  bool fail(const std::string& error) {
-    if (result_.error.empty()) result_ = {false, pos_, error};
-    return false;
-  }
-
-  bool eof() const { return pos_ >= text_.size(); }
-  char peek() const { return text_[pos_]; }
-
-  void skip_ws() {
-    while (!eof() && (peek() == ' ' || peek() == '\t' || peek() == '\n' ||
-                      peek() == '\r'))
-      ++pos_;
-  }
-
-  bool literal(std::string_view word) {
-    if (text_.substr(pos_, word.size()) != word)
-      return fail("bad literal");
-    pos_ += word.size();
-    return true;
-  }
-
-  bool string() {
-    if (eof() || peek() != '"') return fail("expected string");
-    ++pos_;
-    while (!eof() && peek() != '"') {
-      if (peek() == '\\') {
-        ++pos_;
-        if (eof()) return fail("unterminated escape");
-        const char e = peek();
-        if (e == 'u') {
-          for (int i = 0; i < 4; ++i) {
-            ++pos_;
-            if (eof() || !std::isxdigit(static_cast<unsigned char>(peek())))
-              return fail("bad unicode escape");
-          }
-        } else if (e != '"' && e != '\\' && e != '/' && e != 'b' && e != 'f' &&
-                   e != 'n' && e != 'r' && e != 't') {
-          return fail("bad escape");
-        }
-      } else if (static_cast<unsigned char>(peek()) < 0x20) {
-        return fail("raw control character in string");
-      }
-      ++pos_;
-    }
-    if (eof()) return fail("unterminated string");
-    ++pos_;  // closing quote
-    return true;
-  }
-
-  bool number() {
-    const std::size_t start = pos_;
-    if (!eof() && peek() == '-') ++pos_;
-    if (eof() || !std::isdigit(static_cast<unsigned char>(peek())))
-      return fail("bad number");
-    while (!eof() && std::isdigit(static_cast<unsigned char>(peek()))) ++pos_;
-    if (!eof() && peek() == '.') {
-      ++pos_;
-      if (eof() || !std::isdigit(static_cast<unsigned char>(peek())))
-        return fail("bad number fraction");
-      while (!eof() && std::isdigit(static_cast<unsigned char>(peek()))) ++pos_;
-    }
-    if (!eof() && (peek() == 'e' || peek() == 'E')) {
-      ++pos_;
-      if (!eof() && (peek() == '+' || peek() == '-')) ++pos_;
-      if (eof() || !std::isdigit(static_cast<unsigned char>(peek())))
-        return fail("bad number exponent");
-      while (!eof() && std::isdigit(static_cast<unsigned char>(peek()))) ++pos_;
-    }
-    return pos_ > start;
-  }
-
-  bool value() {
-    if (++depth_ > kMaxDepth) return fail("nesting too deep");
-    struct Depth {
-      std::size_t& d;
-      ~Depth() { --d; }
-    } depth_guard{depth_};
-    skip_ws();
-    if (eof()) return fail("unexpected end of input");
-    switch (peek()) {
-      case '{': return object();
-      case '[': return array();
-      case '"': return string();
-      case 't': return literal("true");
-      case 'f': return literal("false");
-      case 'n': return literal("null");
-      default: return number();
-    }
-  }
-
-  bool object() {
-    ++pos_;  // '{'
-    skip_ws();
-    if (!eof() && peek() == '}') {
-      ++pos_;
-      return true;
-    }
-    for (;;) {
-      skip_ws();
-      if (!string()) return false;
-      skip_ws();
-      if (eof() || peek() != ':') return fail("expected ':' in object");
-      ++pos_;
-      if (!value()) return false;
-      skip_ws();
-      if (eof()) return fail("unterminated object");
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      if (peek() == '}') {
-        ++pos_;
-        return true;
-      }
-      return fail("expected ',' or '}' in object");
-    }
-  }
-
-  bool array() {
-    ++pos_;  // '['
-    skip_ws();
-    if (!eof() && peek() == ']') {
-      ++pos_;
-      return true;
-    }
-    for (;;) {
-      if (!value()) return false;
-      skip_ws();
-      if (eof()) return fail("unterminated array");
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      if (peek() == ']') {
-        ++pos_;
-        return true;
-      }
-      return fail("expected ',' or ']' in array");
-    }
-  }
-
-  static constexpr std::size_t kMaxDepth = 256;
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-  std::size_t depth_ = 0;
-  JsonCheckResult result_{false, 0, ""};
-};
-
-// The parser mirrors the checker's grammar walk but builds the tree; the
-// two stay separate because the checker is hot-path-adjacent (trace-smoke
-// validates multi-megabyte traces) and must not pay for tree allocation.
-class Parser {
- public:
-  explicit Parser(std::string_view text) : text_(text) {}
-
-  JsonParseResult run() {
-    JsonParseResult out;
-    skip_ws();
-    if (!value(out.value)) {
-      out.offset = result_.offset;
-      out.error = result_.error;
-      return out;
-    }
-    skip_ws();
-    if (pos_ != text_.size()) {
-      out.offset = pos_;
-      out.error = "trailing characters after value";
-      return out;
-    }
-    out.ok = true;
-    return out;
   }
 
  private:
@@ -232,23 +62,24 @@ class Parser {
     }
   }
 
-  bool string(std::string& out) {
+  /// Decoded into `out` unless it is null.
+  bool string(std::string* out) {
     if (eof() || peek() != '"') return fail("expected string");
     ++pos_;
     while (!eof() && peek() != '"') {
-      if (peek() == '\\') {
+      char c = peek();
+      if (c == '\\') {
         ++pos_;
         if (eof()) return fail("unterminated escape");
-        const char e = peek();
-        switch (e) {
-          case '"': out.push_back('"'); break;
-          case '\\': out.push_back('\\'); break;
-          case '/': out.push_back('/'); break;
-          case 'b': out.push_back('\b'); break;
-          case 'f': out.push_back('\f'); break;
-          case 'n': out.push_back('\n'); break;
-          case 'r': out.push_back('\r'); break;
-          case 't': out.push_back('\t'); break;
+        switch (peek()) {
+          case '"': c = '"'; break;
+          case '\\': c = '\\'; break;
+          case '/': c = '/'; break;
+          case 'b': c = '\b'; break;
+          case 'f': c = '\f'; break;
+          case 'n': c = '\n'; break;
+          case 'r': c = '\r'; break;
+          case 't': c = '\t'; break;
           case 'u': {
             unsigned code = 0;
             for (int i = 0; i < 4; ++i) {
@@ -261,16 +92,16 @@ class Parser {
                      static_cast<unsigned>(
                          h <= '9' ? h - '0' : (h | 0x20) - 'a' + 10);
             }
-            append_utf8(out, code);
-            break;
+            if (out) append_utf8(*out, code);
+            ++pos_;
+            continue;
           }
           default: return fail("bad escape");
         }
-      } else if (static_cast<unsigned char>(peek()) < 0x20) {
+      } else if (static_cast<unsigned char>(c) < 0x20) {
         return fail("raw control character in string");
-      } else {
-        out.push_back(peek());
       }
+      if (out) out->push_back(c);
       ++pos_;
     }
     if (eof()) return fail("unterminated string");
@@ -278,7 +109,7 @@ class Parser {
     return true;
   }
 
-  bool number(JsonValue& out) {
+  bool number(JsonValue* out) {
     const std::size_t start = pos_;
     if (!eof() && peek() == '-') ++pos_;
     if (eof() || !std::isdigit(static_cast<unsigned char>(peek())))
@@ -297,14 +128,16 @@ class Parser {
         return fail("bad number exponent");
       while (!eof() && std::isdigit(static_cast<unsigned char>(peek()))) ++pos_;
     }
-    out.kind = JsonValue::Kind::kNumber;
-    out.number =
-        std::strtod(std::string(text_.substr(start, pos_ - start)).c_str(),
-                    nullptr);
+    if (out) {
+      out->kind = JsonValue::Kind::kNumber;
+      out->number =
+          std::strtod(std::string(text_.substr(start, pos_ - start)).c_str(),
+                      nullptr);
+    }
     return true;
   }
 
-  bool value(JsonValue& out) {
+  bool value(JsonValue* out) {
     if (++depth_ > kMaxDepth) return fail("nesting too deep");
     struct Depth {
       std::size_t& d;
@@ -316,25 +149,26 @@ class Parser {
       case '{': return object(out);
       case '[': return array(out);
       case '"':
-        out.kind = JsonValue::Kind::kString;
-        return string(out.string);
+        if (out) out->kind = JsonValue::Kind::kString;
+        return string(out ? &out->string : nullptr);
       case 't':
-        out.kind = JsonValue::Kind::kBool;
-        out.boolean = true;
+        if (out) {
+          out->kind = JsonValue::Kind::kBool;
+          out->boolean = true;
+        }
         return literal("true");
       case 'f':
-        out.kind = JsonValue::Kind::kBool;
-        out.boolean = false;
+        if (out) out->kind = JsonValue::Kind::kBool;
         return literal("false");
       case 'n':
-        out.kind = JsonValue::Kind::kNull;
+        if (out) out->kind = JsonValue::Kind::kNull;
         return literal("null");
       default: return number(out);
     }
   }
 
-  bool object(JsonValue& out) {
-    out.kind = JsonValue::Kind::kObject;
+  bool object(JsonValue* out) {
+    if (out) out->kind = JsonValue::Kind::kObject;
     ++pos_;  // '{'
     skip_ws();
     if (!eof() && peek() == '}') {
@@ -344,13 +178,13 @@ class Parser {
     for (;;) {
       skip_ws();
       std::string key;
-      if (!string(key)) return false;
+      if (!string(out ? &key : nullptr)) return false;
       skip_ws();
       if (eof() || peek() != ':') return fail("expected ':' in object");
       ++pos_;
       JsonValue member;
-      if (!value(member)) return false;
-      out.object.emplace_back(std::move(key), std::move(member));
+      if (!value(out ? &member : nullptr)) return false;
+      if (out) out->object.emplace_back(std::move(key), std::move(member));
       skip_ws();
       if (eof()) return fail("unterminated object");
       if (peek() == ',') {
@@ -365,8 +199,8 @@ class Parser {
     }
   }
 
-  bool array(JsonValue& out) {
-    out.kind = JsonValue::Kind::kArray;
+  bool array(JsonValue* out) {
+    if (out) out->kind = JsonValue::Kind::kArray;
     ++pos_;  // '['
     skip_ws();
     if (!eof() && peek() == ']') {
@@ -375,8 +209,8 @@ class Parser {
     }
     for (;;) {
       JsonValue element;
-      if (!value(element)) return false;
-      out.array.push_back(std::move(element));
+      if (!value(out ? &element : nullptr)) return false;
+      if (out) out->array.push_back(std::move(element));
       skip_ws();
       if (eof()) return fail("unterminated array");
       if (peek() == ',') {
@@ -407,8 +241,17 @@ const JsonValue* JsonValue::find(std::string_view key) const {
   return nullptr;
 }
 
-JsonCheckResult check_json(std::string_view text) { return Checker(text).run(); }
+JsonCheckResult check_json(std::string_view text) {
+  return Walker(text).run(nullptr);
+}
 
-JsonParseResult parse_json(std::string_view text) { return Parser(text).run(); }
+JsonParseResult parse_json(std::string_view text) {
+  JsonParseResult out;
+  JsonCheckResult walked = Walker(text).run(&out.value);
+  out.ok = walked.ok;
+  out.offset = walked.offset;
+  out.error = std::move(walked.error);
+  return out;
+}
 
 }  // namespace arbor::trace

@@ -1,10 +1,11 @@
-// Minimal JSON syntax checker for validating emitted trace files.
+// Minimal JSON syntax checker and parser for emitted trace and report files.
 //
-// This is a validator, not a parser: it walks the grammar (objects,
-// arrays, strings with escapes, numbers, true/false/null) and reports the
-// first defect with its byte offset. Enough to assert "the trace writer
-// emitted well-formed JSON a viewer will load" in tests and in
-// tools/trace_validate.cpp without pulling a JSON library into the build.
+// One grammar walk (objects, arrays, strings with escapes, numbers,
+// true/false/null) serves both entry points and reports the first defect
+// with its byte offset. check_json runs it with tree building switched off,
+// enough to assert "the trace writer emitted well-formed JSON a viewer will
+// load" in tests and in tools/trace_validate.cpp; parse_json also builds
+// the tree tools/arbor_report diffs. No JSON library enters the build.
 #pragma once
 
 #include <cstddef>
@@ -48,7 +49,7 @@ struct JsonParseResult {
 };
 
 /// Parse exactly one JSON value (plus whitespace) into a JsonValue tree.
-/// Same grammar and limits as check_json.
+/// The same walk as check_json, so it returns the same {ok, offset, error}.
 JsonParseResult parse_json(std::string_view text);
 
 }  // namespace arbor::trace

@@ -726,7 +726,7 @@ TEST(Scheduler, MidProgramThrowChargesCompletedRoundsIdentically) {
 }
 
 // The zero-copy delivery validates the receiver caps before it touches any
-// inbox: a round that overflows a receiver throws route()'s exact text and
+// inbox: a round that overflows a receiver throws the exact cap text and
 // leaves the previous round's delivery current — in every policy.
 TEST(Scheduler, ReceiveCapViolationKeepsPreviousRoundInboxes) {
   const std::string expected =
@@ -787,22 +787,23 @@ TEST(Scheduler, EmptyProgramRejected) {
 
 // The Engine clamps its pool to the hardware concurrency, so on a
 // single-core CI box its parallel rounds run inline. Driving the Scheduler
-// directly with an unclamped ThreadPool forces the parallel compute and the
-// pooled scatter staging to run genuinely multi-threaded — this is the test
-// ThreadSanitizer must hold race-free (scripts/check.sh --tsan).
+// directly with an unclamped ThreadPool forces the pooled compute to run
+// genuinely multi-threaded, reading the zero-copy spans the one delivery
+// pass staged in the round before — this is the test ThreadSanitizer must
+// hold race-free (scripts/check.sh --tsan).
 TEST(Scheduler, PooledScatterRaceFreeWithRealThreads) {
   const std::size_t machines = 64;
   const std::size_t capacity = 1024;
   const std::size_t steps = 8;
 
-  // Reference: no pool, so every round takes the source-major pass.
+  // Reference: no pool, so every round's compute runs inline.
   engine::Scheduler inline_scheduler(ExecutionPolicy::serial(), nullptr);
   engine::RoundState inline_state(machines);
   inline_scheduler.run(inline_state, capacity, 0,
                        ring_program(machines, steps), {});
 
-  // A real 4-way pool: every round's compute and scatter staging are
-  // sharded across workers.
+  // A real 4-way pool: every round's compute is sharded across workers;
+  // the delivery is the same single pass.
   engine::ThreadPool pool(4);
   engine::Scheduler pooled(ExecutionPolicy::parallel(4), &pool);
   engine::RoundState pooled_state(machines);
@@ -820,9 +821,9 @@ TEST(Scheduler, PooledScatterRaceFreeWithRealThreads) {
   }
 }
 
-// Same multi-threaded rounds, but on a machine-owned-state workload (each
-// machine mutates its own slab slot every step) — the pattern every
-// converted protocol uses.
+// Same pooled compute, but on a machine-owned-state workload (each machine
+// mutates its own slab slot every step) — the pattern every converted
+// protocol uses.
 TEST(Scheduler, PooledMachineOwnedStateWithRealThreads) {
   const std::size_t machines = 48;
   std::vector<std::vector<Word>> slabs(machines);

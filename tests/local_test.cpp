@@ -1,6 +1,6 @@
-// Tests for the LOCAL model substrate: synchronous round engine, threshold
-// peeling (BE08), and the randomized list coloring with its determinism
-// contract (the property the MPC cone replay depends on).
+// Tests for the LOCAL model substrate: threshold peeling (BE08) and the
+// randomized list coloring with its determinism contract (the property the
+// MPC cone replay depends on).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,7 +16,6 @@
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "local/list_coloring.hpp"
-#include "local/network.hpp"
 #include "local/peeling.hpp"
 #include "util/rng.hpp"
 
@@ -25,47 +24,6 @@ namespace {
 
 using graph::Graph;
 using graph::VertexId;
-
-TEST(RoundEngine, DoubleBufferingIsSynchronous) {
-  // On a path, propagate a token from vertex 0: state = max of neighbors'
-  // previous states. After r rounds the token reaches distance exactly r —
-  // it would travel farther if updates leaked within a round.
-  const Graph g = graph::path(6);
-  std::vector<int> init(6, 0);
-  init[0] = 1;
-  RoundEngine<int> engine(g, init);
-  const auto update = [&](VertexId v, const std::vector<int>& prev) {
-    int best = prev[v];
-    for (VertexId w : g.neighbors(v)) best = std::max(best, prev[w]);
-    return best;
-  };
-  engine.run_round(update);
-  EXPECT_EQ(engine.state(1), 1);
-  EXPECT_EQ(engine.state(2), 0);  // not yet
-  engine.run_round(update);
-  EXPECT_EQ(engine.state(2), 1);
-  EXPECT_EQ(engine.state(3), 0);
-  EXPECT_EQ(engine.rounds(), 2u);
-}
-
-TEST(RoundEngine, RunUntilStopsOnPredicate) {
-  const Graph g = graph::path(5);
-  std::vector<int> init(5, 0);
-  init[0] = 1;
-  RoundEngine<int> engine(g, init);
-  const bool done = engine.run_until(
-      [&](VertexId v, const std::vector<int>& prev) {
-        int best = prev[v];
-        for (VertexId w : g.neighbors(v)) best = std::max(best, prev[w]);
-        return best;
-      },
-      [](const std::vector<int>& s) {
-        return std::accumulate(s.begin(), s.end(), 0) == 5;
-      },
-      /*max_rounds=*/10);
-  EXPECT_TRUE(done);
-  EXPECT_EQ(engine.rounds(), 4u);  // distance from 0 to 4
-}
 
 TEST(Peeling, ForestCompletesWithThresholdTwo) {
   util::SplitRng rng(1);

@@ -1,20 +1,20 @@
 // Tests for the MPC simulation framework: config derivation, ledger
 // accounting, Level-0 cluster semantics (including a real bucketed
 // distributed sort that stays within the per-round traffic caps — the
-// grounding for the Level-1 analytic costs), primitives, distributed graph
-// storage, and the Lemma 4.1 bundle-fetch.
+// grounding for the Level-1 analytic costs), primitives, and the Lemma 4.1
+// bundle-fetch.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <limits>
 #include <numeric>
+#include <string>
 
 #include "util/assert.hpp"
 #include "graph/generators.hpp"
 #include "mpc/bundle_fetch.hpp"
 #include "mpc/cluster.hpp"
 #include "mpc/config.hpp"
-#include "mpc/dist_graph.hpp"
 #include "mpc/ledger.hpp"
 #include "mpc/primitives.hpp"
 #include "util/rng.hpp"
@@ -202,6 +202,34 @@ TEST(MpcContext, SortRoundsExactAtPowersOfS) {
   EXPECT_LE(ctx.sort_rounds(std::numeric_limits<std::size_t>::max()), 7u);
 }
 
+// Regression: broadcast_rounds used to take ⌈log(copies) / log(√S)⌉ in
+// floating point, which overcharged by one round at exact powers of the
+// fan-out (S = 25, copies = 125 cost 4 rounds, not 3). Fan-out √S must
+// reach copies = √S^k in exactly k rounds, and k + 1 is needed one past it.
+TEST(MpcContext, BroadcastRoundsExactAtPowers) {
+  for (const std::size_t s : {std::size_t{4}, std::size_t{9}, std::size_t{25},
+                              std::size_t{1024}}) {
+    MpcContext ctx(ClusterConfig{16, s}, nullptr);
+    const std::size_t fanout = s == 4 ? 2 : s == 9 ? 3 : s == 25 ? 5 : 32;
+    std::size_t power = fanout;  // fanout^k
+    for (std::size_t k = 1; power <= (std::size_t{1} << 62) / fanout;
+         ++k, power *= fanout) {
+      SCOPED_TRACE("S=" + std::to_string(s) + " k=" + std::to_string(k));
+      EXPECT_EQ(ctx.broadcast_rounds(power - 1), k);
+      EXPECT_EQ(ctx.broadcast_rounds(power), k);
+      EXPECT_EQ(ctx.broadcast_rounds(power + 1), k + 1);
+    }
+  }
+  // Machines below four words still fan out to two; the largest copy
+  // count needs 64 doublings and terminates via the saturating power.
+  MpcContext tiny(ClusterConfig{2, 1}, nullptr);
+  EXPECT_EQ(tiny.broadcast_rounds(0), 1u);
+  EXPECT_EQ(tiny.broadcast_rounds(8), 3u);
+  EXPECT_EQ(tiny.broadcast_rounds(9), 4u);
+  EXPECT_EQ(tiny.broadcast_rounds(std::numeric_limits<std::size_t>::max()),
+            64u);
+}
+
 TEST(MpcContext, SortItemsSortsAndCharges) {
   const ClusterConfig cfg{16, 256};
   RoundLedger ledger(cfg);
@@ -233,23 +261,6 @@ TEST(MpcContext, CountByKey) {
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out[0], (std::pair<int, std::size_t>{1, 2}));
   EXPECT_EQ(out[1], (std::pair<int, std::size_t>{3, 3}));
-}
-
-TEST(DistributedGraph, StorageAccounting) {
-  util::SplitRng rng(1);
-  const graph::Graph g = graph::gnm(500, 1500, rng);
-  const ClusterConfig cfg = ClusterConfig::for_problem(500, 1500, 0.6);
-  RoundLedger ledger(cfg);
-  MpcContext ctx(cfg, &ledger);
-  const DistributedGraph dg(g, ctx);
-  // Total storage = n vertex records + 2m adjacency entries.
-  EXPECT_EQ(dg.total_storage_words(), 500u + 2 * 1500u);
-  EXPECT_GE(ledger.peak_global_words(), dg.total_storage_words());
-  std::size_t sum = 0;
-  for (std::size_t m = 0; m < cfg.num_machines; ++m)
-    sum += dg.storage_words(m);
-  EXPECT_EQ(sum, dg.total_storage_words());
-  EXPECT_LE(dg.max_storage_words(), dg.total_storage_words());
 }
 
 TEST(BundleFetch, DeliversRequestedBundles) {

@@ -4,6 +4,9 @@
 //   * tracing is observation only — outputs and ledger totals are
 //     bit-identical with tracing off or full, across {serial, parallel} ×
 //     {in-process, loopback, tcp:2};
+//   * the JSON walker reports every grammar defect with the same text and
+//     offset from check_json and parse_json, and parse_json builds the
+//     document tree;
 //   * the emitted Chrome trace is valid JSON (a real parse, not a grep)
 //     with at least one span per named step of the tree sample sort;
 //   * a traced tcp worker group ships spans and metrics back: the merged
@@ -184,6 +187,107 @@ TEST(TracePerturbation, OffAndFullAreBitIdenticalAcrossBackends) {
     EXPECT_GT(full.total_rounds, 0u) << backend.name;
   }
   tracer.clear();
+}
+
+// ---------------------------------------------------------- json walker
+
+// One input per error path of the JSON grammar walk. check_json and
+// parse_json are the same walk (one validating, one building the tree),
+// so both must report the same first defect at the same byte offset.
+TEST(JsonWalker, ErrorPathsMatchAcrossCheckAndParse) {
+  struct Case {
+    std::string text;
+    bool ok;
+    std::size_t offset;
+    std::string error;
+  };
+  const std::vector<Case> cases = {
+      {"[true, nul]", false, 7, "bad literal"},
+      {"\"a\\q\"", false, 3, "bad escape"},
+      {"\"a\\", false, 3, "unterminated escape"},
+      {"\"\\u12G4\"", false, 5, "bad unicode escape"},
+      {"\"a\tb\"", false, 2, "raw control character in string"},
+      {"\"abc", false, 4, "unterminated string"},
+      {"{1:2}", false, 1, "expected string"},
+      {"[1, -x]", false, 5, "bad number"},
+      {"[1.]", false, 3, "bad number fraction"},
+      {"[1e+]", false, 4, "bad number exponent"},
+      {"{\"a\" 1}", false, 5, "expected ':' in object"},
+      {"{\"a\":1 \"b\":2}", false, 7, "expected ',' or '}' in object"},
+      {"[1 2]", false, 3, "expected ',' or ']' in array"},
+      {"{\"a\":1", false, 6, "unterminated object"},
+      {"[1", false, 2, "unterminated array"},
+      {"{} x", false, 3, "trailing characters after value"},
+      {"", false, 0, "unexpected end of input"},
+      {"   ", false, 3, "unexpected end of input"},
+      {std::string(257, '[') + std::string(257, ']'), false, 256,
+       "nesting too deep"},
+      {std::string(256, '[') + std::string(256, ']'), true, 0, ""},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE("input: " + c.text.substr(0, 40));
+    const JsonCheckResult check = check_json(c.text);
+    EXPECT_EQ(check.ok, c.ok);
+    EXPECT_EQ(check.offset, c.offset);
+    EXPECT_EQ(check.error, c.error);
+    const JsonParseResult parse = parse_json(c.text);
+    EXPECT_EQ(parse.ok, c.ok);
+    EXPECT_EQ(parse.offset, c.offset);
+    EXPECT_EQ(parse.error, c.error);
+  }
+}
+
+// The tree parse_json builds: escapes decoded, \u00e9 and a raw UTF-8 é
+// decode to the same bytes, numbers parsed, object members in document
+// order (not sorted).
+TEST(JsonWalker, ParseBuildsTheDocumentTree) {
+  const std::string text =
+      " {\"s\": \"q\\\"b\\\\s\\/n\\nt\\tu\\u00e9 \xC3\xA9\","
+      " \"n\": [-1.5e2, 0, 42, 3.25E-1],"
+      " \"z\": {\"y\": true, \"x\": false, \"w\": null},"
+      " \"e\": [], \"o\": {}} ";
+  const JsonParseResult parsed = parse_json(text);
+  ASSERT_TRUE(parsed.ok) << parsed.error << " at byte " << parsed.offset;
+  EXPECT_TRUE(check_json(text).ok);
+  const JsonValue& doc = parsed.value;
+  ASSERT_EQ(doc.kind, JsonValue::Kind::kObject);
+  ASSERT_EQ(doc.object.size(), 5u);
+  const std::vector<std::string> keys = {"s", "n", "z", "e", "o"};
+  for (std::size_t i = 0; i < keys.size(); ++i)
+    EXPECT_EQ(doc.object[i].first, keys[i]);
+
+  const JsonValue* s = doc.find("s");
+  ASSERT_NE(s, nullptr);
+  EXPECT_EQ(s->kind, JsonValue::Kind::kString);
+  EXPECT_EQ(s->string, "q\"b\\s/n\nt\tu\xC3\xA9 \xC3\xA9");
+
+  const JsonValue* n = doc.find("n");
+  ASSERT_NE(n, nullptr);
+  ASSERT_EQ(n->kind, JsonValue::Kind::kArray);
+  const std::vector<double> numbers = {-150.0, 0.0, 42.0, 0.325};
+  ASSERT_EQ(n->array.size(), numbers.size());
+  for (std::size_t i = 0; i < numbers.size(); ++i) {
+    EXPECT_EQ(n->array[i].kind, JsonValue::Kind::kNumber);
+    EXPECT_DOUBLE_EQ(n->array[i].number, numbers[i]);
+  }
+
+  const JsonValue* z = doc.find("z");
+  ASSERT_NE(z, nullptr);
+  ASSERT_EQ(z->object.size(), 3u);
+  EXPECT_EQ(z->object[0].first, "y");
+  EXPECT_EQ(z->object[0].second.kind, JsonValue::Kind::kBool);
+  EXPECT_TRUE(z->object[0].second.boolean);
+  EXPECT_EQ(z->object[1].first, "x");
+  EXPECT_EQ(z->object[1].second.kind, JsonValue::Kind::kBool);
+  EXPECT_FALSE(z->object[1].second.boolean);
+  EXPECT_EQ(z->object[2].first, "w");
+  EXPECT_EQ(z->object[2].second.kind, JsonValue::Kind::kNull);
+
+  EXPECT_EQ(doc.find("e")->kind, JsonValue::Kind::kArray);
+  EXPECT_TRUE(doc.find("e")->array.empty());
+  EXPECT_EQ(doc.find("o")->kind, JsonValue::Kind::kObject);
+  EXPECT_TRUE(doc.find("o")->object.empty());
+  EXPECT_EQ(doc.find("missing"), nullptr);
 }
 
 // ------------------------------------------------------- trace output
