@@ -9,12 +9,8 @@
 // drawn from a small range so ties dominate) and identical ledger totals;
 // the bench aborts on any disagreement.
 //
-// The distributed rows A/B the bulk route (ClusterConfig::
-// route_aggregation, ARBOR_ROUTE_AGGREGATION): "dist/serial/no-agg" runs
-// the per-record fallback, every other distributed row the aggregated
-// path. Metrics are forced on so each row also reports the p50 of the
-// sort's route rounds (round_us.sample_sort.tree.route), the hot path the
-// aggregation targets.
+// Metrics are forced on so each row also reports the p50 of the sort's
+// route rounds (round_us.sample_sort.tree.route), its hot path.
 //
 // Workload 2 (splitter widths): the raw sample_sort_records at several
 // cluster widths. Reports wall time, rounds, and the ledger's per-label
@@ -198,32 +194,25 @@ int main(int argc, char** argv) {
   struct Config {
     const char* name;
     bool distributed;
-    bool aggregate;
-    bool merge;
     ExecutionPolicy policy;
   };
   const Config configs[] = {
-      {"central", false, true, true, ExecutionPolicy::serial()},
-      {"dist/serial/no-agg", true, false, true, ExecutionPolicy::serial()},
-      {"dist/serial/no-merge", true, true, false, ExecutionPolicy::serial()},
-      {"dist/serial", true, true, true, ExecutionPolicy::serial()},
-      {"dist/parallel(2)", true, true, true, ExecutionPolicy::parallel(2)},
-      {"dist/parallel(4)", true, true, true, ExecutionPolicy::parallel(4)},
-      {"dist/parallel(8)", true, true, true, ExecutionPolicy::parallel(8)},
+      {"central", false, ExecutionPolicy::serial()},
+      {"dist/serial", true, ExecutionPolicy::serial()},
+      {"dist/parallel(2)", true, ExecutionPolicy::parallel(2)},
+      {"dist/parallel(4)", true, ExecutionPolicy::parallel(4)},
+      {"dist/parallel(8)", true, ExecutionPolicy::parallel(8)},
   };
 
   arbor::bench::Table table({"path", "ms", "Mrec/s", "speedup",
                              "route_p50_us", "ledger_rounds"});
   Outcome central;
   double speedup_at_8 = 0;
-  double route_p50_agg = 0, route_p50_noagg = 0;
+  double route_p50_serial = 0;
   double route_p50_par8 = 0;
-  double merge_secs = 0, no_merge_secs = 0;
   for (const Config& config : configs) {
     ClusterConfig cfg = base;
     cfg.distributed_level1 = config.distributed;
-    cfg.route_aggregation = config.aggregate;
-    cfg.merge_path = config.merge;
     cfg.execution = config.policy;
     const std::size_t route_skip = sample_count(kRouteHist);
     const Outcome out = run_sort(input, cfg, repeats);
@@ -245,14 +234,8 @@ int main(int argc, char** argv) {
       speedup_at_8 = central.secs / out.secs;
       route_p50_par8 = route_us.p50;
     }
-    if (std::strcmp(config.name, "dist/serial") == 0) {
-      route_p50_agg = route_us.p50;
-      merge_secs = out.secs;
-    }
-    if (std::strcmp(config.name, "dist/serial/no-agg") == 0)
-      route_p50_noagg = route_us.p50;
-    if (std::strcmp(config.name, "dist/serial/no-merge") == 0)
-      no_merge_secs = out.secs;
+    if (std::strcmp(config.name, "dist/serial") == 0)
+      route_p50_serial = route_us.p50;
     table.add_row({config.name, arbor::bench::fmt(out.secs * 1e3, 1),
                    arbor::bench::fmt(records / out.secs / 1e6, 2),
                    arbor::bench::fmt(central.secs / out.secs, 2),
@@ -264,8 +247,6 @@ int main(int argc, char** argv) {
         .set("backend", config.distributed ? "distributed" : "central")
         .set("variant", "level1")
         .set("threads", config.policy.effective_threads())
-        .set("route_aggregation", config.aggregate)
-        .set("merge_path", config.merge)
         .set("ms", out.secs * 1e3)
         .set("mrec_per_sec", records / out.secs / 1e6)
         .set("speedup_vs_central", central.secs / out.secs)
@@ -278,27 +259,15 @@ int main(int argc, char** argv) {
   std::printf("\nspeedup at parallel(8) vs central: %.2fx (target >= 1.5x "
               "on multicore hardware)\n",
               speedup_at_8);
-  std::printf("route round p50: %.1fus aggregated vs %.1fus per-record "
-              "(%.2fx)\n",
-              route_p50_agg, route_p50_noagg,
-              route_p50_agg > 0 ? route_p50_noagg / route_p50_agg : 0.0);
   // Route rounds under parallel(8): the pool runs only the compute, and
   // every executor delivers through the same single pass as serial.
-  std::printf("route round p50 at parallel(8): %.1fus (%.2fx of serial)\n",
-              route_p50_par8,
-              route_p50_agg > 0 ? route_p50_par8 / route_p50_agg : 0.0);
-  // Merge path: k-way merges of already-sorted inbox runs vs. the
-  // wholesale re-sort baseline, same route, same output.
-  const double merge_speedup =
-      merge_secs > 0 ? no_merge_secs / merge_secs : 0.0;
-  std::printf("merge path dist/serial: %.1fms merged vs %.1fms re-sort "
-              "(%.2fx, target >= 1.25x)\n\n",
-              merge_secs * 1e3, no_merge_secs * 1e3, merge_speedup);
+  std::printf("route round p50: %.1fus serial, %.1fus at parallel(8) "
+              "(%.2fx of serial)\n\n",
+              route_p50_serial, route_p50_par8,
+              route_p50_serial > 0 ? route_p50_par8 / route_p50_serial : 0.0);
   report.meta("speedup_at_8", speedup_at_8)
-      .meta("route_us_p50_agg", route_p50_agg)
-      .meta("route_us_p50_noagg", route_p50_noagg)
-      .meta("route_us_p50_parallel8", route_p50_par8)
-      .meta("merge_path_speedup", merge_speedup);
+      .meta("route_us_p50_serial", route_p50_serial)
+      .meta("route_us_p50_parallel8", route_p50_par8);
 
   // ---------------- splitter tree at several widths
   const std::size_t ab_records = std::min<std::size_t>(records, 200'000);

@@ -218,10 +218,10 @@ class JsonReport {
   }
 
  private:
-  /// Effective ARBOR_* knob block: which transport, Level-1 sort path, and
-  /// route-aggregation, merge-path and fetch-cache settings the run
-  /// executed under (the trace mode rides in stamp_trace_summary). Stamped into EVERY report uniformly so a
-  /// trajectory diff never has to guess the environment.
+  /// Effective ARBOR_* knob block: which transport and Level-1 sort path
+  /// the run executed under (the trace mode rides in stamp_trace_summary).
+  /// Stamped into EVERY report uniformly so a trajectory diff never has to
+  /// guess the environment.
   void stamp_env_knobs();
 
   /// Trace/metrics summary block: the global tracer's mode plus the
@@ -294,9 +294,6 @@ inline std::string transport_name(const mpc::TransportConfig& t) {
 inline void JsonReport::stamp_env_knobs() {
   meta_.set("transport_knob", transport_name(mpc::transport_env_default()));
   meta_.set("distributed_level1_knob", mpc::distributed_level1_env_default());
-  meta_.set("route_aggregation_knob", mpc::route_aggregation_env_default());
-  meta_.set("merge_path_knob", mpc::merge_path_env_default());
-  meta_.set("fetch_cache_knob", mpc::fetch_cache_env_default());
 }
 
 /// Extract `FLAG PATH` (or `FLAG=PATH`) from argv, compacting argv so the

@@ -142,35 +142,6 @@ if [[ "${1:-}" == "--bench-smoke" ]]; then
       tail -20 "${smoke_dir}/${name}.out"
       exit 1
     }
-    if [[ "${name}" == "bench_level1_sort" ]]; then
-      # Route-aggregation A/B: run the sort bench with the knob forced each
-      # way (strict-parsed — a typo here fails loudly instead of silently
-      # benching the wrong path), so both the bulk span route and the
-      # per-record fallback stay exercised end to end.
-      for agg in on off; do
-        echo "== bench-smoke: ${name} (ARBOR_ROUTE_AGGREGATION=${agg}) =="
-        ARBOR_ROUTE_AGGREGATION="${agg}" "./build/${name}" 20000 512 1 \
-          --json "${smoke_dir}/${name}.agg-${agg}.json" \
-          > "${smoke_dir}/${name}.agg-${agg}.out" || {
-          echo "bench-smoke: ${name} (agg=${agg}) FAILED; last lines:"
-          tail -20 "${smoke_dir}/${name}.agg-${agg}.out"
-          exit 1
-        }
-      done
-      # Merge-path A/B: both the k-way merge of sorted inbox runs and the
-      # wholesale re-sort baseline stay exercised end to end (the bench
-      # itself aborts if either path's output disagrees with central).
-      for merge in on off; do
-        echo "== bench-smoke: ${name} (ARBOR_MERGE_PATH=${merge}) =="
-        ARBOR_MERGE_PATH="${merge}" "./build/${name}" 20000 512 1 \
-          --json "${smoke_dir}/${name}.merge-${merge}.json" \
-          > "${smoke_dir}/${name}.merge-${merge}.out" || {
-          echo "bench-smoke: ${name} (merge=${merge}) FAILED; last lines:"
-          tail -20 "${smoke_dir}/${name}.merge-${merge}.out"
-          exit 1
-        }
-      done
-    fi
   done
   echo "== bench-smoke: clean =="
   exit 0

@@ -74,14 +74,10 @@ class Monitor {
   /// yields a machine's delivered inbox; `out` is the real outbox bank,
   /// indexed by absolute machine id (out[m] is cleared and written for
   /// every m in the range, exactly like the unchecked compute phase).
-  /// `fetch` is forwarded into every Sender — the executor passes
-  /// verify=true so each cache hit is rebuilt and stale entries are
-  /// rejected deterministically.
   void run_step(const engine::ProgramStep& step, std::size_t begin,
                 std::size_t end,
                 const std::function<engine::InboxView(std::size_t)>& inbox_of,
-                std::vector<engine::Outbox>& out,
-                const engine::FetchContext& fetch = {});
+                std::vector<engine::Outbox>& out);
 
   /// Guard a continue callback / pass hook: capture hashes() before
   /// invoking it, then expect_continue_clean(before) after. Raises only

@@ -115,28 +115,6 @@ engine::RoundProgram build_underdeclared(std::shared_ptr<SelfCheckState> st) {
   return program;
 }
 
-engine::RoundProgram build_stale_fetch_cache(
-    std::shared_ptr<SelfCheckState> st) {
-  engine::RoundProgram program;
-  program.barrier(
-      "check.stale_fetch_cache.step",
-      [st](std::size_t m, const engine::InboxView&, engine::Sender& send) {
-        const auto build = [st, m](std::vector<engine::Word>& out) {
-          out.push_back(st->slots[m]);
-        };
-        send.send_fetched(m, /*key=*/7, /*epoch=*/0, build);
-        // The violation: mutate the state the build reads WITHOUT bumping
-        // the epoch — the second fetch serves the stale cached payload,
-        // and checked execution's verifying rebuild must reject it.
-        st->slots[m] += 1;
-        send.send_fetched(m, /*key=*/7, /*epoch=*/0, build);
-      });
-  program.owned(slots_ownership(st));
-  program.cached_fetches();
-  program.exempt_cost();
-  return program;
-}
-
 void attach_spec(engine::RoundProgram& program, const char* name) {
   engine::RemoteSpec spec;
   spec.name = name;
@@ -170,12 +148,6 @@ engine::RoundProgram make_underdeclared_selfcheck(std::size_t machines) {
   return program;
 }
 
-engine::RoundProgram make_stale_fetch_cache_selfcheck(std::size_t machines) {
-  engine::RoundProgram program = build_stale_fetch_cache(make_state(machines));
-  attach_spec(program, "check.stale_fetch_cache");
-  return program;
-}
-
 engine::RoundProgram make_continue_mutation_selfcheck(std::size_t machines) {
   auto st = make_state(machines);
   engine::RoundProgram program = build_continue_mutation(st);
@@ -206,7 +178,6 @@ void register_selfcheck_programs(net::Registry& registry) {
       {"check.order_dependent", build_order_dependent},
       {"check.shared_accumulator", build_shared_accumulator},
       {"check.underdeclared", build_underdeclared},
-      {"check.stale_fetch_cache", build_stale_fetch_cache},
   };
   for (const auto& [name, build] : fixtures)
     registry.add(name, 0, [build](const net::ProgramInputs& in) {

@@ -45,14 +45,6 @@ engine::RoundProgram make_shared_accumulator_selfcheck(std::size_t machines);
 /// reject it with a VerifyError naming "bound audit" on every backend.
 engine::RoundProgram make_underdeclared_selfcheck(std::size_t machines);
 
-/// "check.stale_fetch_cache": a barrier step that fetches a payload built
-/// from slots[m], mutates slots[m] WITHOUT bumping the fetch epoch, then
-/// fetches again under the same (key, epoch) — the second fetch is served
-/// from the cache, and checked execution's verifying rebuild must reject
-/// the stale entry by name (an InvariantError naming the step and the
-/// epoch) on every backend.
-engine::RoundProgram make_stale_fetch_cache_selfcheck(std::size_t machines);
-
 /// "check.continue_mutation": a clean machine-independent step that reads
 /// slots[m], plus a repeat_while callback that mutates slots[0] between
 /// passes — exactly the "global aggregates updated between rounds" the

@@ -92,44 +92,6 @@ inline void stable_sort_records(std::vector<Word>& arena, std::size_t width,
   arena.swap(sorted);
 }
 
-/// Bucket boundaries of a KEY-SORTED record arena against a KEY-SORTED
-/// sequence of splitter keys, under the routing rule of the sample sorts
-/// (bucket of a record = count of splitters ≤ its key, like
-/// std::upper_bound). Returns `num_splitters + 2` record indices: bucket b
-/// occupies records [bounds[b], bounds[b+1]), bounds.front() == 0,
-/// bounds.back() == the record count. Duplicate splitters yield empty
-/// buckets between them; an empty splitter sequence leaves every record in
-/// bucket 0. One binary search per SPLITTER instead of one per RECORD —
-/// the monotone destination sequence of a sorted slab is what makes each
-/// bucket a single contiguous span.
-inline std::vector<std::size_t> partition_sorted_records(
-    std::span<const Word> arena, std::size_t width, std::size_t key_words,
-    std::span<const Word> splitters) {
-  ARBOR_CHECK(key_words > 0 && key_words <= width);
-  const std::size_t n = record_count(arena.size(), width);
-  const std::size_t k = record_count(splitters.size(), key_words);
-  std::vector<std::size_t> bounds(k + 2);
-  bounds[0] = 0;
-  for (std::size_t b = 1; b <= k; ++b) {
-    const Word* key = splitters.data() + (b - 1) * key_words;
-    // First record whose key ≥ splitter b−1: everything before it has
-    // fewer than b splitters ≤ its key. Sorted splitters make the
-    // boundaries monotone, so the search starts at the previous one.
-    std::size_t lo = bounds[b - 1];
-    std::size_t hi = n;
-    while (lo < hi) {
-      const std::size_t mid = lo + (hi - lo) / 2;
-      if (compare_keys(arena.data() + mid * width, key, key_words) < 0)
-        lo = mid + 1;
-      else
-        hi = mid;
-    }
-    bounds[b] = lo;
-  }
-  bounds[k + 1] = n;
-  return bounds;
-}
-
 /// First index in [lo, hi) satisfying the monotone predicate (false…true);
 /// hi when none does. Galloping doubles the probe gap from `lo` before the
 /// final binary search, so the cost is O(log distance-from-lo) rather than
@@ -254,11 +216,9 @@ inline void merge_runs_cascade(const std::span<const Word>* runs,
 /// Stable k-way merge of key-sorted record runs, appended to `out`. Ties
 /// across runs resolve to the EARLIEST run (and records keep their order
 /// within a run), so the result is bit-identical to std::stable_sort of
-/// the runs' concatenation in run order — which is why the sort pipeline
-/// can swap its concat-then-re-sort sites for this merge without moving a
-/// byte on the wire: inbox delivery order (source machine ascending, send
-/// order within a source) IS the run order the old stable sort preserved.
-/// Empty runs and empty run lists are fine; each run must be a whole
+/// the runs' concatenation in run order: inbox delivery order (source
+/// machine ascending, send order within a source) is the run order, so the
+/// sort pipeline's merges are deterministic in every mode. Empty runs and empty run lists are fine; each run must be a whole
 /// number of records and key-sorted.
 inline void merge_sorted_runs(std::span<const std::span<const Word>> runs,
                               std::size_t width, std::size_t key_words,
@@ -314,8 +274,7 @@ inline void merge_sorted_runs(std::span<const std::span<const Word>> runs,
   if (width == 2 && key_words == 2) {
     // The Level-1 record shape (two-word packed keys): unrolled copies
     // and an inline two-word compare, mirroring stable_sort_records'
-    // packed fast path so the merge stays ahead of the re-sort it
-    // replaces.
+    // packed fast path so the merge stays ahead of a re-sort.
     merge_detail::merge_runs_cascade(
         live.data(), live.size(), total,
         [](const Word* a, const Word* a_end, const Word* b,
@@ -347,8 +306,7 @@ inline void merge_sorted_runs(std::span<const std::span<const Word>> runs,
 
 /// Merge a machine's inbox — every message a key-sorted run — into `out`.
 /// Message order is delivery order (source ascending, send order), so the
-/// result equals stable-sorting the concatenated inbox: the drop-in
-/// replacement for the pool-then-re-sort pattern.
+/// result equals stable-sorting the concatenated inbox.
 inline void merge_sorted_inbox(const InboxView& inbox, std::size_t width,
                                std::size_t key_words, std::vector<Word>& out) {
   const std::size_t total = inbox.total_words();
@@ -381,9 +339,8 @@ inline void merge_sorted_inbox(const InboxView& inbox, std::size_t width,
 /// searches gallop from the position the previous span established: a
 /// one-record slab whose bucket continues where the last span left off
 /// (the fine route of a wide cluster handles many such fragments) costs
-/// O(1) comparisons, not O(k) and not even O(log k) — this is what keeps
-/// the aggregated route ahead of the per-record one when slabs are far
-/// smaller than the bucket count.
+/// O(1) comparisons, not O(k) and not even O(log k), even when slabs are
+/// far smaller than the bucket count.
 template <typename SpanFn>
 inline void for_each_bucket_span(std::span<const Word> slab, std::size_t width,
                                  std::size_t key_words,
@@ -421,14 +378,10 @@ inline void for_each_bucket_span(std::span<const Word> slab, std::size_t width,
 }
 
 /// Bulk route of a key-sorted record slab: emit each non-empty bucket as
-/// ONE contiguous message to `dst_of(bucket)`. Message destinations,
-/// contents, and emission order are identical to the per-record
-/// upper_bound + per-destination append buffers this replaces (records
-/// keep slab order inside a bucket, buckets are emitted in ascending index
-/// order, empty buckets send nothing) — so the two route implementations
-/// are interchangeable mid-protocol; only the per-record binary searches
-/// and the intermediate buffer copy are gone. Records move exactly once,
-/// slab → outbox arena.
+/// ONE contiguous message to `dst_of(bucket)`. Records keep slab order
+/// inside a bucket, buckets are emitted in ascending index order, and
+/// empty buckets send nothing. Records move exactly once, slab → outbox
+/// arena.
 template <typename DstFn>
 inline void send_records(Sender& send, std::span<const Word> slab,
                          std::size_t width, std::size_t key_words,

@@ -45,11 +45,6 @@ ProgramStats Scheduler::run(RoundState& state, std::size_t capacity,
     monitor = std::make_unique<check::Monitor>(program, capacity,
                                                state.num_machines());
 
-  // Programs opt into the delegate-style read cache; entries never outlive
-  // the run that built them.
-  FetchCache* fetch_cache = program.fetch_cache ? &fetch_cache_ : nullptr;
-  if (fetch_cache) fetch_cache->reset(state.num_machines());
-
   trace::Tracer& tracer = trace::Tracer::global();
 
   ProgramStats stats;
@@ -59,7 +54,7 @@ ProgramStats Scheduler::run(RoundState& state, std::size_t capacity,
       const std::int64_t round_t0 = tracer.metrics_on() ? trace::now_ns() : 0;
       {
         trace::Span span = tracer.span("engine", "compute " + label);
-        compute(state, capacity, step, monitor.get(), fetch_cache);
+        compute(state, capacity, step, monitor.get());
       }
       RoundStats round_stats;
       {
@@ -92,28 +87,19 @@ ProgramStats Scheduler::run(RoundState& state, std::size_t capacity,
     if (!more) break;
     if (stats.passes >= program.max_passes) break;
   }
-  if (fetch_cache && tracer.metrics_on()) {
-    const std::size_t hits = fetch_cache->total_hits();
-    if (hits > 0)
-      tracer.metrics().add("engine.fetch_cache_hits",
-                           static_cast<std::uint64_t>(hits));
-  }
   return stats;
 }
 
 void Scheduler::compute(RoundState& state, std::size_t capacity,
-                        const ProgramStep& step, check::Monitor* monitor,
-                        FetchCache* fetch_cache) {
+                        const ProgramStep& step, check::Monitor* monitor) {
   const std::size_t machines = state.num_machines();
   std::vector<Outbox>& out = state.front_outboxes();
-  const FetchContext fetch{fetch_cache, fetch_step_salt(step.name), &step.name,
-                           policy_.check};
   if (monitor) {
     // Checked execution: single-threaded by design, so contract violations
     // are deterministic and reproduce without a thread schedule.
     monitor->run_step(
         step, 0, machines,
-        [&state](std::size_t m) { return state.inbox(m); }, out, fetch);
+        [&state](std::size_t m) { return state.inbox(m); }, out);
     return;
   }
   trace::Tracer& tracer = trace::Tracer::global();
@@ -123,7 +109,7 @@ void Scheduler::compute(RoundState& state, std::size_t capacity,
     trace::Span span = tracer.span("engine", "block " + step.name);
     for (std::size_t m = begin; m < end; ++m) {
       out[m].clear();  // keeps arena capacity from previous rounds
-      Sender sender(m, capacity, machines, out[m], fetch);
+      Sender sender(m, capacity, machines, out[m]);
       step.fn(m, state.inbox(m), sender);
     }
   };

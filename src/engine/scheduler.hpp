@@ -34,7 +34,6 @@
 #include <vector>
 
 #include "engine/execution_policy.hpp"
-#include "engine/fetch_cache.hpp"
 #include "engine/program.hpp"
 #include "engine/round_state.hpp"
 #include "engine/thread_pool.hpp"
@@ -74,11 +73,8 @@ class Scheduler {
   /// The only pooled phase: machines run in contiguous blocks, one per
   /// worker. `monitor` non-null routes the phase through checked execution
   /// (inline, single-threaded) instead.
-  /// `fetch_cache` non-null wires the per-run FetchCache into the step's
-  /// Senders (the program opted in via RoundProgram::fetch_cache).
   void compute(RoundState& state, std::size_t capacity,
-               const ProgramStep& step, check::Monitor* monitor,
-               FetchCache* fetch_cache);
+               const ProgramStep& step, check::Monitor* monitor);
   /// Zero-copy route+delivery in ONE source-major pass: count
   /// per-destination volume, stage span references into the frozen outbox
   /// bank, validate the caps, then commit and flip banks so the spans
@@ -111,10 +107,6 @@ class Scheduler {
   // swapped into the state only after the caps validate, so a cap violation
   // leaves the previous round's inboxes untouched.
   std::vector<ScatterInbox> scatter_scratch_;
-  // Per-run delegate-style read cache (engine/fetch_cache.hpp); reset at
-  // the start of every program that opts in (RoundProgram::fetch_cache)
-  // and flushed into the engine.fetch_cache_hits metric at program end.
-  FetchCache fetch_cache_;
 };
 
 }  // namespace arbor::engine

@@ -53,11 +53,6 @@ struct BroadcastState {
   std::size_t machines = 0;
   std::size_t root = 0;
   std::size_t fanout = 0;
-  /// Serve the fan-out payload copies through the engine's FetchCache
-  /// (ClusterConfig::fetch_cache): a holder builds its outgoing copy once
-  /// and every further child (this level and the next) reuses it. Message
-  /// bytes are identical on or off.
-  bool fetch_cache = true;
 };
 
 // All nodes within depth d hold the payload after round d, so the tree
@@ -87,21 +82,13 @@ engine::RoundProgram make_broadcast_program(
       for (std::size_t c = 1; c <= st->fanout; ++c) {
         const std::size_t child = node * st->fanout + c;
         if (child >= st->machines) break;
-        // Epoch 0 forever: holds[m] is written exactly once (adoption,
-        // above) and a machine only fans out AFTER that write, so the
-        // payload is immutable for the life of every cache entry.
-        send.send_fetched(unlabel(child, st->root, st->machines), /*key=*/0,
-                          /*epoch=*/0, [st, m](std::vector<Word>& out) {
-                            out.insert(out.end(), st->holds[m].begin(),
-                                       st->holds[m].end());
-                          });
+        send.send(unlabel(child, st->root, st->machines), st->holds[m]);
       }
     });
   }
   auto own = std::make_shared<check::Ownership>();
   own->slabs("holds", &st->holds).elems("has", &st->has).keep_alive(st);
   program.owned(std::move(own));
-  program.cached_fetches(st->fetch_cache);
 
   // Per level, a holder fans at most `fanout` payload copies out and every
   // node hears from its single parent — fanout·|payload| words per machine
@@ -182,7 +169,6 @@ BroadcastResult broadcast_tree(Cluster& cluster, std::size_t root,
   st->machines = machines;
   st->root = root;
   st->fanout = fanout;
-  st->fetch_cache = cluster.config().fetch_cache;
   st->holds.resize(machines);
   st->holds[root] = std::move(payload);
   st->has.assign(machines, 0);
@@ -200,8 +186,7 @@ BroadcastResult broadcast_tree(Cluster& cluster, std::size_t root,
   if (cluster.distributed()) {
     engine::RemoteSpec spec;
     spec.name = "mpc.broadcast_tree";
-    spec.scalars = {static_cast<Word>(root), static_cast<Word>(fanout),
-                    static_cast<Word>(st->fetch_cache ? 1 : 0)};
+    spec.scalars = {static_cast<Word>(root), static_cast<Word>(fanout)};
     spec.inputs.resize(machines);
     spec.inputs[root] = st->holds[root];
     spec.has_output = true;
@@ -279,12 +264,11 @@ ConvergeResult converge_sum(Cluster& cluster, std::size_t root,
 }
 
 void register_broadcast_programs(net::Registry& registry) {
-  registry.add("mpc.broadcast_tree", 3, [](const net::ProgramInputs& in) {
+  registry.add("mpc.broadcast_tree", 2, [](const net::ProgramInputs& in) {
     auto st = std::make_shared<BroadcastState>();
     st->machines = in.machines;
     st->root = static_cast<std::size_t>(in.scalars[0]);
     st->fanout = static_cast<std::size_t>(in.scalars[1]);
-    st->fetch_cache = in.scalars[2] != 0;
     ARBOR_CHECK(st->root < st->machines && st->fanout >= 2);
     st->holds.resize(in.machines);
     st->has.assign(in.machines, 0);

@@ -57,31 +57,4 @@ TransportConfig transport_env_default() {
   return value;
 }
 
-bool route_aggregation_env_default() {
-  static const bool value = [] {
-    const auto env = util::env_knob("ARBOR_ROUTE_AGGREGATION");
-    if (!env) return true;
-    return parse_bool_flag(*env, "ARBOR_ROUTE_AGGREGATION");
-  }();
-  return value;
-}
-
-bool merge_path_env_default() {
-  static const bool value = [] {
-    const auto env = util::env_knob("ARBOR_MERGE_PATH");
-    if (!env) return true;
-    return parse_bool_flag(*env, "ARBOR_MERGE_PATH");
-  }();
-  return value;
-}
-
-bool fetch_cache_env_default() {
-  static const bool value = [] {
-    const auto env = util::env_knob("ARBOR_FETCH_CACHE");
-    if (!env) return true;
-    return parse_bool_flag(*env, "ARBOR_FETCH_CACHE");
-  }();
-  return value;
-}
-
 }  // namespace arbor::mpc

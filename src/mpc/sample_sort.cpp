@@ -35,21 +35,6 @@ struct SortState {
   std::size_t record_width = 1;
   std::size_t key_words = 1;
   std::size_t samples_per_machine = 0;
-  /// Route rounds ship whole buckets as contiguous spans via
-  /// engine::send_records (ClusterConfig::route_aggregation) instead of
-  /// the per-record upper_bound + append-buffer path. Same messages, same
-  /// ledger charges — only the copy count differs.
-  bool aggregate_routes = true;
-  /// Replace the concat-then-re-sort sites with engine::merge_sorted_inbox
-  /// (ClusterConfig::merge_path). The sample pools are ALWAYS mergeable —
-  /// every pool message is a sorted sample (sample_record_keys of a sorted
-  /// slab, or a re-sorted relay pool) — so those sites gate on merge_path
-  /// alone. The final bucket assembly is mergeable only when the route
-  /// rounds shipped contiguous sorted spans, so it gates on merge_path AND
-  /// aggregate_routes (the per-record path sends unsorted concatenations).
-  /// Bit-identical either way: delivery order is run order, and the merge
-  /// breaks ties to the earliest run exactly like the stable re-sort did.
-  bool merge_path = true;
 };
 
 // ---------------------------------------------------------- tree topology
@@ -87,27 +72,6 @@ struct SplitterTree {
   }
 };
 
-// Count of keys in a key-sorted arena comparing ≤ rec's key — the bucket
-// rule (a key equal to a splitter goes to the bucket above it, like
-// std::upper_bound). Applying it to the boundary splitters yields the
-// destination group, to a group's interior splitters the in-group offset:
-// both levels count the same global splitter sequence, so two-hop routing
-// lands every record on exactly the machine a one-hop route against all
-// p−1 splitters would pick.
-std::size_t keys_at_most(const Word* keys, std::size_t num_keys,
-                         const Word* rec, std::size_t key_words) {
-  std::size_t lo = 0;
-  std::size_t hi = num_keys;
-  while (lo < hi) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    if (engine::compare_keys(keys + mid * key_words, rec, key_words) <= 0)
-      lo = mid + 1;
-    else
-      hi = mid;
-  }
-  return lo;
-}
-
 // p−1 splitter keys at the quantiles of a key-sorted pool (entries may
 // repeat when the pool is smaller than p−1; repeats only make some
 // buckets empty). Empty when the pool is empty or the cluster has one
@@ -126,29 +90,12 @@ std::vector<Word> pick_splitters(const std::vector<Word>& pool,
   return chosen;
 }
 
-std::vector<Word> pool_inbox(const engine::InboxView& inbox) {
-  std::vector<Word> pool;
-  pool.reserve(inbox.total_words());
-  for (const auto& msg : inbox) pool.insert(pool.end(), msg.begin(),
-                                            msg.end());
-  return pool;
-}
-
 // Key-sorted sample pool of an inbox. Every pool message is a sorted run
 // (an evenly-spaced sample of a sorted slab, or a relay's re-thinned
-// sorted pool), so the merge path k-way merges the runs in delivery order;
-// the baseline concatenates and stable-re-sorts, which yields the same
-// words (merge ties resolve to the earliest run — exactly what the stable
-// sort preserved).
-std::vector<Word> sorted_pool(const engine::InboxView& inbox, std::size_t kw,
-                              bool merge_path) {
-  if (merge_path) {
-    std::vector<Word> pool;
-    engine::merge_sorted_inbox(inbox, kw, kw, pool);
-    return pool;
-  }
-  std::vector<Word> pool = pool_inbox(inbox);
-  engine::stable_sort_records(pool, kw, kw);
+// sorted pool), so the pool is their k-way merge in delivery order.
+std::vector<Word> sorted_pool(const engine::InboxView& inbox, std::size_t kw) {
+  std::vector<Word> pool;
+  engine::merge_sorted_inbox(inbox, kw, kw, pool);
   return pool;
 }
 
@@ -213,7 +160,7 @@ engine::RoundProgram make_sort_program(std::shared_ptr<SortState> st,
       "sample_sort.tree.up",
       [st, tree, kw](std::size_t m, const auto& inbox, Sender& send) {
         if (!tree.is_relay(m)) return;
-        const std::vector<Word> pool = sorted_pool(inbox, kw, st->merge_path);
+        const std::vector<Word> pool = sorted_pool(inbox, kw);
         const std::vector<Word> thinned = engine::sample_record_keys(
             pool, kw, kw, st->samples_per_machine);
         if (!thinned.empty()) send.send(0, thinned);
@@ -226,10 +173,10 @@ engine::RoundProgram make_sort_program(std::shared_ptr<SortState> st,
   // group_begin(g) … group_end(g)−2: members(g)−1 keys).
   program.independent(
       "sample_sort.tree.pick",
-      [st, tree, machines, kw](std::size_t m, const auto& inbox,
-                               Sender& send) {
+      [tree, machines, kw](std::size_t m, const auto& inbox,
+                           Sender& send) {
         if (m != 0) return;
-        const std::vector<Word> pool = sorted_pool(inbox, kw, st->merge_path);
+        const std::vector<Word> pool = sorted_pool(inbox, kw);
         const std::vector<Word> chosen =
             pick_splitters(pool, machines, kw);
         for (std::size_t g = 0; g < tree.groups; ++g) {
@@ -300,101 +247,48 @@ engine::RoundProgram make_sort_program(std::shared_ptr<SortState> st,
         const auto spread_member = [&tree, m](std::size_t g) {
           return tree.group_begin(g) + (m % tree.members(g));
         };
-        if (st->aggregate_routes) {
-          // The slab is key-sorted (round 1), so each destination group's
-          // records are one contiguous span: partition once against the
-          // boundary splitters and ship bucket g as a single message.
-          engine::send_records(send, std::span<const Word>(slab), width, kw,
-                               std::span<const Word>(coarse, n_coarse * kw),
-                               spread_member);
-          return;
-        }
-        const std::size_t records = slab.size() / width;
-        // At most one destination per group (the spread member), so the
-        // buffers are G-wide, not p-wide — wide clusters stay linear.
-        std::vector<std::vector<Word>> outgoing(tree.groups);
-        for (std::size_t i = 0; i < records; ++i) {
-          const Word* rec = slab.data() + i * width;
-          const std::size_t g = keys_at_most(coarse, n_coarse, rec, kw);
-          outgoing[g].insert(outgoing[g].end(), rec, rec + width);
-        }
-        for (std::size_t g = 0; g < tree.groups; ++g)
-          if (!outgoing[g].empty()) send.send(spread_member(g), outgoing[g]);
+        // The slab is key-sorted (round 1), so each destination group's
+        // records are one contiguous span: partition once against the
+        // boundary splitters and ship bucket g as a single message.
+        engine::send_records(send, std::span<const Word>(slab), width, kw,
+                             std::span<const Word>(coarse, n_coarse * kw),
+                             spread_member);
       });
 
   // Round 6 — place every received record on its final bucket machine
   // using the group's fine splitters (final machine = group base + count
-  // of fine splitters ≤ key). Records pool per destination across the
-  // inbox in delivery order (source asc, send order), so the final
-  // buckets' contents are deterministic in every mode.
+  // of fine splitters ≤ key). Inbox messages are handled in delivery order
+  // (source asc, send order), so the final buckets' contents are
+  // deterministic in every mode.
   program.independent(
       "sample_sort.tree.route",
       [st, tree, width, kw](std::size_t m, const auto& inbox,
                             Sender& send) {
-        const std::vector<Word>& fine = st->fine[m];
-        const std::size_t n_fine = fine.size() / kw;
-        const std::size_t g = tree.group_of(m);
-        const std::size_t base = tree.group_begin(g);
-        if (st->aggregate_routes) {
-          // Each incoming message is a contiguous bucket of some sender's
-          // key-sorted slab (round 5), so it splits into spans against the
-          // fine splitters the same way a whole slab would; each span ships
-          // directly as one message (slab → outbox, no intermediate
-          // buffer). Message boundaries differ from the per-record path's
-          // one-frame-per-bucket shape, but each bucket machine still
-          // receives ITS records from any given sender in that sender's
-          // inbox order — every bucket is a distinct destination, so
-          // filtering a sender's emission sequence down to one receiver
-          // yields the same record sequence either way, and caps and
-          // ledger totals count payload words only.
-          for (const auto& msg : inbox)
-            engine::send_records(send, msg.span(), width, kw,
-                                 std::span<const Word>(fine),
-                                 [base](std::size_t local) {
-                                   return base + local;
-                                 });
-          return;
-        }
-        // Placement is intra-group: buffers are members(g)-wide.
-        std::vector<std::vector<Word>> outgoing(tree.members(g));
-        for (const auto& msg : inbox) {
-          const std::span<const Word> span = msg.span();
-          const std::size_t records = span.size() / width;
-          for (std::size_t i = 0; i < records; ++i) {
-            const Word* rec = span.data() + i * width;
-            const std::size_t local =
-                keys_at_most(fine.data(), n_fine, rec, kw);
-            outgoing[local].insert(outgoing[local].end(), rec,
-                                   rec + width);
-          }
-        }
-        for (std::size_t local = 0; local < outgoing.size(); ++local)
-          if (!outgoing[local].empty())
-            send.send(base + local, outgoing[local]);
+        const std::size_t base = tree.group_begin(tree.group_of(m));
+        // Each incoming message is a contiguous bucket of some sender's
+        // key-sorted slab (round 5), so it splits into spans against the
+        // fine splitters the same way a whole slab would; each span ships
+        // directly as one message (slab → outbox, no intermediate buffer).
+        for (const auto& msg : inbox)
+          engine::send_records(send, msg.span(), width, kw,
+                               std::span<const Word>(st->fine[m]),
+                               [base](std::size_t local) {
+                                 return base + local;
+                               });
       });
 
-  // Round 7 (record sorts only): each bucket machine assembles its routed
-  // records into its preallocated result slot, sorted — inside a round so
-  // the engine spreads the final sorts across its workers. Under
-  // merge_path AND aggregate_routes the routed messages are contiguous
-  // sorted spans of senders' key-sorted slabs, so the slab is a k-way
-  // merge instead of a concat-and-re-sort; the per-record route ships
-  // unsorted concatenations, so it always takes the re-sort. The word sort
-  // skips this round: its buckets stay in the inboxes, where the driver
-  // reads them.
+  // Round 7 (record sorts only): each bucket machine merges its routed
+  // records into its preallocated result slot — inside a round so the
+  // engine spreads the final merges across its workers. The routed
+  // messages are contiguous sorted spans of senders' key-sorted slabs, so
+  // the slab is their k-way merge in delivery order. The word sort skips
+  // this round: its buckets stay in the inboxes, where the driver reads
+  // them.
   if (bucket_sort_round)
     program.independent(
         "sample_sort.tree.sort",
         [st, width, kw](std::size_t m, const auto& inbox, Sender&) {
-          auto& slab = st->result[m];
-          if (st->merge_path && st->aggregate_routes) {
-            engine::merge_sorted_inbox(inbox, width, kw, slab);
-            return;
-          }
-          slab.reserve(inbox.total_words());
-          for (const auto& msg : inbox)
-            slab.insert(slab.end(), msg.begin(), msg.end());
-          engine::stable_sort_records(slab, width, kw);
+          engine::merge_sorted_inbox(inbox, width, kw, st->result[m]);
         });
 
   // Everything the steps mutate is machine-sliced: slabs[m] (sorted in
@@ -458,17 +352,13 @@ SampleSortResult sample_sort(Cluster& cluster,
   st->slabs = input;
   st->machines = machines;
   st->samples_per_machine = samples_per_machine;
-  st->aggregate_routes = cluster.config().route_aggregation;
-  st->merge_path = cluster.config().merge_path;
 
   engine::RoundProgram program =
       make_sort_program(st, /*bucket_sort_round=*/false);
   if (cluster.distributed()) {
     engine::RemoteSpec spec;
     spec.name = "mpc.sample_sort";
-    spec.scalars = {static_cast<Word>(samples_per_machine),
-                    static_cast<Word>(st->aggregate_routes ? 1 : 0),
-                    static_cast<Word>(st->merge_path ? 1 : 0)};
+    spec.scalars = {static_cast<Word>(samples_per_machine)};
     spec.inputs = input;
     program.distributable(std::move(spec));
   }
@@ -479,18 +369,9 @@ SampleSortResult sample_sort(Cluster& cluster,
   // under every backend (the transport syncs final inboxes back).
   SampleSortResult result;
   result.slabs.resize(machines);
-  for (std::size_t m = 0; m < machines; ++m) {
-    // Same gate as the bucket-sort round: aggregated route messages are
-    // sorted word spans, mergeable; per-record messages are not. Words
-    // have a total order, so merge vs. sort is trivially bit-identical.
-    if (st->merge_path && st->aggregate_routes) {
-      engine::merge_sorted_inbox(cluster.inbox(m), 1, 1, result.slabs[m]);
-      continue;
-    }
-    for (const auto& msg : cluster.inbox(m))
-      result.slabs[m].insert(result.slabs[m].end(), msg.begin(), msg.end());
-    std::sort(result.slabs[m].begin(), result.slabs[m].end());
-  }
+  // Route messages are sorted word spans, so each bucket is their merge.
+  for (std::size_t m = 0; m < machines; ++m)
+    engine::merge_sorted_inbox(cluster.inbox(m), 1, 1, result.slabs[m]);
   result.rounds = cluster.rounds_executed() - start_rounds;
   return result;
 }
@@ -515,8 +396,6 @@ RecordSortResult sample_sort_records(
   st->record_width = record_width;
   st->key_words = key_words;
   st->samples_per_machine = samples_per_machine;
-  st->aggregate_routes = cluster.config().route_aggregation;
-  st->merge_path = cluster.config().merge_path;
   st->result.resize(machines);
 
   engine::RoundProgram program =
@@ -526,9 +405,7 @@ RecordSortResult sample_sort_records(
     spec.name = "mpc.sample_sort_records";
     spec.scalars = {static_cast<Word>(record_width),
                     static_cast<Word>(key_words),
-                    static_cast<Word>(samples_per_machine),
-                    static_cast<Word>(st->aggregate_routes ? 1 : 0),
-                    static_cast<Word>(st->merge_path ? 1 : 0)};
+                    static_cast<Word>(samples_per_machine)};
     spec.inputs = input;  // copy: the state takes the originals below
     spec.has_output = true;
     spec.output_sink = [st](std::size_t m, std::span<const Word> slab) {
@@ -547,13 +424,11 @@ RecordSortResult sample_sort_records(
 }
 
 void register_sample_sort_programs(net::Registry& registry) {
-  // Scalars: [samples_per_machine, aggregate_routes, merge_path].
-  registry.add("mpc.sample_sort", 3, [](const net::ProgramInputs& in) {
+  // Scalars: [samples_per_machine].
+  registry.add("mpc.sample_sort", 1, [](const net::ProgramInputs& in) {
     auto st = std::make_shared<SortState>();
     st->machines = in.machines;
     st->samples_per_machine = static_cast<std::size_t>(in.scalars[0]);
-    st->aggregate_routes = in.scalars[1] != 0;
-    st->merge_path = in.scalars[2] != 0;
     ARBOR_CHECK_MSG(st->samples_per_machine >= 1,
                     "mpc.sample_sort needs samples_per_machine >= 1");
     st->slabs.resize(in.machines);
@@ -565,17 +440,14 @@ void register_sample_sort_programs(net::Registry& registry) {
     return out;
   });
 
-  // Scalars: [record_width, key_words, samples_per_machine,
-  // aggregate_routes, merge_path].
-  registry.add("mpc.sample_sort_records", 5,
+  // Scalars: [record_width, key_words, samples_per_machine].
+  registry.add("mpc.sample_sort_records", 3,
                [](const net::ProgramInputs& in) {
     auto st = std::make_shared<SortState>();
     st->machines = in.machines;
     st->record_width = static_cast<std::size_t>(in.scalars[0]);
     st->key_words = static_cast<std::size_t>(in.scalars[1]);
     st->samples_per_machine = static_cast<std::size_t>(in.scalars[2]);
-    st->aggregate_routes = in.scalars[3] != 0;
-    st->merge_path = in.scalars[4] != 0;
     ARBOR_CHECK_MSG(st->record_width > 0 && st->key_words > 0 &&
                         st->key_words <= st->record_width,
                     "mpc.sample_sort_records needs 0 < key_words <= "

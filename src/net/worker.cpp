@@ -123,26 +123,22 @@ class WorkerRuntime {
     };
   }
 
-  void compute_block(const engine::ProgramStep& step, check::Monitor* monitor,
-                     engine::FetchCache* fetch_cache) {
-    const engine::FetchContext fetch{fetch_cache,
-                                     engine::fetch_step_salt(step.name),
-                                     &step.name, w_.checked};
+  void compute_block(const engine::ProgramStep& step,
+                     check::Monitor* monitor) {
     if (monitor) {
       // Checked compute is single-threaded by design: the Monitor's
       // probe/replay machinery IS the schedule, so the pool stays idle.
       monitor->run_step(
           step, block_.first, block_.second,
           [this](std::size_t m) { return engine::InboxView(inboxes_[m]); },
-          outboxes_, fetch);
+          outboxes_);
       return;
     }
     const auto body = [&](std::size_t lo, std::size_t hi) {
       for (std::size_t i = lo; i < hi; ++i) {
         const std::size_t m = block_.first + i;
         outboxes_[m].clear();
-        engine::Sender sender(m, w_.capacity, w_.machines, outboxes_[m],
-                              fetch);
+        engine::Sender sender(m, w_.capacity, w_.machines, outboxes_[m]);
         step.fn(m, engine::InboxView(inboxes_[m]), sender);
       }
     };
@@ -309,13 +305,6 @@ class WorkerRuntime {
           std::make_unique<check::Monitor>(wp.program, w_.capacity,
                                            w_.machines);
 
-    // Programs opt into the delegate-style read cache (the factory read the
-    // flag from its scalars); reset per program so entries never outlive
-    // the run that built them.
-    engine::FetchCache* fetch_cache =
-        wp.program.fetch_cache ? &fetch_cache_ : nullptr;
-    if (fetch_cache) fetch_cache->reset(w_.machines);
-
     trace::Span program_span = tracer_.span("net", "program " + frame.name);
     std::size_t executed = 0;  // rounds completed in this program
     std::size_t passes = 0;
@@ -325,7 +314,7 @@ class WorkerRuntime {
             tracer_.metrics_on() ? trace::now_ns() : 0;
         {
           trace::Span span = tracer_.span("net", "compute " + step.name);
-          compute_block(step, monitor.get(), fetch_cache);
+          compute_block(step, monitor.get());
         }
         const auto [max_sent, max_received] =
             exchange(executed, frame.first_round + executed, step.name);
@@ -381,13 +370,6 @@ class WorkerRuntime {
       }
     }
 
-    if (fetch_cache && tracer_.metrics_on()) {
-      const std::size_t hits = fetch_cache->total_hits();
-      if (hits > 0)
-        tracer_.metrics().add("engine.fetch_cache_hits",
-                              static_cast<std::uint64_t>(hits));
-    }
-
     if (frame.has_output) {
       std::vector<Word> payload;
       for (std::size_t m = block_.first; m < block_.second; ++m) {
@@ -417,9 +399,6 @@ class WorkerRuntime {
   std::vector<engine::Inbox> inboxes_;
   std::vector<engine::Outbox> outboxes_;
   std::optional<engine::ThreadPool> pool_;
-  /// Per-program delegate-style read cache (engine/fetch_cache.hpp),
-  /// mirroring the in-process scheduler's.
-  engine::FetchCache fetch_cache_;
   /// Runtime-local tracer (NOT the process-global one): loopback runtimes
   /// share the driver's address space, so a per-runtime instance keeps
   /// worker spans out of the driver's buffers until they arrive the same

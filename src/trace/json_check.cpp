@@ -55,11 +55,37 @@ class Walker {
     } else if (code < 0x800) {
       out.push_back(static_cast<char>(0xC0 | (code >> 6)));
       out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-    } else {
+    } else if (code < 0x10000) {
       out.push_back(static_cast<char>(0xE0 | (code >> 12)));
       out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
       out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
+    } else {
+      out.push_back(static_cast<char>(0xF0 | (code >> 18)));
+      out.push_back(static_cast<char>(0x80 | ((code >> 12) & 0x3F)));
+      out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
+      out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
     }
+  }
+
+  /// The four hex digits of a unicode escape: starts on the 'u', ends on
+  /// the last digit.
+  bool hex4(unsigned& code) {
+    code = 0;
+    for (int i = 0; i < 4; ++i) {
+      ++pos_;
+      if (eof() || !std::isxdigit(static_cast<unsigned char>(peek())))
+        return fail("bad unicode escape");
+      const char h = peek();
+      code = code * 16 +
+             static_cast<unsigned>(h <= '9' ? h - '0' : (h | 0x20) - 'a' + 10);
+    }
+    return true;
+  }
+
+  /// Fails at `offset` instead of the current position.
+  bool fail_at(std::size_t offset, const std::string& error) {
+    pos_ = offset;
+    return fail(error);
   }
 
   /// Decoded into `out` unless it is null.
@@ -81,16 +107,26 @@ class Walker {
           case 'r': c = '\r'; break;
           case 't': c = '\t'; break;
           case 'u': {
+            // A code point above U+FFFF is escaped as a UTF-16 surrogate
+            // pair and decodes to one 4-byte UTF-8 sequence; a surrogate
+            // without its partner is not a character, so it is rejected
+            // at the backslash of its escape.
+            const std::size_t escape = pos_ - 1;
             unsigned code = 0;
-            for (int i = 0; i < 4; ++i) {
-              ++pos_;
-              if (eof() ||
-                  !std::isxdigit(static_cast<unsigned char>(peek())))
-                return fail("bad unicode escape");
-              const char h = peek();
-              code = code * 16 +
-                     static_cast<unsigned>(
-                         h <= '9' ? h - '0' : (h | 0x20) - 'a' + 10);
+            if (!hex4(code)) return false;
+            if (code >= 0xDC00 && code <= 0xDFFF)
+              return fail_at(escape, "lone low surrogate in unicode escape");
+            if (code >= 0xD800 && code <= 0xDBFF) {
+              if (text_.substr(pos_ + 1, 2) != "\\u")
+                return fail_at(escape,
+                               "lone high surrogate in unicode escape");
+              pos_ += 2;
+              unsigned low = 0;
+              if (!hex4(low)) return false;
+              if (low < 0xDC00 || low > 0xDFFF)
+                return fail_at(escape,
+                               "lone high surrogate in unicode escape");
+              code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
             }
             if (out) append_utf8(*out, code);
             ++pos_;
@@ -114,7 +150,15 @@ class Walker {
     if (!eof() && peek() == '-') ++pos_;
     if (eof() || !std::isdigit(static_cast<unsigned char>(peek())))
       return fail("bad number");
-    while (!eof() && std::isdigit(static_cast<unsigned char>(peek()))) ++pos_;
+    if (peek() == '0') {
+      // RFC 8259: an integer part is 0 or starts with a nonzero digit.
+      ++pos_;
+      if (!eof() && std::isdigit(static_cast<unsigned char>(peek())))
+        return fail("leading zero in number");
+    } else {
+      while (!eof() && std::isdigit(static_cast<unsigned char>(peek())))
+        ++pos_;
+    }
     if (!eof() && peek() == '.') {
       ++pos_;
       if (eof() || !std::isdigit(static_cast<unsigned char>(peek())))

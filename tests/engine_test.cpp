@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <numeric>
 #include <span>
@@ -163,6 +164,23 @@ TEST(Records, WidthOneSortFastPath) {
   EXPECT_EQ(slab, expected);
 }
 
+/// (bucket, first record, record count) of every span for_each_bucket_span
+/// visits, in visiting order.
+std::vector<std::array<std::size_t, 3>> bucket_spans(
+    std::span<const Word> slab, std::size_t width, std::size_t key_words,
+    std::span<const Word> splitters) {
+  std::vector<std::array<std::size_t, 3>> spans;
+  engine::for_each_bucket_span(
+      slab, width, key_words, splitters,
+      [&](std::size_t b, std::span<const Word> span) {
+        spans.push_back({b,
+                         static_cast<std::size_t>(span.data() - slab.data()) /
+                             width,
+                         span.size() / width});
+      });
+  return spans;
+}
+
 TEST(Records, PartitionSortedMatchesPerRecordRule) {
   util::SplitRng rng(72);
   constexpr std::size_t kWidth = 2, kKeyWords = 2;
@@ -178,17 +196,28 @@ TEST(Records, PartitionSortedMatchesPerRecordRule) {
     splitters.push_back(4);
   }
 
-  const std::vector<std::size_t> bounds = engine::partition_sorted_records(
-      slab, kWidth, kKeyWords, splitters);
-  ASSERT_EQ(bounds.size(), 6u);  // k+2 fenceposts for k=4 splitters
-  EXPECT_EQ(bounds.front(), 0u);
-  EXPECT_EQ(bounds.back(), slab.size() / kWidth);
-  for (std::size_t b = 0; b + 1 < bounds.size(); ++b) {
-    EXPECT_LE(bounds[b], bounds[b + 1]);
-    for (std::size_t r = bounds[b]; r < bounds[b + 1]; ++r)
+  // The spans tile the slab in order, one non-empty span per bucket in
+  // ascending bucket order, and every record sits in its upper_bound
+  // bucket. Bucket 1, between the two equal splitters, is empty, so it is
+  // never visited.
+  std::size_t next = 0;
+  std::size_t last_bucket = 0;
+  const auto spans = bucket_spans(slab, kWidth, kKeyWords, splitters);
+  ASSERT_FALSE(spans.empty());
+  for (const auto& [b, first, count] : spans) {
+    EXPECT_EQ(first, next);
+    EXPECT_GT(count, 0u);
+    if (next > 0) {
+      EXPECT_GT(b, last_bucket);
+    }
+    EXPECT_NE(b, 1u);
+    for (std::size_t r = first; r < first + count; ++r)
       EXPECT_EQ(bucket_of(splitters, kKeyWords, slab.data() + r * kWidth), b)
           << "record " << r;
+    next = first + count;
+    last_bucket = b;
   }
+  EXPECT_EQ(next, slab.size() / kWidth);
 }
 
 TEST(Records, PartitionAllDuplicatesAndEmptySplitters) {
@@ -198,28 +227,34 @@ TEST(Records, PartitionAllDuplicatesAndEmptySplitters) {
     slab.push_back(7);  // every key identical
     slab.push_back(i);
   }
-  // Splitters below, at, and above the key: bucket 1 (between the two 7s)
-  // must come out empty, everything lands in bucket 2 (> the last 7).
+  // Splitters below, at, and above the key: buckets 0–2 (key < 3,
+  // 3 ≤ key < 7, and the empty one between the duplicate 7s) stay empty;
+  // keys equal to a splitter go above it, so one span carries the whole
+  // slab to bucket 3.
   const std::vector<Word> splitters{3, 7, 7};
-  const std::vector<std::size_t> bounds = engine::partition_sorted_records(
-      slab, kWidth, kKeyWords, splitters);
-  ASSERT_EQ(bounds.size(), 5u);
-  EXPECT_EQ(bounds[0], 0u);   // bucket 0 (key < 3): empty
-  EXPECT_EQ(bounds[1], 0u);   // bucket 1 (3 ≤ key < 7): empty
-  EXPECT_EQ(bounds[2], 0u);   // bucket 2: empty — duplicate splitter
-  EXPECT_EQ(bounds[3], 0u);   // bucket 3 (key ≥ 7): keys equal a splitter
-  EXPECT_EQ(bounds[4], 64u);  // go above it, so everything lands here
+  using Span = std::array<std::size_t, 3>;
+  EXPECT_EQ(bucket_spans(slab, kWidth, kKeyWords, splitters),
+            (std::vector<Span>{{3, 0, 64}}));
+
+  // send_records ships that span as one message, records in slab order.
+  engine::Outbox out;
+  engine::Sender sender(0, 4096, 8, out);
+  engine::send_records(sender, std::span<const Word>(slab), kWidth, kKeyWords,
+                       std::span<const Word>(splitters),
+                       [](std::size_t b) { return b + 4; });
+  ASSERT_EQ(out.msgs.size(), 1u);
+  EXPECT_EQ(out.msgs[0].dst, 7u);
+  const auto payload = out.payload(out.msgs[0]);
+  EXPECT_EQ(std::vector<Word>(payload.begin(), payload.end()), slab);
 
   // No splitters at all: the single bucket 0 takes the whole slab.
-  const std::vector<std::size_t> none = engine::partition_sorted_records(
-      slab, kWidth, kKeyWords, std::span<const Word>{});
-  ASSERT_EQ(none.size(), 2u);
-  EXPECT_EQ(none[0], 0u);
-  EXPECT_EQ(none[1], 64u);
+  EXPECT_EQ(bucket_spans(slab, kWidth, kKeyWords, std::span<const Word>{}),
+            (std::vector<Span>{{0, 0, 64}}));
 }
 
 // Bulk send_records must enqueue, per destination, exactly the payload the
-// per-record route would (width-1 records: the word sort's route shape).
+// per-record upper_bound rule picks (width-1 records: the word sort's route
+// shape).
 TEST(Records, SendRecordsMatchesPerRecordRouting) {
   util::SplitRng rng(73);
   constexpr std::size_t kMachines = 8;

@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <map>
 #include <span>
 
@@ -294,157 +293,6 @@ TEST(RecordSampleSort, AllSlabsEmpty) {
   EXPECT_EQ(result.rounds, 7u);
 }
 
-// The bulk send_records route (route_aggregation, default on) is a pure
-// speed knob: outputs AND ledger totals must be bit-identical to the
-// per-record fallback, including the all-duplicate-key input where every
-// splitter collides.
-TEST(RecordSampleSort, RouteAggregationOnOffBitIdentical) {
-  util::SplitRng rng(23);
-  std::vector<std::vector<Word>> input(8);
-  std::size_t idx = 0;
-  for (auto& slab : input)
-    for (int r = 0; r < 24; ++r) {
-      slab.push_back(rng.next_below(8));  // heavy duplication
-      slab.push_back(idx++);
-    }
-  std::vector<std::vector<Word>> all_dup(8);
-  for (auto& slab : all_dup)
-    for (int r = 0; r < 16; ++r) {
-      slab.push_back(42);
-      slab.push_back(idx++);
-    }
-
-  for (const auto* slabs : {&input, &all_dup}) {
-    ClusterConfig cfg{8, 8192};
-    cfg.route_aggregation = true;
-    RoundLedger on_ledger(cfg);
-    Cluster on_cluster(cfg, &on_ledger);
-    const RecordSortResult on = sample_sort_records(on_cluster, *slabs, 2, 2);
-
-    cfg.route_aggregation = false;
-    RoundLedger off_ledger(cfg);
-    Cluster off_cluster(cfg, &off_ledger);
-    const RecordSortResult off =
-        sample_sort_records(off_cluster, *slabs, 2, 2);
-
-    EXPECT_EQ(on.slabs, off.slabs);
-    EXPECT_EQ(on.rounds, off.rounds);
-    EXPECT_EQ(on_ledger.total_rounds(), off_ledger.total_rounds());
-    EXPECT_EQ(on_ledger.traffic_words_by_label(),
-              off_ledger.traffic_words_by_label());
-    EXPECT_EQ(on_ledger.peak_round_traffic(),
-              off_ledger.peak_round_traffic());
-  }
-}
-
-// Same equivalence for the word sort (width-1 records through the same
-// route rounds, buckets read off the final inboxes).
-TEST(SampleSort, RouteAggregationOnOffBitIdentical) {
-  const auto input = random_slabs(16, 48, 29);
-  ClusterConfig cfg{16, 1024};
-  cfg.route_aggregation = true;
-  Cluster on_cluster(cfg, nullptr);
-  const SampleSortResult on = sample_sort(on_cluster, input);
-  cfg.route_aggregation = false;
-  Cluster off_cluster(cfg, nullptr);
-  const SampleSortResult off = sample_sort(off_cluster, input);
-  EXPECT_EQ(on.slabs, off.slabs);
-  EXPECT_EQ(on.rounds, off.rounds);
-}
-
-// The merge path (k-way merge of sorted inbox runs, default on) is the
-// same kind of pure speed knob: sample pools at relays and root and the
-// final bucket slabs must be bit-identical to the re-sort fallback —
-// outputs, rounds, AND ledger totals — across both route-aggregation
-// settings (the bucket-round merge gates on aggregation; the pool merges
-// do not).
-TEST(RecordSampleSort, MergePathOnOffBitIdentical) {
-  util::SplitRng rng(33);
-  std::vector<std::vector<Word>> input(8);
-  std::size_t idx = 0;
-  for (auto& slab : input)
-    for (int r = 0; r < 24; ++r) {
-      slab.push_back(rng.next_below(8));  // splitter-colliding duplicates
-      slab.push_back(idx++);
-    }
-
-  for (const bool aggregate : {true, false}) {
-    ClusterConfig cfg{8, 8192};
-    cfg.route_aggregation = aggregate;
-    cfg.merge_path = true;
-    RoundLedger on_ledger(cfg);
-    Cluster on_cluster(cfg, &on_ledger);
-    const RecordSortResult on = sample_sort_records(on_cluster, input, 2, 2);
-
-    cfg.merge_path = false;
-    RoundLedger off_ledger(cfg);
-    Cluster off_cluster(cfg, &off_ledger);
-    const RecordSortResult off = sample_sort_records(off_cluster, input, 2, 2);
-
-    EXPECT_EQ(on.slabs, off.slabs);
-    EXPECT_EQ(on.rounds, off.rounds);
-    EXPECT_EQ(on_ledger.total_rounds(), off_ledger.total_rounds());
-    EXPECT_EQ(on_ledger.traffic_words_by_label(),
-              off_ledger.traffic_words_by_label());
-    EXPECT_EQ(on_ledger.peak_round_traffic(),
-              off_ledger.peak_round_traffic());
-  }
-}
-
-TEST(SampleSort, MergePathOnOffBitIdentical) {
-  const auto input = random_slabs(16, 48, 34);
-  for (const bool aggregate : {true, false}) {
-    ClusterConfig cfg{16, 1024};
-    cfg.route_aggregation = aggregate;
-    cfg.merge_path = true;
-    Cluster on_cluster(cfg, nullptr);
-    const SampleSortResult on = sample_sort(on_cluster, input);
-    cfg.merge_path = false;
-    Cluster off_cluster(cfg, nullptr);
-    const SampleSortResult off = sample_sort(off_cluster, input);
-    EXPECT_EQ(on.slabs, off.slabs);
-    EXPECT_EQ(on.rounds, off.rounds);
-  }
-}
-
-// The fetch cache (delegate-style read memo, default on) must never change
-// what a program sends: peeling layers and broadcast copies are
-// bit-identical with the cache disabled, along with every ledger total.
-TEST(EmbeddedPeeling, FetchCacheOnOffBitIdentical) {
-  util::SplitRng rng(35);
-  const graph::Graph g = graph::gnm(300, 900, rng);
-  ClusterConfig cfg{8, 4096};
-  cfg.fetch_cache = true;
-  RoundLedger on_ledger(cfg);
-  Cluster on_cluster(cfg, &on_ledger);
-  const auto on = local::embedded_threshold_peeling(g, 6, on_cluster, 100);
-
-  cfg.fetch_cache = false;
-  RoundLedger off_ledger(cfg);
-  Cluster off_cluster(cfg, &off_ledger);
-  const auto off = local::embedded_threshold_peeling(g, 6, off_cluster, 100);
-
-  EXPECT_EQ(on.layer, off.layer);
-  EXPECT_EQ(on.num_layers, off.num_layers);
-  EXPECT_EQ(on.complete, off.complete);
-  EXPECT_EQ(on_ledger.total_rounds(), off_ledger.total_rounds());
-  EXPECT_EQ(on_ledger.traffic_words_by_label(),
-            off_ledger.traffic_words_by_label());
-  EXPECT_EQ(on_ledger.peak_round_traffic(), off_ledger.peak_round_traffic());
-}
-
-TEST(Broadcast, FetchCacheOnOffBitIdentical) {
-  ClusterConfig cfg{8, 4096};
-  cfg.fetch_cache = true;
-  Cluster on_cluster(cfg, nullptr);
-  const BroadcastResult on = broadcast_tree(on_cluster, 3, {7, 8, 9}, 2);
-  cfg.fetch_cache = false;
-  Cluster off_cluster(cfg, nullptr);
-  const BroadcastResult off = broadcast_tree(off_cluster, 3, {7, 8, 9}, 2);
-  EXPECT_EQ(on.copies, off.copies);
-  EXPECT_EQ(on.rounds, off.rounds);
-}
-
 TEST(RecordSampleSort, RejectsRaggedArena) {
   const ClusterConfig cfg{2, 64};
   Cluster cluster(cfg, nullptr);
@@ -692,13 +540,11 @@ struct MatrixOutcome {
 template <typename RunFn>
 void expect_matrix_identical(
     const char* what, const RunFn& run, std::size_t machines = 8,
-    std::size_t capacity = 4096,
-    const std::function<void(ClusterConfig&)>& configure = {}) {
+    std::size_t capacity = 4096) {
   std::vector<MatrixOutcome> outcomes;
   for (const ExecutionPolicy& policy : determinism_matrix()) {
     ClusterConfig cfg{machines, capacity};
     cfg.execution = policy;
-    if (configure) configure(cfg);
     RoundLedger ledger(cfg);
     Cluster cluster(cfg, &ledger);
     run(cluster, outcomes.empty());
@@ -854,49 +700,85 @@ TEST(DeterminismMatrix, EmbeddedPeeling) {
   });
 }
 
-// The fallback paths are locked across the same matrix as the defaults:
-// the re-sort baseline (merge_path off) and the uncached fetch path
-// (fetch_cache off) must be every bit as policy-independent — the
-// A/B comparisons above are only meaningful if both arms are
-// deterministic.
-TEST(DeterminismMatrix, RecordSampleSortMergePathOff) {
-  util::SplitRng rng(28);
-  std::vector<std::vector<Word>> input(8);
-  std::size_t payload = 0;
-  for (auto& slab : input)
-    for (int r = 0; r < 24; ++r) {
+// ------------------------------------------ cross-version golden outputs
+//
+// One seed's exact bytes out of the record sort, the word sort, the
+// embedded peel and a broadcast, recorded as literals. Every path the
+// programs take (bucket routing, k-way merges, the peel's decrement walk,
+// the broadcast fan-out) must keep emitting these bytes: a refactor that
+// moves a tie-break or a message boundary into the output fails here even
+// when it is deterministic across executors.
+
+/// FNV-1a over the slabs, slab lengths included, so a record that moves
+/// between machines changes the hash.
+template <typename T>
+std::uint64_t golden_hash(const std::vector<std::vector<T>>& slabs) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&h](std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (word >> (8 * byte)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  };
+  for (const auto& slab : slabs) {
+    mix(slab.size());
+    for (const T word : slab) mix(static_cast<std::uint64_t>(word));
+  }
+  return h;
+}
+
+TEST(Level0, GoldenOutputsBitIdentical) {
+  // Record sort: width 3 over a 2-word key drawn from a tiny range, so
+  // equal keys with different payloads collide across every machine and
+  // the output order pins the delivery-order tie-break.
+  util::SplitRng rng(2024);
+  std::vector<std::vector<Word>> records(16);
+  Word payload = 0;
+  for (auto& slab : records)
+    for (int r = 0; r < 40; ++r) {
+      slab.push_back(rng.next_below(4));
       slab.push_back(rng.next_below(8));
       slab.push_back(payload++);
     }
-  std::vector<std::vector<Word>> reference;
-  expect_matrix_identical(
-      "sample_sort_records/no-merge-path",
-      [&](Cluster& cluster, bool first) {
-        const RecordSortResult result =
-            sample_sort_records(cluster, input, 2, 1);
-        if (first)
-          reference = result.slabs;
-        else
-          EXPECT_EQ(result.slabs, reference);
-      },
-      8, 4096, [](ClusterConfig& cfg) { cfg.merge_path = false; });
-}
-
-TEST(DeterminismMatrix, EmbeddedPeelingFetchCacheOff) {
-  util::SplitRng rng(29);
-  const graph::Graph g = graph::gnm(300, 900, rng);
-  std::vector<std::uint32_t> reference_layers;
-  expect_matrix_identical(
-      "peeling/no-fetch-cache",
-      [&](Cluster& cluster, bool first) {
-        const local::EmbeddedPeelingResult result =
-            local::embedded_threshold_peeling(g, 6, cluster, 100);
-        if (first)
-          reference_layers = result.layer;
-        else
-          EXPECT_EQ(result.layer, reference_layers);
-      },
-      8, 4096, [](ClusterConfig& cfg) { cfg.fetch_cache = false; });
+  {
+    const ClusterConfig cfg{16, 8192};
+    RoundLedger ledger(cfg);
+    Cluster cluster(cfg, &ledger);
+    const RecordSortResult sorted = sample_sort_records(cluster, records, 3, 2);
+    EXPECT_EQ(sorted.rounds, 7u);
+    EXPECT_EQ(golden_hash(sorted.slabs), 10275504641126727431ull);
+    EXPECT_EQ(ledger.total_rounds(), 7u);
+    EXPECT_EQ(ledger.peak_round_traffic(), 303u);
+  }
+  {
+    const ClusterConfig cfg{16, 1024};
+    Cluster cluster(cfg, nullptr);
+    const SampleSortResult sorted =
+        sample_sort(cluster, random_slabs(16, 48, 2024));
+    EXPECT_EQ(sorted.rounds, 6u);
+    EXPECT_EQ(golden_hash(sorted.slabs), 14066410507285807204ull);
+  }
+  {
+    util::SplitRng graph_rng(2024);
+    const graph::Graph g = graph::gnm(300, 900, graph_rng);
+    const ClusterConfig cfg{8, 4096};
+    Cluster cluster(cfg, nullptr);
+    const local::EmbeddedPeelingResult peel =
+        local::embedded_threshold_peeling(g, 4, cluster, 100);
+    EXPECT_EQ(golden_hash(std::vector<std::vector<std::uint32_t>>{peel.layer}),
+              4986425112842892398ull);
+    EXPECT_EQ(peel.num_layers, 8u);
+    EXPECT_EQ(peel.cluster_rounds, 8u);
+    EXPECT_TRUE(peel.complete);
+  }
+  {
+    const ClusterConfig cfg{10, 4096};
+    Cluster cluster(cfg, nullptr);
+    const BroadcastResult cast =
+        broadcast_tree(cluster, 3, {7, 8, 9, 10, 11}, 3);
+    EXPECT_EQ(cast.rounds, 2u);
+    EXPECT_EQ(golden_hash(cast.copies), 6425579741410023269ull);
+  }
 }
 
 }  // namespace

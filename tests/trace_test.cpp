@@ -20,8 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "graph/generators.hpp"
-#include "local/mpc_embedding.hpp"
 #include "mpc/cluster.hpp"
 #include "mpc/ledger.hpp"
 #include "mpc/sample_sort.hpp"
@@ -206,12 +204,21 @@ TEST(JsonWalker, ErrorPathsMatchAcrossCheckAndParse) {
       {"\"a\\q\"", false, 3, "bad escape"},
       {"\"a\\", false, 3, "unterminated escape"},
       {"\"\\u12G4\"", false, 5, "bad unicode escape"},
+      {"\"\\ud83d\"", false, 1, "lone high surrogate in unicode escape"},
+      {"\"\\ud83d\\u0041\"", false, 1,
+       "lone high surrogate in unicode escape"},
+      {"\"a\\ude00\"", false, 2, "lone low surrogate in unicode escape"},
+      {"\"\\ud83d\\uzz\"", false, 9, "bad unicode escape"},
+      {"\"\\ud83d\\ude00\"", true, 0, ""},
       {"\"a\tb\"", false, 2, "raw control character in string"},
       {"\"abc", false, 4, "unterminated string"},
       {"{1:2}", false, 1, "expected string"},
       {"[1, -x]", false, 5, "bad number"},
       {"[1.]", false, 3, "bad number fraction"},
       {"[1e+]", false, 4, "bad number exponent"},
+      {"[01]", false, 2, "leading zero in number"},
+      {"[-00]", false, 3, "leading zero in number"},
+      {"[0, -0, 0.5, -0e1, 10]", true, 0, ""},
       {"{\"a\" 1}", false, 5, "expected ':' in object"},
       {"{\"a\":1 \"b\":2}", false, 7, "expected ',' or '}' in object"},
       {"[1 2]", false, 3, "expected ',' or ']' in array"},
@@ -288,6 +295,12 @@ TEST(JsonWalker, ParseBuildsTheDocumentTree) {
   EXPECT_EQ(doc.find("o")->kind, JsonValue::Kind::kObject);
   EXPECT_TRUE(doc.find("o")->object.empty());
   EXPECT_EQ(doc.find("missing"), nullptr);
+
+  // An escaped surrogate pair is one code point, U+1F600: one 4-byte
+  // UTF-8 sequence, not two 3-byte halves.
+  const JsonParseResult pair = parse_json("\"\\ud83d\\ude00\"");
+  ASSERT_TRUE(pair.ok) << pair.error;
+  EXPECT_EQ(pair.value.string, "\xF0\x9F\x98\x80");
 }
 
 // ------------------------------------------------------- trace output
@@ -380,42 +393,6 @@ TEST(TraceTelemetry, TcpWorkersShipSpansAndMetricsMatchingLedger) {
       saw_worker_metric = true;
   EXPECT_TRUE(saw_worker_metric)
       << "no net.sent_words.* counter arrived via telemetry";
-  tracer.clear();
-}
-
-// ------------------------------------------------- fetch-cache metric
-//
-// Peeling's split-adjacency fetches repeat across passes (the decrement
-// walk of pass k+1 re-reads what the peel scan of pass k built), so a
-// multi-pass run with the cache on must record engine.fetch_cache_hits >
-// 0 — and the layers must be bit-identical with the cache off, where the
-// counter never appears.
-TEST(TraceTelemetry, FetchCacheHitsCountedAndObservationOnly) {
-  Tracer& tracer = Tracer::global();
-  ScopedMode guard(tracer, tracer.mode());
-
-  util::SplitRng rng(98);
-  const graph::Graph g = graph::gnm(300, 900, rng);
-
-  ClusterConfig cfg{8, 4096};
-  cfg.trace = TraceConfig{Mode::kFull, ""};
-  cfg.fetch_cache = true;
-  tracer.clear();
-  mpc::Cluster cached(cfg, nullptr);
-  const auto with_cache = local::embedded_threshold_peeling(g, 6, cached, 100);
-  const auto hits = tracer.metrics().counter("engine.fetch_cache_hits");
-  ASSERT_TRUE(hits.has_value());
-  EXPECT_GT(*hits, 0u);
-
-  cfg.fetch_cache = false;
-  tracer.clear();
-  mpc::Cluster uncached(cfg, nullptr);
-  const auto without = local::embedded_threshold_peeling(g, 6, uncached, 100);
-  EXPECT_FALSE(tracer.metrics().counter("engine.fetch_cache_hits").has_value());
-
-  EXPECT_EQ(with_cache.layer, without.layer);
-  EXPECT_EQ(with_cache.num_layers, without.num_layers);
-  EXPECT_EQ(with_cache.complete, without.complete);
   tracer.clear();
 }
 
