@@ -20,6 +20,7 @@
 #include "mpc/config.hpp"
 #include "mpc/ledger.hpp"
 #include "mpc/primitives.hpp"
+#include "trace/json_check.hpp"
 #include "trace/trace.hpp"
 
 namespace arbor::bench {
@@ -151,17 +152,9 @@ class JsonReport {
 
    private:
     static std::string quote(const std::string& s) {
-      std::string out = "\"";
-      for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default: out += c;
-        }
-      }
-      return out + "\"";
+      std::string out;
+      trace::append_json_string(out, s);
+      return out;
     }
 
     std::vector<std::pair<std::string, std::string>> fields_;

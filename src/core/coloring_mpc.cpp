@@ -6,7 +6,6 @@
 
 #include "core/cone_gauge.hpp"
 #include "core/density_estimate.hpp"
-#include "core/orientation_mpc.hpp"
 #include "core/partitioning.hpp"
 #include "local/list_coloring.hpp"
 #include "trace/trace.hpp"
@@ -97,32 +96,23 @@ LayerColoringOutcome color_one_layer(
   return outcome;
 }
 
-struct SinglePartResult {
-  std::vector<graph::Color> colors;
-  std::size_t palette_size = 0;
-  std::size_t layering_outdegree = 0;
-  std::size_t blocks = 0;
-  std::size_t local_rounds_replayed = 0;
-  std::size_t tail_mpc_rounds = 0;
-  std::size_t max_sampled_cone_nodes = 0;
-};
-
 /// Color one low-arboricity (sub)graph. `global_keys[v]` gives the stable
 /// coin identity of vertex v (original ids when g is an induced part).
-SinglePartResult color_single_part(const graph::Graph& g,
-                                   const ColoringParams& params,
-                                   std::size_t k, graph::Color palette_base,
-                                   const std::vector<std::uint64_t>&
-                                       global_keys,
-                                   mpc::MpcContext& ctx) {
-  SinglePartResult result;
+/// Fills every field but `parts` and `k_used`.
+MpcColoringResult color_single_part(const graph::Graph& g,
+                                    const ColoringParams& params,
+                                    std::size_t k, graph::Color palette_base,
+                                    const std::vector<std::uint64_t>&
+                                        global_keys,
+                                    mpc::MpcContext& ctx) {
+  MpcColoringResult result;
   const std::size_t n = g.num_vertices();
   result.colors.assign(n, kUncolored);
   if (n == 0) return result;
 
   // ---- Layering (Lemma 3.15). ----
   PipelineParams pipeline = params.pipeline;
-  pipeline.k = std::max<std::size_t>(k, 1);
+  pipeline.k = k;
   const CompleteLayeringResult layering = complete_layering(g, pipeline, ctx);
   const std::size_t d = std::max<std::size_t>(
       1, assignment_outdegree(g, layering.assignment));
@@ -246,82 +236,56 @@ MpcColoringResult mpc_color(const graph::Graph& g,
                   "ColoringParams.high_k_factor must be finite and >= 0");
   trace::Span stage_span = trace::Tracer::global().span("mpc", "coloring");
   const std::size_t n = g.num_vertices();
-  MpcColoringResult result;
-  result.colors.assign(n, kUncolored);
-  if (n == 0) return result;
+  if (n == 0) return {};
 
-  std::size_t k = params.k;
-  if (k == 0) {
-    if (params.estimator == KEstimator::kParallelGuess) {
-      k = estimate_density_mpc(g, ctx).k;
-    } else {
-      k = estimate_density_parameter(g);
-      const auto log_n = static_cast<std::size_t>(std::ceil(
-          std::log2(static_cast<double>(std::max<std::size_t>(n, 2)))));
-      ctx.charge(1, "color.estimate_k");
-      ctx.note_global_words((n + g.num_edges()) * log_n);
-    }
-  }
-  result.k_used = k;
+  const std::size_t k =
+      resolve_density_parameter(g, params.k, ctx, "color.estimate_k");
 
-  std::vector<std::uint64_t> identity_keys(n);
-  for (graph::VertexId v = 0; v < n; ++v) identity_keys[v] = v;
-
-  const double log_n =
-      std::log2(static_cast<double>(std::max<std::size_t>(n, 2)));
-  const bool needs_partition =
-      static_cast<double>(k) > params.high_k_factor * log_n;
-
-  if (!needs_partition) {
-    SinglePartResult part = color_single_part(g, params, k,
-                                              /*palette_base=*/0,
-                                              identity_keys, ctx);
-    result.colors = std::move(part.colors);
-    result.palette_size = part.palette_size;
-    result.layering_outdegree = part.layering_outdegree;
-    result.blocks = part.blocks;
-    result.local_rounds_replayed = part.local_rounds_replayed;
-    result.tail_mpc_rounds = part.tail_mpc_rounds;
-    result.max_sampled_cone_nodes = part.max_sampled_cone_nodes;
+  if (!needs_partition(k, n, params.high_k_factor)) {
+    std::vector<std::uint64_t> identity_keys(n);
+    for (graph::VertexId v = 0; v < n; ++v) identity_keys[v] = v;
+    MpcColoringResult result = color_single_part(
+        g, params, k, /*palette_base=*/0, identity_keys, ctx);
+    result.k_used = k;
     return result;
   }
 
   // ---- Lemma 2.2 path: vertex partition, disjoint palettes. ----
+  MpcColoringResult result;
+  result.colors.assign(n, kUncolored);
+  result.k_used = k;
   util::SplitRng rng(params.seed);
   const std::size_t parts = partition_count(k, n);
   result.parts = parts;
   VertexPartition partition = random_vertex_partition(g, parts, rng);
   ctx.charge(1, "color.vertex_partition");
 
-  graph::Color palette_base = 0;
-  for (std::size_t p = 0; p < parts; ++p) {
-    const graph::Graph& part_graph = partition.parts[p];
-    mpc::RoundLedger sub_ledger(ctx.config());
-    // Shares the parent's worker pool (one engine per pipeline run).
-    mpc::MpcContext sub_ctx(ctx.config(), &sub_ledger, ctx.ensure_engine());
-    std::vector<std::uint64_t> part_keys(part_graph.num_vertices());
-    for (graph::VertexId sv = 0; sv < part_graph.num_vertices(); ++sv)
-      part_keys[sv] = partition.to_original[p][sv];
-    const std::size_t part_k = std::max<std::size_t>(
-        1, estimate_density_parameter(part_graph));
-    SinglePartResult part = color_single_part(part_graph, params, part_k,
-                                              palette_base, part_keys,
-                                              sub_ctx);
-    for (graph::VertexId sv = 0; sv < part_graph.num_vertices(); ++sv)
-      result.colors[partition.to_original[p][sv]] = part.colors[sv];
-    palette_base += static_cast<graph::Color>(part.palette_size);
-    result.layering_outdegree =
-        std::max(result.layering_outdegree, part.layering_outdegree);
-    result.blocks = std::max(result.blocks, part.blocks);
-    result.local_rounds_replayed =
-        std::max(result.local_rounds_replayed, part.local_rounds_replayed);
-    result.tail_mpc_rounds =
-        std::max(result.tail_mpc_rounds, part.tail_mpc_rounds);
-    result.max_sampled_cone_nodes =
-        std::max(result.max_sampled_cone_nodes, part.max_sampled_cone_nodes);
-    if (ctx.ledger()) ctx.ledger()->absorb_parallel(sub_ledger);
-  }
-  result.palette_size = palette_base;
+  // Each part's palette starts where the previous one ends; its colors map
+  // back through to_original, and the stats take the max over parts.
+  run_parts_in_parallel(
+      partition.parts, ctx,
+      [&](std::size_t p, std::size_t part_k, mpc::MpcContext& part_ctx) {
+        const std::vector<graph::VertexId>& to_original =
+            partition.to_original[p];
+        const std::vector<std::uint64_t> part_keys(to_original.begin(),
+                                                   to_original.end());
+        const MpcColoringResult part = color_single_part(
+            partition.parts[p], params, part_k,
+            static_cast<graph::Color>(result.palette_size), part_keys,
+            part_ctx);
+        for (std::size_t sv = 0; sv < to_original.size(); ++sv)
+          result.colors[to_original[sv]] = part.colors[sv];
+        result.palette_size += part.palette_size;
+        result.layering_outdegree =
+            std::max(result.layering_outdegree, part.layering_outdegree);
+        result.blocks = std::max(result.blocks, part.blocks);
+        result.local_rounds_replayed = std::max(
+            result.local_rounds_replayed, part.local_rounds_replayed);
+        result.tail_mpc_rounds =
+            std::max(result.tail_mpc_rounds, part.tail_mpc_rounds);
+        result.max_sampled_cone_nodes = std::max(
+            result.max_sampled_cone_nodes, part.max_sampled_cone_nodes);
+      });
 
   for (graph::Color c : result.colors) ARBOR_CHECK(c != kUncolored);
   return result;

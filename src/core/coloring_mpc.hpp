@@ -3,8 +3,9 @@
 // Pipeline (paper §4):
 //  1. if k = Θ(λ) exceeds Θ(log n), randomly partition the VERTICES into
 //     ⌈k/log n⌉ parts (Lemma 2.2) and color each part with a disjoint
-//     palette — parts run in parallel, cross-part edges are bichromatic for
-//     free;
+//     palette — parts run in parallel (run_parts_in_parallel), cross-part
+//     edges are bichromatic for free. k comes as in Theorem 1.1
+//     (core/orientation_mpc.hpp, step 1);
 //  2. per part: compute the complete layering of Lemma 3.15 (out-degree
 //     d = O(λ log log n)), then color layer by layer from the TOP (highest
 //     layer first) with palette size 3d: a vertex avoids the committed
@@ -48,7 +49,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/density_estimate.hpp"
 #include "core/layering_pipeline.hpp"
 #include "graph/coloring.hpp"
 #include "graph/graph.hpp"
@@ -57,8 +57,8 @@
 namespace arbor::core {
 
 struct ColoringParams {
-  std::size_t k = 0;  ///< density parameter; 0 → estimate per `estimator`
-  KEstimator estimator = KEstimator::kDegeneracyOracle;
+  std::size_t k = 0;  ///< density parameter; 0 → the charged degeneracy
+                      ///< oracle (core/density_estimate.hpp)
   PipelineParams pipeline = PipelineParams::practical(1);
   double palette_factor = 3.0;      ///< palette = ⌈f·d⌉ colors (paper: 3d);
                                     ///< finite, > 0

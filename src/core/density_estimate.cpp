@@ -1,11 +1,29 @@
 #include "core/density_estimate.hpp"
 
+#include <algorithm>
 #include <cmath>
 
+#include "graph/arboricity.hpp"
 #include "local/peeling.hpp"
 #include "util/assert.hpp"
 
 namespace arbor::core {
+
+std::size_t estimate_density_parameter(const graph::Graph& g) {
+  return std::max<std::size_t>(1, graph::degeneracy(g));
+}
+
+std::size_t resolve_density_parameter(const graph::Graph& g, std::size_t k,
+                                      mpc::MpcContext& ctx,
+                                      const std::string& label) {
+  if (k != 0) return k;
+  const std::size_t n = g.num_vertices();
+  const auto log_n = static_cast<std::size_t>(std::ceil(
+      std::log2(static_cast<double>(std::max<std::size_t>(n, 2)))));
+  ctx.charge(1, label);
+  ctx.note_global_words((n + g.num_edges()) * log_n);
+  return estimate_density_parameter(g);
+}
 
 DensityEstimate estimate_density_mpc(const graph::Graph& g,
                                      mpc::MpcContext& ctx,

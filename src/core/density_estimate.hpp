@@ -17,27 +17,32 @@
 //   which is the paper's "extra O(log n) factor").
 //
 // Note the O(log n) rounds: the estimate is NOT the bottleneck the paper
-// is fighting (it is charged rounds = R once), but for the benches we
-// also expose the degeneracy-oracle estimator which is free of that
-// additive term; `KEstimator` selects between the two.
+// is fighting (it is charged rounds = R once). mpc_orient and mpc_color
+// therefore default to the degeneracy oracle, free of that additive term
+// (resolve_density_parameter below). A caller that wants this MPC-native
+// preamble instead runs it on the same context and passes its `.k` as
+// the params' `k`.
 #pragma once
 
 #include <cstddef>
+#include <string>
 
 #include "graph/graph.hpp"
 #include "mpc/primitives.hpp"
 
 namespace arbor::core {
 
-/// How the end-to-end algorithms obtain k = Θ(λ) when not supplied.
-enum class KEstimator {
-  /// Sequential degeneracy oracle: k ∈ [λ, 2λ-1], charged as the paper's
-  /// guess-in-parallel (1 round + ×log n global memory). The default.
-  kDegeneracyOracle,
-  /// The fully MPC-native parallel-guessing preamble below: k ∈ [λ, 8λ],
-  /// costs its O(log n) round budget explicitly.
-  kParallelGuess,
-};
+/// The paper's k-estimate contract: some k ∈ [λ, 2λ-1] via the degeneracy
+/// oracle, graph::core_decomposition; at least 1. Uncharged.
+std::size_t estimate_density_parameter(const graph::Graph& g);
+
+/// The k front end of Theorems 1.1 and 1.2: `k` itself when nonzero,
+/// otherwise the degeneracy oracle's estimate charged as the paper's
+/// guess-in-parallel — 1 round under `label` and (n+m)·⌈log2 n⌉ global
+/// words, so memory accounting does not flatter the oracle.
+std::size_t resolve_density_parameter(const graph::Graph& g, std::size_t k,
+                                      mpc::MpcContext& ctx,
+                                      const std::string& label);
 
 struct DensityEstimate {
   std::size_t k = 1;             ///< the estimate: λ ≤ k ≤ 2f·λ

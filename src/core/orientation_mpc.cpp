@@ -5,15 +5,10 @@
 
 #include "core/density_estimate.hpp"
 #include "core/partitioning.hpp"
-#include "graph/arboricity.hpp"
 #include "trace/trace.hpp"
 #include "util/assert.hpp"
 
 namespace arbor::core {
-
-std::size_t estimate_density_parameter(const graph::Graph& g) {
-  return std::max<std::size_t>(1, graph::degeneracy(g));
-}
 
 MpcOrientationResult mpc_orient(const graph::Graph& g,
                                 const OrientationParams& params,
@@ -25,34 +20,16 @@ MpcOrientationResult mpc_orient(const graph::Graph& g,
                   "OrientationParams.high_k_factor must be finite and >= 0");
   trace::Span stage_span = trace::Tracer::global().span("mpc", "orientation");
   const std::size_t n = g.num_vertices();
-  std::size_t k = params.k;
-  if (k == 0) {
-    if (params.estimator == KEstimator::kParallelGuess) {
-      k = estimate_density_mpc(g, ctx).k;
-    } else {
-      k = estimate_density_parameter(g);
-      // The paper's guess-in-parallel costs an extra O(log n) global
-      // factor; charge it so memory accounting doesn't flatter the oracle.
-      const auto log_n = static_cast<std::size_t>(std::ceil(
-          std::log2(static_cast<double>(std::max<std::size_t>(n, 2)))));
-      ctx.charge(1, "orient.estimate_k");
-      ctx.note_global_words((n + g.num_edges()) * log_n);
-    }
-  }
+  const std::size_t k =
+      resolve_density_parameter(g, params.k, ctx, "orient.estimate_k");
 
   MpcOrientationResult result{
       graph::Orientation(g, std::vector<bool>(g.num_edges(), true)),
       {}, 1, k, 0, {}};
 
-  const double log_n =
-      std::log2(static_cast<double>(std::max<std::size_t>(n, 2)));
-  const bool needs_partition =
-      static_cast<double>(k) > params.high_k_factor * log_n;
-
-  PipelineParams pipeline = params.pipeline;
-
-  if (!needs_partition) {
-    pipeline.k = std::max<std::size_t>(k, 1);
+  if (!needs_partition(k, n, params.high_k_factor)) {
+    PipelineParams pipeline = params.pipeline;
+    pipeline.k = k;
     CompleteLayeringResult layering = complete_layering(g, pipeline, ctx);
     result.outdegree_bound = layering.outdegree_bound;
     result.stats = layering.stats;
@@ -71,31 +48,28 @@ MpcOrientationResult mpc_orient(const graph::Graph& g,
   EdgePartition partition = random_edge_partition(g, parts, rng);
   ctx.charge(1, "orient.edge_partition");
 
-  // Parts run in parallel: each gets a sub-ledger; rounds merge as max.
-  // Sub-contexts share the parent's engine so every Level-0 cluster this
-  // pipeline spawns reuses one worker pool.
+  // Out-degree bounds and escalations add across parts; the other stats
+  // take the max.
   std::vector<LayerAssignment> part_layering(parts);
-  for (std::size_t p = 0; p < parts; ++p) {
-    mpc::RoundLedger sub_ledger(ctx.config());
-    mpc::MpcContext sub_ctx(ctx.config(), &sub_ledger, ctx.ensure_engine());
-    PipelineParams part_pipeline = params.pipeline;
-    // Each part has arboricity O(log n) whp (Lemma 2.1).
-    part_pipeline.k = std::max<std::size_t>(
-        1, estimate_density_parameter(partition.parts[p]));
-    CompleteLayeringResult layering =
-        complete_layering(partition.parts[p], part_pipeline, sub_ctx);
-    result.outdegree_bound += layering.outdegree_bound;
-    result.stats.phases =
-        std::max(result.stats.phases, layering.stats.phases);
-    result.stats.partial_iterations = std::max(
-        result.stats.partial_iterations, layering.stats.partial_iterations);
-    result.stats.escalations += layering.stats.escalations;
-    result.stats.fallback_peel_rounds = std::max(
-        result.stats.fallback_peel_rounds,
-        layering.stats.fallback_peel_rounds);
-    part_layering[p] = std::move(layering.assignment);
-    if (ctx.ledger()) ctx.ledger()->absorb_parallel(sub_ledger);
-  }
+  run_parts_in_parallel(
+      partition.parts, ctx,
+      [&](std::size_t p, std::size_t part_k, mpc::MpcContext& part_ctx) {
+        PipelineParams part_pipeline = params.pipeline;
+        part_pipeline.k = part_k;
+        CompleteLayeringResult layering =
+            complete_layering(partition.parts[p], part_pipeline, part_ctx);
+        result.outdegree_bound += layering.outdegree_bound;
+        result.stats.phases =
+            std::max(result.stats.phases, layering.stats.phases);
+        result.stats.partial_iterations =
+            std::max(result.stats.partial_iterations,
+                     layering.stats.partial_iterations);
+        result.stats.escalations += layering.stats.escalations;
+        result.stats.fallback_peel_rounds =
+            std::max(result.stats.fallback_peel_rounds,
+                     layering.stats.fallback_peel_rounds);
+        part_layering[p] = std::move(layering.assignment);
+      });
 
   // Each edge by its own part's layering, with orient_by_layers' rule:
   // toward the higher layer, ties toward v (∞ = kInfiniteLayer is highest).

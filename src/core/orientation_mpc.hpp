@@ -3,22 +3,24 @@
 // Pipeline (paper, proof of Theorem 1.1):
 //  1. obtain k = Θ(λ): the paper assumes k ∈ [100λ, 200λ] is given (running
 //     all O(log n) guesses in parallel costs only an extra log-factor of
-//     global memory). We estimate k from the degeneracy oracle
-//     (λ ≤ degeneracy ≤ 2λ-1) in place of the guesses (kParallelGuess
-//     runs them) and charge that extra global factor;
+//     global memory). Unless params.k supplies it, k comes from the
+//     degeneracy oracle (λ ≤ degeneracy ≤ 2λ-1) in place of the guesses,
+//     charged that extra global factor (resolve_density_parameter). To run
+//     the guesses themselves, pass estimate_density_mpc(g, ctx).k as
+//     params.k (core/density_estimate.hpp);
 //  2. if k is small (≤ threshold·log n), run the Lemma 3.15 complete
 //     layering directly and orient every edge toward the higher layer
 //     (ties toward the higher id) with graph::orient_by_layers;
 //  3. otherwise randomly partition the edges into ⌈k/log n⌉ parts
 //     (Lemma 2.1), layer each part independently — in parallel, so rounds
-//     count as the max over parts — and orient each edge by its own part's
-//     layering. Out-degrees add across parts:
+//     count as the max over parts (run_parts_in_parallel) — and orient
+//     each edge by its own part's layering. Out-degrees add across parts:
 //     O(parts · log n · log log n) = O(λ log log n).
 #pragma once
 
 #include <cstdint>
 
-#include "core/density_estimate.hpp"
+#include "core/density_estimate.hpp"  // estimate_density_parameter
 #include "core/layering_pipeline.hpp"
 #include "graph/graph.hpp"
 #include "graph/orientation.hpp"
@@ -27,9 +29,8 @@
 namespace arbor::core {
 
 struct OrientationParams {
-  /// Density parameter; 0 → estimate per `estimator`.
+  /// Density parameter; 0 → the charged degeneracy oracle.
   std::size_t k = 0;
-  KEstimator estimator = KEstimator::kDegeneracyOracle;
   /// Template for the per-part layering (its k field is overwritten).
   PipelineParams pipeline = PipelineParams::practical(1);
   /// Edge-partition when k > high_k_factor · log2(n).
@@ -53,9 +54,5 @@ struct MpcOrientationResult {
 MpcOrientationResult mpc_orient(const graph::Graph& g,
                                 const OrientationParams& params,
                                 mpc::MpcContext& ctx);
-
-/// The paper's k-estimate contract: some k ∈ [λ, 2λ] via the degeneracy
-/// oracle, graph::core_decomposition (exposed for tests and benches).
-std::size_t estimate_density_parameter(const graph::Graph& g);
 
 }  // namespace arbor::core

@@ -1,17 +1,42 @@
 #include "core/partitioning.hpp"
 
+#include <algorithm>
 #include <cmath>
 
+#include "core/density_estimate.hpp"
 #include "graph/builder.hpp"
+#include "mpc/ledger.hpp"
 #include "util/assert.hpp"
 
 namespace arbor::core {
 
+namespace {
+
+double log2_n(std::size_t n) {
+  return std::log2(static_cast<double>(std::max<std::size_t>(n, 2)));
+}
+
+}  // namespace
+
 std::size_t partition_count(std::size_t k, std::size_t n) {
-  const double log_n = std::log2(static_cast<double>(std::max<std::size_t>(
-      n, 2)));
   return std::max<std::size_t>(
-      1, static_cast<std::size_t>(std::ceil(static_cast<double>(k) / log_n)));
+      1, static_cast<std::size_t>(
+             std::ceil(static_cast<double>(k) / log2_n(n))));
+}
+
+bool needs_partition(std::size_t k, std::size_t n, double high_k_factor) {
+  return static_cast<double>(k) > high_k_factor * log2_n(n);
+}
+
+void run_parts_in_parallel(const std::vector<graph::Graph>& parts,
+                           mpc::MpcContext& ctx, const PartBody& body) {
+  for (std::size_t p = 0; p < parts.size(); ++p) {
+    mpc::RoundLedger part_ledger(ctx.config());
+    mpc::MpcContext part_ctx(ctx.config(), &part_ledger,
+                             ctx.ensure_engine());
+    body(p, estimate_density_parameter(parts[p]), part_ctx);
+    if (ctx.ledger()) ctx.ledger()->absorb_parallel(part_ledger);
+  }
 }
 
 EdgePartition random_edge_partition(const graph::Graph& g, std::size_t parts,

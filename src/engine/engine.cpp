@@ -32,14 +32,4 @@ ProgramStats Engine::run_program(RoundState& state, std::size_t capacity,
                          on_round);
 }
 
-RoundStats Engine::run_round(RoundState& state, std::size_t capacity,
-                             std::size_t round_index, const StepFn& step) {
-  RoundProgram program;
-  program.barrier(step);
-  RoundStats stats;
-  scheduler_->run(state, capacity, round_index, program,
-                  [&stats](const RoundStats& s) { stats = s; });
-  return stats;
-}
-
 }  // namespace arbor::engine

@@ -8,8 +8,7 @@
 // guard enforces this loudly.
 //
 // Protocols are expressed as RoundPrograms (program.hpp) and executed with
-// run_program; run_round survives as the one-step-program special case the
-// framework tests drive directly.
+// run_program (Cluster::run_round wraps a one-step program around it).
 #pragma once
 
 #include <cstddef>
@@ -72,12 +71,6 @@ class Engine {
                            std::size_t first_round_index,
                            const RoundProgram& program,
                            const RoundHook& on_round = {});
-
-  /// One synchronous round — a one-step barrier program: every machine sees
-  /// its inbox and emits messages; the receiver-side cap is validated once
-  /// per machine; inboxes swap.
-  RoundStats run_round(RoundState& state, std::size_t capacity,
-                       std::size_t round_index, const StepFn& step);
 
  private:
   ExecutionPolicy policy_;

@@ -27,7 +27,9 @@ struct EmbeddedPeelingResult {
   /// 1-based removal round per vertex; 0 = never peeled (stalled).
   std::vector<std::uint32_t> layer;
   std::uint32_t num_layers = 0;
-  std::size_t cluster_rounds = 0;  ///< cluster rounds consumed (== layers+1)
+  /// Cluster rounds consumed: one per layer, plus one for the pass that
+  /// peeled nothing when the run stalls.
+  std::size_t cluster_rounds = 0;
   bool complete = false;
 };
 

@@ -194,41 +194,19 @@ class MpcContext {
     }
   }
 
-  /// Distributed sort under an arbitrary comparator: same charging as the
-  /// keyed sort, but the semantics always run on the central reference
-  /// path — a comparator that is not induced by a word key cannot be
-  /// routed through the record sort. Prefer sort_items_by_key where a key
-  /// exists.
-  template <typename T, typename Cmp>
-  void sort_items(std::vector<T>& items, Cmp cmp, std::size_t words_per_item,
-                  const std::string& label) {
-    const std::size_t total = items.size() * words_per_item;
-    charge(sort_rounds(total), label);
-    note_balanced(total);
-    std::stable_sort(items.begin(), items.end(), cmp);
-  }
-
-  /// Aggregate values by key with an associative combiner; one sort + local
-  /// scan. Returns (key, combined) pairs sorted by key. Integral keys run
-  /// on the keyed (distributable) sort; other key types fall back to the
-  /// central comparator path.
+  /// Aggregate values by key with an associative combiner; one keyed
+  /// (distributable) sort + local scan. Returns (key, combined) pairs
+  /// sorted by key.
   template <typename K, typename V, typename Combine>
   std::vector<std::pair<K, V>> aggregate_by_key(
       std::vector<std::pair<K, V>> items, Combine combine,
       std::size_t words_per_item, const std::string& label) {
-    if constexpr (std::is_integral_v<K> && sizeof(K) <= sizeof(Word)) {
-      sort_items_by_key(
-          items,
-          [](const std::pair<K, V>& kv) { return word_key(kv.first); },
-          words_per_item, label);
-    } else {
-      sort_items(
-          items,
-          [](const std::pair<K, V>& a, const std::pair<K, V>& b) {
-            return a.first < b.first;
-          },
-          words_per_item, label);
-    }
+    static_assert(std::is_integral_v<K> && sizeof(K) <= sizeof(Word),
+                  "aggregate_by_key: keys must be integral and at most one "
+                  "word wide");
+    sort_items_by_key(
+        items, [](const std::pair<K, V>& kv) { return word_key(kv.first); },
+        words_per_item, label);
     std::vector<std::pair<K, V>> out;
     out.reserve(items.size());
     for (auto& kv : items) {

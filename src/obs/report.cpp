@@ -6,37 +6,17 @@
 #include <utility>
 
 #include "check/verify.hpp"
+#include "trace/json_check.hpp"
 #include "trace/trace.hpp"
 
 namespace arbor::obs {
 namespace {
 
+using trace::append_json_string;
+
 /// Headroom reported when a compute-only bound (0 declared words) moved
 /// words anyway: effectively infinite, clamped so the JSON stays finite.
 constexpr double kHeadroomClamp = 1e9;
-
-void append_json_string(std::string& out, std::string_view s) {
-  out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
 
 void append_double(std::string& out, double value) {
   char buf[64];

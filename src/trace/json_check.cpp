@@ -1,6 +1,7 @@
 #include "trace/json_check.hpp"
 
 #include <cctype>
+#include <cstdio>
 #include <cstdlib>
 
 namespace arbor::trace {
@@ -296,6 +297,29 @@ JsonParseResult parse_json(std::string_view text) {
   out.offset = walked.offset;
   out.error = std::move(walked.error);
   return out;
+}
+
+void append_json_string(std::string& out, std::string_view s) {
+  out += '"';
+  for (char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x",
+                        static_cast<unsigned>(static_cast<unsigned char>(c)));
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  out += '"';
 }
 
 }  // namespace arbor::trace

@@ -5,7 +5,9 @@
 // with its byte offset. check_json runs it with tree building switched off,
 // enough to assert "the trace writer emitted well-formed JSON a viewer will
 // load" in tests and in tools/trace_validate.cpp; parse_json also builds
-// the tree tools/arbor_report diffs. No JSON library enters the build.
+// the tree tools/arbor_report diffs. append_json_string is the one string
+// escaper every JSON writer in the tree (trace, reports, benches) uses. No
+// JSON library enters the build.
 #pragma once
 
 #include <cstddef>
@@ -51,5 +53,9 @@ struct JsonParseResult {
 /// Parse exactly one JSON value (plus whitespace) into a JsonValue tree.
 /// The same walk as check_json, so it returns the same {ok, offset, error}.
 JsonParseResult parse_json(std::string_view text);
+
+/// Append `s` to `out` as a JSON string literal: `"`, `\` and every byte
+/// below 0x20 escaped, every other byte (UTF-8 included) copied verbatim.
+void append_json_string(std::string& out, std::string_view s);
 
 }  // namespace arbor::trace

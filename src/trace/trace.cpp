@@ -8,6 +8,7 @@
 #include <ostream>
 #include <sstream>
 
+#include "trace/json_check.hpp"
 #include "util/assert.hpp"
 #include "util/env_knob.hpp"
 
@@ -373,26 +374,9 @@ void Tracer::clear() {
 namespace {
 
 void write_json_string(std::ostream& os, std::string_view s) {
-  os << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\r': os << "\\r"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
+  std::string quoted;
+  append_json_string(quoted, s);
+  os << quoted;
 }
 
 void write_fixed3(std::ostream& os, double value) {

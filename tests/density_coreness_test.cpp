@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <limits>
+#include <map>
 #include <string>
 
 #include "util/assert.hpp"
@@ -169,13 +170,40 @@ TEST(OrientWithParallelGuessEstimator, EndToEnd) {
   const Graph g = graph::forest_union(800, 3, rng);
   mpc::RoundLedger ledger(test_config());
   mpc::MpcContext ctx(test_config(), &ledger);
+  // The MPC-native preamble feeds mpc_orient through params.k.
   OrientationParams params;
-  params.estimator = KEstimator::kParallelGuess;
+  params.k = estimate_density_mpc(g, ctx).k;
   const MpcOrientationResult result = mpc_orient(g, params, ctx);
   EXPECT_GE(result.k_used, 3u);
   EXPECT_LE(result.orientation.max_outdegree(g), result.outdegree_bound);
   // The estimation preamble charges its O(log n) budget.
   EXPECT_GE(ledger.rounds_by_label().at("density_estimate"), 5u);
+  // A supplied k skips the oracle and its charge.
+  EXPECT_EQ(ledger.rounds_by_label().count("orient.estimate_k"), 0u);
+}
+
+TEST(ResolveDensityParameter, SuppliedKIsUncharged) {
+  util::SplitRng rng(8);
+  const Graph g = graph::forest_union(500, 4, rng);
+  mpc::RoundLedger ledger(test_config());
+  mpc::MpcContext ctx(test_config(), &ledger);
+  EXPECT_EQ(resolve_density_parameter(g, 17, ctx, "test.estimate_k"), 17u);
+  EXPECT_EQ(ledger.total_rounds(), 0u);
+  EXPECT_EQ(ledger.peak_global_words(), 0u);
+}
+
+TEST(ResolveDensityParameter, OracleChargesTheParallelGuesses) {
+  util::SplitRng rng(8);
+  const Graph g = graph::forest_union(500, 4, rng);
+  mpc::RoundLedger ledger(test_config());
+  mpc::MpcContext ctx(test_config(), &ledger);
+  EXPECT_EQ(resolve_density_parameter(g, 0, ctx, "test.estimate_k"),
+            estimate_density_parameter(g));
+  EXPECT_EQ(ledger.rounds_by_label(),
+            (std::map<std::string, std::size_t>{{"test.estimate_k", 1}}));
+  // (n + m) · ⌈log2 500⌉ = (n + m) · 9.
+  EXPECT_EQ(ledger.peak_global_words(),
+            (g.num_vertices() + g.num_edges()) * 9);
 }
 
 TEST(ApproximateCoreness, WithinFactorTwoPlusEps) {

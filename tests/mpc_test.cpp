@@ -234,8 +234,9 @@ TEST(MpcContext, SortItemsSortsAndCharges) {
   const ClusterConfig cfg{16, 256};
   RoundLedger ledger(cfg);
   MpcContext ctx(cfg, &ledger);
-  std::vector<int> items{5, 3, 9, 1};
-  ctx.sort_items(items, std::less<int>{}, 1, "sort.test");
+  std::vector<int> items{5, 3, -9, 1};
+  ctx.sort_items_by_key(
+      items, [](int v) { return MpcContext::word_key(v); }, 1, "sort.test");
   EXPECT_TRUE(std::is_sorted(items.begin(), items.end()));
   EXPECT_GE(ledger.rounds_by_label().at("sort.test"), 1u);
 }

@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "util/assert.hpp"
 #include "core/partitioning.hpp"
 #include "graph/arboricity.hpp"
 #include "graph/generators.hpp"
+#include "mpc/ledger.hpp"
 #include "util/rng.hpp"
 
 namespace arbor::core {
@@ -21,6 +23,38 @@ TEST(PartitionCount, Formula) {
   EXPECT_EQ(partition_count(10, 1024), 1u);      // ⌈10/10⌉
   EXPECT_EQ(partition_count(25, 1024), 3u);      // ⌈25/10⌉
   EXPECT_EQ(partition_count(100, 1 << 20), 5u);  // ⌈100/20⌉
+}
+
+TEST(NeedsPartition, StrictlyAboveFactorTimesLogN) {
+  EXPECT_FALSE(needs_partition(40, 1024, 4.0));  // 40 = 4 · 10
+  EXPECT_TRUE(needs_partition(41, 1024, 4.0));
+  EXPECT_FALSE(needs_partition(1, 1, 1.0));      // log2 clamps n to 2
+  EXPECT_TRUE(needs_partition(2, 1, 1.0));
+  EXPECT_FALSE(needs_partition(0, 1024, 0.0));
+  EXPECT_TRUE(needs_partition(1, 1024, 0.0));
+}
+
+TEST(RunPartsInParallel, PartsGetOracleKAndMergeAsMax) {
+  util::SplitRng rng(7);
+  const std::vector<Graph> parts = {graph::forest_union(300, 2, rng),
+                                    graph::forest_union(300, 5, rng)};
+  const mpc::ClusterConfig cfg{16, 4096};
+  mpc::RoundLedger ledger(cfg);
+  mpc::MpcContext ctx(cfg, &ledger);
+  std::vector<std::size_t> seen_k(parts.size(), 0);
+  run_parts_in_parallel(
+      parts, ctx,
+      [&](std::size_t p, std::size_t part_k, mpc::MpcContext& part_ctx) {
+        EXPECT_NE(part_ctx.ledger(), ctx.ledger());
+        EXPECT_EQ(part_ctx.ensure_engine(), ctx.ensure_engine());
+        seen_k[p] = part_k;
+        part_ctx.charge(3 + 2 * p, "part.work");
+      });
+  for (std::size_t p = 0; p < parts.size(); ++p)
+    EXPECT_EQ(seen_k[p],
+              std::max<std::size_t>(1, graph::degeneracy(parts[p])));
+  EXPECT_EQ(ledger.rounds_by_label().at("part.work"), 5u);
+  EXPECT_EQ(ledger.total_rounds(), 5u);
 }
 
 TEST(EdgePartition, EdgesPreservedExactlyOnce) {

@@ -303,6 +303,20 @@ TEST(JsonWalker, ParseBuildsTheDocumentTree) {
   EXPECT_EQ(pair.value.string, "\xF0\x9F\x98\x80");
 }
 
+TEST(JsonWalker, EscaperRoundTripsEveryControlByte) {
+  std::string raw;
+  for (int c = 0; c < 0x20; ++c) raw += static_cast<char>(c);
+  raw += "\"\\ plain \xF0\x9F\x98\x80";  // U+1F600 as 4 UTF-8 bytes
+  std::string doc;
+  append_json_string(doc, raw);
+  for (char c : doc)
+    EXPECT_GE(static_cast<unsigned char>(c), 0x20) << "raw control byte";
+  const JsonParseResult parsed = parse_json(doc);
+  ASSERT_TRUE(parsed.ok) << parsed.error << " at byte " << parsed.offset;
+  ASSERT_EQ(parsed.value.kind, JsonValue::Kind::kString);
+  EXPECT_EQ(parsed.value.string, raw);
+}
+
 // ------------------------------------------------------- trace output
 
 TEST(TraceOutput, ValidJsonWithASpanPerNamedStep) {

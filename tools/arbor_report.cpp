@@ -14,10 +14,14 @@
 // bench BENCH_*.json alike — to dotted leaf paths and compares leaf by
 // leaf: numeric leaves drift when their relative difference exceeds
 // --threshold (default 0.05), strings/bools when unequal, and a path
-// present on one side only is always reported. Paths containing any ignore
-// substring are skipped; the built-in list covers the timing- and
-// host-dependent fields (durations, sums, arena/worker state), so what
-// remains is the structural contract a regression gate can hold steady.
+// present on one side only is always reported. A leaf is skipped when its
+// own key (the last path segment) contains a built-in ignore — the timing-
+// and host-dependent fields (durations, sums, percentiles, arena state) —
+// when it sits in the per-worker telemetry, or when its path contains a
+// user --ignore substring. Keying the built-ins on the leaf keeps a
+// histogram's structural `count`/`dropped` leaves gated even though its
+// name (round_us...) contains `_us`; what remains is the structural
+// contract a regression gate can hold steady.
 // Exit 0 when clean, 1 on any reported drift, 2 on usage/IO errors.
 #include <algorithm>
 #include <cmath>
@@ -26,6 +30,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "trace/json_check.hpp"
@@ -181,9 +186,25 @@ const Leaf* find_leaf(const std::vector<Leaf>& leaves,
   return nullptr;
 }
 
+// Timing- and host-dependent leaf keys: durations and their aggregates,
+// percentile estimates over durations, retained-arena capacities, and
+// throughput/speedup ratios. Everything else — program shapes, round
+// counts, traffic peaks, declared bounds, histogram sample counts, knob
+// stamps — must hold steady.
+constexpr const char* kIgnoredKeys[] = {
+    "_us", "_ns", "_ms", "secs", "sum", "p50", "p95", "p99",
+    "hardware_threads", "arena_words", "mrec_per_sec", "speedup"};
+
 bool ignored(const std::string& path,
-             const std::vector<std::string>& ignores) {
-  for (const std::string& needle : ignores)
+             const std::vector<std::string>& user_ignores) {
+  // Worker telemetry (spans shipped, last span) is host state.
+  if (path.rfind("workers[", 0) == 0) return true;
+  const std::size_t dot = path.rfind('.');
+  const std::string_view key =
+      std::string_view(path).substr(dot == std::string::npos ? 0 : dot + 1);
+  for (const char* needle : kIgnoredKeys)
+    if (key.find(needle) != std::string_view::npos) return true;
+  for (const std::string& needle : user_ignores)
     if (path.find(needle) != std::string::npos) return true;
   return false;
 }
@@ -202,17 +223,7 @@ std::string leaf_repr(const JsonValue& v) {
 }
 
 int diff(const std::string& base_path, const std::string& cur_path,
-         double threshold, std::vector<std::string> ignores) {
-  // Timing- and host-dependent leaves: durations and their aggregates,
-  // percentile estimates over durations, retained-arena capacities, and
-  // worker telemetry. Everything else — program shapes, round counts,
-  // traffic peaks, declared bounds, knob stamps — must hold steady.
-  for (const char* builtin :
-       {"_us", "_ns", "_ms", "secs", "sum", "p50", "p95", "p99",
-        "hardware_threads", "arena_words", "workers", "mrec_per_sec",
-        "speedup"})
-    ignores.emplace_back(builtin);
-
+         double threshold, const std::vector<std::string>& ignores) {
   const JsonValue base_doc = parse_or_die(base_path);
   const JsonValue cur_doc = parse_or_die(cur_path);
   std::vector<Leaf> base;
@@ -305,7 +316,7 @@ int main(int argc, char** argv) {
         usage(argv[0]);
       }
     }
-    return diff(base_path, cur_path, threshold, std::move(ignores));
+    return diff(base_path, cur_path, threshold, ignores);
   }
   usage(argv[0]);
 }
