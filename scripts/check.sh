@@ -32,7 +32,14 @@
 #                                        # lanes, spans per phase)
 #   scripts/check.sh --asan              # Address+UB sanitizer stage only:
 #                                        # builds the 'asan' preset and runs
-#                                        # the engine, net, trace,
+#                                        # the engine, Level-0 program and
+#                                        # distributed Level-1 sort
+#                                        # (level0_programs_test,
+#                                        # level1_distributed_test: the
+#                                        # placement round's merged runs,
+#                                        # slabs moved into the spec, the
+#                                        # pooled slot's recycled arenas),
+#                                        # net, trace,
 #                                        # checked-execution, graph
 #                                        # (edge-list parser fuzz, dense
 #                                        # induced remap), MPC coloring
@@ -204,7 +211,8 @@ if [[ "${1:-}" == "--asan" ]]; then
   shift
   cmake --preset asan "$@"
   cmake --build build-asan -j"${JOBS}" \
-    --target engine_test net_test trace_test check_test graph_test \
+    --target engine_test level0_programs_test level1_distributed_test \
+             net_test trace_test check_test graph_test \
              coloring_mpc_test partitioning_test pipeline_test \
              tree_view_test local_prune_test exponentiate_test \
              partial_layering_test property_fuzz_test mpc_test local_test \
@@ -213,7 +221,8 @@ if [[ "${1:-}" == "--asan" ]]; then
              orientation_coloring_test arbor-worker
   # abort_on_error so a worker PROCESS dying on a report fails the driver
   # visibly; detect_leaks stays on (the default) — the wall is the point.
-  for t in engine_test net_test trace_test check_test graph_test \
+  for t in engine_test level0_programs_test level1_distributed_test \
+           net_test trace_test check_test graph_test \
            coloring_mpc_test partitioning_test pipeline_test \
            tree_view_test local_prune_test exponentiate_test \
            partial_layering_test property_fuzz_test mpc_test local_test \

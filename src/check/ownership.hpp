@@ -77,7 +77,7 @@ std::string describe_span(const std::string& name, std::size_t m,
 class Ownership {
  public:
   /// vector-of-vectors indexed by machine: (*v)[m] is owned by machine m
-  /// (BroadcastState::holds, SortState::slabs/result/fine, ...).
+  /// (BroadcastState::holds, SortState::slabs/fine, ...).
   template <typename T>
   Ownership& slabs(std::string name, std::vector<std::vector<T>>* v) {
     Family f;

@@ -91,29 +91,36 @@ SortShape level1_sort_shape(const ClusterConfig& config, std::size_t n) {
 }
 
 // Contiguous initial distribution of (key, original index) records:
-// machine m holds records [m·per, (m+1)·per).
-std::vector<std::vector<Word>> build_key_slabs(const std::vector<Word>& keys,
-                                               std::size_t machines) {
+// machine m holds records [m·per, (m+1)·per). Fills `slabs` in place —
+// the pooled slot's arenas from its previous sort, cleared and refilled
+// at their retained capacity (a fresh slot starts with none).
+void build_key_slabs(const std::vector<Word>& keys, std::size_t machines,
+                     std::vector<std::vector<Word>>& slabs) {
   const std::size_t n = keys.size();
   const std::size_t per = MpcContext::div_ceil(n, machines);
-  std::vector<std::vector<Word>> slabs(machines);
+  slabs.resize(machines);
   for (std::size_t m = 0; m < machines; ++m) {
+    std::vector<Word>& slab = slabs[m];
+    slab.clear();
     const std::size_t begin = m * per;
     const std::size_t end = std::min(n, begin + per);
     if (begin >= end) continue;
-    slabs[m].reserve((end - begin) * kRecordWidth);
+    slab.reserve((end - begin) * kRecordWidth);
     for (std::size_t i = begin; i < end; ++i) {
-      slabs[m].push_back(keys[i]);
-      slabs[m].push_back(static_cast<Word>(i));
+      slab.push_back(keys[i]);
+      slab.push_back(static_cast<Word>(i));
     }
   }
-  return slabs;
 }
 
 // Read the stable-sort permutation off the sorted buckets: the index words
 // of the concatenated result slabs, in bucket-machine order.
 std::vector<std::size_t> unpack_order(const RecordSortResult& sorted,
                                       std::size_t n) {
+  std::size_t words = 0;
+  for (const auto& slab : sorted.slabs) words += slab.size();
+  ARBOR_CHECK_MSG(words == n * kRecordWidth,
+                  "record sort lost or duplicated records");
   std::vector<std::size_t> order(n);
   std::size_t pos = 0;
   for (const auto& slab : sorted.slabs) {
@@ -121,7 +128,6 @@ std::vector<std::size_t> unpack_order(const RecordSortResult& sorted,
     for (std::size_t r = 0; r < records; ++r)
       order[pos++] = static_cast<std::size_t>(slab[r * kRecordWidth + 1]);
   }
-  ARBOR_CHECK_MSG(pos == n, "record sort lost or duplicated records");
   return order;
 }
 
@@ -173,9 +179,10 @@ std::vector<std::size_t> MpcContext::distributed_sorted_order(
       break;
     }
   if (slot != nullptr) {
-    // Reuse: the RoundState arenas keep their grown capacity and — over
-    // the loopback/tcp transport — the worker group stays alive; only the
-    // previous sort's final inboxes must go.
+    // Reuse: the RoundState arenas and the previous sort's result slabs
+    // keep their grown capacity and — over the loopback/tcp transport —
+    // the worker group stays alive; only the previous sort's final
+    // inboxes must go.
     slot->cluster->reset_inboxes();
     auto& tracer = trace::Tracer::global();
     if (tracer.metrics_on()) tracer.metrics().add("engine.arena_reuse_hits", 1);
@@ -185,7 +192,8 @@ std::vector<std::size_t> MpcContext::distributed_sorted_order(
          config_.transport.in_process()
              ? std::make_unique<Cluster>(shape.sort_cfg, nullptr,
                                          ensure_engine())
-             : std::make_unique<Cluster>(shape.sort_cfg, nullptr)});
+             : std::make_unique<Cluster>(shape.sort_cfg, nullptr),
+         {}});
     slot = &sort_pool_.back();
   }
 
@@ -203,9 +211,10 @@ std::vector<std::size_t> MpcContext::distributed_sorted_order(
   slot->cluster->set_ledger(&sort_ledger);
   RecordSortResult sorted;
   try {
-    sorted = sample_sort_records(
-        *slot->cluster, build_key_slabs(keys, shape.sort_cfg.num_machines),
-        kRecordWidth, /*key_words=*/kRecordWidth, shape.samples);
+    build_key_slabs(keys, shape.sort_cfg.num_machines, slot->slabs);
+    sorted = sample_sort_records(*slot->cluster, std::move(slot->slabs),
+                                 kRecordWidth, /*key_words=*/kRecordWidth,
+                                 shape.samples);
   } catch (...) {
     for (auto it = sort_pool_.begin(); it != sort_pool_.end(); ++it)
       if (&*it == slot) {
@@ -216,7 +225,9 @@ std::vector<std::size_t> MpcContext::distributed_sorted_order(
   }
   slot->cluster->set_ledger(nullptr);
   level1_sort_grounding()->absorb_sequential(sort_ledger);
-  return unpack_order(sorted, n);
+  std::vector<std::size_t> order = unpack_order(sorted, n);
+  slot->slabs = std::move(sorted.slabs);  // the next sort's input arenas
+  return order;
 }
 
 }  // namespace arbor::mpc

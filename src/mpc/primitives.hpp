@@ -244,18 +244,24 @@ class MpcContext {
   /// round is charged to level1_sort_grounding(). Internal sort clusters
   /// are pooled, keyed by (machines, words_per_machine) and kept alive
   /// across sorts, so repeated same-shape sorts reuse the RoundState
-  /// arenas at retained capacity — and, over the loopback/tcp transport,
-  /// the live worker group — instead of reallocating (respawning) per
-  /// sort. Each reuse bumps the engine.arena_reuse_hits metric when
-  /// metrics are on. Defined in primitives.cpp.
+  /// arenas and the slab arenas at retained capacity — and, over the
+  /// loopback/tcp transport, the live worker group — instead of
+  /// reallocating (respawning) per sort. Each reuse bumps the
+  /// engine.arena_reuse_hits metric when metrics are on. Defined in
+  /// primitives.cpp.
   std::vector<std::size_t> distributed_sorted_order(
       const std::vector<Word>& keys);
 
   /// One pooled internal sort cluster (see distributed_sorted_order).
+  /// `slabs` holds the previous sort's result slabs once the permutation
+  /// has been read off them; the next sort clears and refills them as its
+  /// input slabs at their retained capacity, instead of allocating one
+  /// fresh arena per machine.
   struct SortClusterSlot {
     std::size_t machines;
     std::size_t words_per_machine;
     std::unique_ptr<Cluster> cluster;
+    std::vector<std::vector<Word>> slabs;
   };
 
   ClusterConfig config_;

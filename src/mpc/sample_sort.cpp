@@ -24,8 +24,11 @@ namespace {
 // transport an execution detail rather than a second protocol
 // implementation.
 struct SortState {
-  std::vector<std::vector<Word>> slabs;   ///< inputs; key-sorted by step 1
-  std::vector<std::vector<Word>> result;  ///< record sorts: final step slot m
+  /// Machine m's one data arena, reused by every step that holds data:
+  /// the input slab (key-sorted by step 1), then m's merged placement run
+  /// (step 6), then — record sorts — m's sorted bucket (step 7), which is
+  /// the sort's output.
+  std::vector<std::vector<Word>> slabs;
   /// Machine m's own group's fine splitter keys, parsed out of the down
   /// packet by the route step and consumed by the placement step
   /// (machine-owned state handed between m's own steps — allowed by the
@@ -117,8 +120,9 @@ std::vector<Word> sorted_pool(const engine::InboxView& inbox, std::size_t kw) {
 //   route every machine keeps its group's fine splitters and sends each
 //         record to a spread member of its destination group (boundary
 //         splitters only);
-//   route the spread members place each received record on its final
-//         bucket machine (own group's fine splitters).
+//   route the spread members merge their inbox into one sorted run and
+//         place it on the final bucket machines (own group's fine
+//         splitters), one message per bucket.
 //
 // A seventh, compute-only round (record sorts) key-sorts every bucket.
 // The program also declares its machine-sliced state (check::Ownership)
@@ -255,49 +259,57 @@ engine::RoundProgram make_sort_program(std::shared_ptr<SortState> st,
                              spread_member);
       });
 
-  // Round 6 — place every received record on its final bucket machine
-  // using the group's fine splitters (final machine = group base + count
-  // of fine splitters ≤ key). Inbox messages are handled in delivery order
-  // (source asc, send order), so the final buckets' contents are
-  // deterministic in every mode.
+  // Round 6 — merge, then place. The inbox holds one key-sorted run per
+  // sender (a contiguous bucket of its sorted slab, round 5), so the
+  // spread member first merges them into one run in slabs[m] (round 5 is
+  // done with it: its spans were copied into the outbox) and then splits
+  // that run once against the group's fine splitters (final machine =
+  // group base + count of fine splitters ≤ key), exactly as round 5 split
+  // the slab: one message per (spread member, bucket), so a bucket
+  // machine receives ≤ members(g) ≤ ⌈√p⌉ messages instead of one per
+  // original sender. The merge is stable with the earliest run winning
+  // ties and runs are in delivery order (source asc, send order), so the
+  // bucket contents — partial-key tie order included — are those of a
+  // stable sort of the senders' fragments in delivery order, in every
+  // mode.
   program.independent(
       "sample_sort.tree.route",
       [st, tree, width, kw](std::size_t m, const auto& inbox,
                             Sender& send) {
         const std::size_t base = tree.group_begin(tree.group_of(m));
-        // Each incoming message is a contiguous bucket of some sender's
-        // key-sorted slab (round 5), so it splits into spans against the
-        // fine splitters the same way a whole slab would; each span ships
-        // directly as one message (slab → outbox, no intermediate buffer).
-        for (const auto& msg : inbox)
-          engine::send_records(send, msg.span(), width, kw,
-                               std::span<const Word>(st->fine[m]),
-                               [base](std::size_t local) {
-                                 return base + local;
-                               });
+        std::vector<Word>& run = st->slabs[m];
+        run.clear();
+        engine::merge_sorted_inbox(inbox, width, kw, run);
+        engine::send_records(send, std::span<const Word>(run), width, kw,
+                             std::span<const Word>(st->fine[m]),
+                             [base](std::size_t local) {
+                               return base + local;
+                             });
       });
 
   // Round 7 (record sorts only): each bucket machine merges its routed
-  // records into its preallocated result slot — inside a round so the
-  // engine spreads the final merges across its workers. The routed
-  // messages are contiguous sorted spans of senders' key-sorted slabs, so
-  // the slab is their k-way merge in delivery order. The word sort skips
-  // this round: its buckets stay in the inboxes, where the driver reads
-  // them.
+  // records into its own arena, slabs[m] (round 6 is done with it) —
+  // inside a round so the engine spreads the final merges across its
+  // workers. The routed messages are contiguous sorted spans of the
+  // spread members' merged runs, so the bucket is their k-way merge in
+  // delivery order. The word sort skips this round: its buckets stay in
+  // the inboxes, where the driver reads them.
   if (bucket_sort_round)
     program.independent(
         "sample_sort.tree.sort",
         [st, width, kw](std::size_t m, const auto& inbox, Sender&) {
-          engine::merge_sorted_inbox(inbox, width, kw, st->result[m]);
+          std::vector<Word>& bucket = st->slabs[m];
+          bucket.clear();
+          engine::merge_sorted_inbox(inbox, width, kw, bucket);
         });
 
   // Everything the steps mutate is machine-sliced: slabs[m] (sorted in
-  // place by the sample round), fine[m] (parsed splitters handed between
-  // m's own steps), result[m] (the bucket sort's output slot).
+  // place by the sample round, refilled with the merged run by the
+  // placement round and with the sorted bucket by the bucket-sort round)
+  // and fine[m] (parsed splitters handed between m's own steps).
   auto own = std::make_shared<check::Ownership>();
   own->slabs("slabs", &st->slabs)
       .slabs("fine", &st->fine)
-      .slabs("result", &st->result)
       .keep_alive(st);
   program.owned(std::move(own));
 
@@ -348,8 +360,9 @@ SampleSortResult sample_sort(Cluster& cluster,
   const std::size_t start_rounds = cluster.rounds_executed();
 
   // Machine-local state lives here (the cluster only moves messages).
+  // The slabs go where the steps run: into the driver's state in
+  // process, into the RemoteSpec the workers are built from otherwise.
   auto st = std::make_shared<SortState>();
-  st->slabs = input;
   st->machines = machines;
   st->samples_per_machine = samples_per_machine;
 
@@ -361,6 +374,8 @@ SampleSortResult sample_sort(Cluster& cluster,
     spec.scalars = {static_cast<Word>(samples_per_machine)};
     spec.inputs = input;
     program.distributable(std::move(spec));
+  } else {
+    st->slabs = input;
   }
 
   cluster.run_program(program);
@@ -396,7 +411,6 @@ RecordSortResult sample_sort_records(
   st->record_width = record_width;
   st->key_words = key_words;
   st->samples_per_machine = samples_per_machine;
-  st->result.resize(machines);
 
   engine::RoundProgram program =
       make_sort_program(st, /*bucket_sort_round=*/true);
@@ -406,19 +420,24 @@ RecordSortResult sample_sort_records(
     spec.scalars = {static_cast<Word>(record_width),
                     static_cast<Word>(key_words),
                     static_cast<Word>(samples_per_machine)};
-    spec.inputs = input;  // copy: the state takes the originals below
+    // The workers run every step, so the driver's state never reads the
+    // input slabs: they move into the spec that ships them, and the
+    // driver's arenas only receive the sorted buckets.
+    spec.inputs = std::move(input);
     spec.has_output = true;
     spec.output_sink = [st](std::size_t m, std::span<const Word> slab) {
-      st->result[m].assign(slab.begin(), slab.end());
+      st->slabs[m].assign(slab.begin(), slab.end());
     };
     program.distributable(std::move(spec));
+    st->slabs.resize(machines);
+  } else {
+    st->slabs = std::move(input);
   }
-  st->slabs = std::move(input);
 
   cluster.run_program(program);
 
   RecordSortResult result;
-  result.slabs = std::move(st->result);
+  result.slabs = std::move(st->slabs);
   result.rounds = cluster.rounds_executed() - start_rounds;
   return result;
 }
@@ -455,7 +474,6 @@ void register_sample_sort_programs(net::Registry& registry) {
     ARBOR_CHECK_MSG(st->samples_per_machine >= 1,
                     "mpc.sample_sort_records needs samples_per_machine >= 1");
     st->slabs.resize(in.machines);
-    st->result.resize(in.machines);
     for (std::size_t m = in.block_begin; m < in.block_end; ++m) {
       st->slabs[m] = in.inputs[m - in.block_begin];
       engine::record_count(st->slabs[m].size(), st->record_width);
@@ -463,7 +481,7 @@ void register_sample_sort_programs(net::Registry& registry) {
     net::WorkerProgram out;
     out.program = make_sort_program(st, /*bucket_sort_round=*/true);
     out.state = st;
-    out.output = [st](std::size_t m) { return st->result[m]; };
+    out.output = [st](std::size_t m) { return st->slabs[m]; };
     return out;
   });
 }

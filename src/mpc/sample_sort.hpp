@@ -86,7 +86,9 @@ struct RecordSortResult {
 };
 
 /// `input` is taken by value: callers whose slabs are throwaway (the
-/// Level-1 sort path) move them in and skip a full-data copy.
+/// Level-1 sort path) move them in, and the sort moves them on — into its
+/// machine state in process, or into the RemoteSpec a multi-process
+/// backend ships to its workers — so the driver never copies the data.
 RecordSortResult sample_sort_records(
     Cluster& cluster, std::vector<std::vector<Word>> input,
     std::size_t record_width, std::size_t key_words = 0,

@@ -404,6 +404,28 @@ TEST(SampleSortTree, AdversarialDuplicatesAndSkewAtWideClusters) {
   EXPECT_EQ(out3, expected);
 }
 
+// The placement round merges a spread member's inbox into one sorted run
+// before routing it, so a bucket machine's final inbox holds at most one
+// message per member of its group: ≤ ⌈√p⌉ = 8 at p = 64. Routing every
+// incoming fragment on its own leaves up to one message per original
+// sender (p of them).
+TEST(SampleSortTree, PlacementSendsOneRunPerSpreadMember) {
+  const std::size_t machines = 64;
+  const ClusterConfig cfg{machines, 4096};
+  Cluster cluster(cfg, nullptr);
+  const auto input = random_slabs(machines, 200, 64);
+  const SampleSortResult result = sample_sort(cluster, input);
+  std::vector<Word> out;
+  for (const auto& slab : result.slabs)
+    out.insert(out.end(), slab.begin(), slab.end());
+  EXPECT_EQ(out, flatten_sorted(input));
+
+  const std::size_t group = sample_sort_tree_fanout(machines);
+  ASSERT_EQ(group, 8u);
+  for (std::size_t m = 0; m < machines; ++m)
+    EXPECT_LE(cluster.inbox(m).size(), group) << "machine " << m;
+}
+
 TEST(BroadcastTree, AllMachinesReceive) {
   const ClusterConfig cfg{13, 256};
   Cluster cluster(cfg, nullptr);

@@ -310,6 +310,49 @@ TEST(DistributedSortPooling, AlternatingInputsStayIndependent) {
   }
 }
 
+// The pooled slot recycles the previous sort's result slabs as the next
+// sort's input arenas. Same-shape sorts of different lengths (longer,
+// shorter, longer: 8 machines either way, capacity fixed by the model's S)
+// must each match std::stable_sort — a record that survives a recycled
+// arena from the sort before would show up as an extra or stale item —
+// in process and over the loopback transport, with every later sort
+// hitting the slot the first one created.
+TEST(DistributedSortPooling, RecycledSlabArenasStayIndependent) {
+  trace::Tracer& tracer = trace::Tracer::global();
+  trace::ScopedMode guard(tracer, tracer.mode());
+  const auto key = [](const auto& kv) {
+    return MpcContext::word_key(kv.first);
+  };
+  for (const bool loopback : {false, true}) {
+    tracer.clear();
+    ClusterConfig cfg{8, 65536};
+    cfg.distributed_level1 = true;
+    if (loopback) cfg.transport = mpc::TransportConfig::loopback(2);
+    cfg.trace = trace::TraceConfig{trace::Mode::kFull, ""};
+    RoundLedger ledger(cfg);
+    MpcContext ctx(cfg, &ledger);
+    std::uint64_t seed = 71;
+    for (const std::size_t n : {24000u, 16000u, 24000u}) {
+      util::SplitRng rng(seed++);
+      std::vector<std::pair<std::uint32_t, std::uint64_t>> items;
+      for (std::size_t i = 0; i < n; ++i)
+        items.emplace_back(static_cast<std::uint32_t>(rng.next_below(500)),
+                           rng.next_below(1u << 30));
+      auto expected = items;
+      std::stable_sort(expected.begin(), expected.end(),
+                       [](const auto& a, const auto& b) {
+                         return a.first < b.first;
+                       });
+      ctx.sort_items_by_key(items, key, 2, "sort");
+      EXPECT_EQ(items, expected) << "n=" << n << " loopback=" << loopback;
+    }
+    const auto hits = tracer.metrics().counter("engine.arena_reuse_hits");
+    ASSERT_TRUE(hits.has_value()) << "loopback=" << loopback;
+    EXPECT_EQ(*hits, 2u) << "loopback=" << loopback;
+  }
+  tracer.clear();
+}
+
 TEST(MpcContext, DivCeilRejectsZeroDivisor) {
   EXPECT_THROW(MpcContext::div_ceil(5, 0), arbor::InvariantError);
   EXPECT_EQ(MpcContext::div_ceil(0, 3), 0u);
