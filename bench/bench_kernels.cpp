@@ -1,6 +1,7 @@
 // Microbenchmarks (google-benchmark) for the computational kernels:
 // LocalPrune, tree attachment, the full exponentiation step, degeneracy
-// peeling, list coloring, and the exact densest-subgraph oracle. These are
+// peeling, list coloring, the exact densest-subgraph oracle, and the
+// per-machine record sort under the Level-0 sample sort. These are
 // wall-clock numbers for the simulator itself (the paper's claims are
 // about MPC rounds, covered by E1..E10); they document what a user pays to
 // run the reproduction.
@@ -11,6 +12,7 @@
 
 #include "core/exponentiate.hpp"
 #include "core/local_prune.hpp"
+#include "engine/records.hpp"
 #include "graph/arboricity.hpp"
 #include "graph/generators.hpp"
 #include "local/list_coloring.hpp"
@@ -125,6 +127,42 @@ void BM_ExactDensestSubgraph(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ExactDensestSubgraph)->Arg(1 << 8)->Arg(1 << 10);
+
+// engine::stable_sort_records on whole-key slabs, one call per simulated
+// machine as the sample sort's data rounds make it. Arg 2: 8000 slabs of
+// 125 (key, index) records, keys below 62501 and indices 125·slab + i —
+// the per-machine sorts of perfbench level0_inproc's 1M-record sort.
+// Arg 1: 256 slabs of 256 30-bit words, bench_engine_scaling's word sort.
+// Each iteration refills the slabs from the unsorted inputs (a copy the
+// sort then reads from cache) and sorts every one.
+void BM_StableSortRecords(benchmark::State& state) {
+  const auto width = static_cast<std::size_t>(state.range(0));
+  const std::size_t slabs = width == 2 ? 8000 : 256;
+  const std::size_t records = width == 2 ? 125 : 256;
+  util::SplitRng rng(7);
+  std::vector<std::vector<engine::Word>> inputs(slabs);
+  for (std::size_t m = 0; m < slabs; ++m) {
+    for (std::size_t i = 0; i < records; ++i) {
+      if (width == 2) {
+        inputs[m].push_back(rng.next_below(62501));
+        inputs[m].push_back(m * records + i);
+      } else {
+        inputs[m].push_back(rng.next_below(1u << 30));
+      }
+    }
+  }
+  std::vector<std::vector<engine::Word>> arenas(slabs);
+  for (auto _ : state) {
+    for (std::size_t m = 0; m < slabs; ++m) {
+      arenas[m].assign(inputs[m].begin(), inputs[m].end());
+      engine::stable_sort_records(arenas[m], width, width);
+    }
+    benchmark::DoNotOptimize(arenas.back().data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(slabs * records));
+}
+BENCHMARK(BM_StableSortRecords)->Arg(2)->Arg(1)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

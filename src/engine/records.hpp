@@ -43,9 +43,67 @@ inline int compare_keys(const Word* a, const Word* b,
   return 0;
 }
 
+namespace radix_detail {
+
+/// LSD radix sort of `n` whole-key records of `width` words (see
+/// stable_sort_records). Words are visited last to first; for each, one
+/// OR-of-XOR pass against the first record finds the bits that vary, and
+/// each byte holding such a bit then gets one stable counting pass, low
+/// byte to high. Bytes that never vary cost nothing. (Which bits vary is
+/// a property of the word's multiset of values, so the passes over later
+/// words, which only permute records, cannot change it.) The passes
+/// ping-pong between the arena and `scratch`, resized to the arena's
+/// size, copying back only after an odd number of passes. `kFixedWidth`
+/// (when non-zero) compiles the hot shapes to unrolled record copies; the
+/// caller must pass the same value as `width`.
+template <std::size_t kFixedWidth>
+inline void radix_sort_whole_keys(std::vector<Word>& arena, std::size_t n,
+                                  std::size_t width,
+                                  std::vector<Word>& scratch) {
+  const std::size_t w = kFixedWidth != 0 ? kFixedWidth : width;
+  scratch.resize(arena.size());
+  Word* src = arena.data();
+  Word* dst = scratch.data();
+  std::uint32_t count[256];
+  for (std::size_t j = w; j-- > 0;) {
+    Word varying = 0;
+    for (std::size_t i = 1; i < n; ++i) varying |= src[i * w + j] ^ src[j];
+    for (unsigned shift = 0; shift < 64; shift += 8) {
+      if (((varying >> shift) & 0xff) == 0) continue;
+      std::fill_n(count, 256, 0u);
+      for (std::size_t i = 0; i < n; ++i)
+        ++count[(src[i * w + j] >> shift) & 0xff];
+      std::uint32_t sum = 0;
+      for (std::uint32_t& c : count) {
+        const std::uint32_t bucket = c;
+        c = sum;
+        sum += bucket;
+      }
+      for (std::size_t i = 0; i < n; ++i) {
+        const Word* rec = src + i * w;
+        Word* out = dst + std::size_t{count[(rec[j] >> shift) & 0xff]++} * w;
+        if constexpr (kFixedWidth != 0) {
+          for (std::size_t k = 0; k < kFixedWidth; ++k) out[k] = rec[k];
+        } else {
+          std::copy_n(rec, w, out);
+        }
+      }
+      std::swap(src, dst);
+    }
+  }
+  if (src != arena.data()) std::copy_n(src, arena.size(), arena.data());
+}
+
+}  // namespace radix_detail
+
 /// Stable in-place sort of the records in `arena` by their key prefix.
-/// Sorts a permutation and gathers once, so records move exactly one time
-/// regardless of width.
+///
+/// Whole-key records (`key_words == width`: the word sort's single words
+/// and the Level-1 `(key, index)` pairs) take an LSD radix sort over the
+/// bytes that vary. Equal whole keys are identical records, so its output
+/// is exactly std::sort's, and it is stable by construction. Partial keys
+/// sort a permutation with std::stable_sort and gather once, so records
+/// move exactly one time regardless of width.
 inline void stable_sort_records(std::vector<Word>& arena, std::size_t width,
                                 std::size_t key_words) {
   ARBOR_CHECK(key_words > 0 && key_words <= width);
@@ -53,28 +111,18 @@ inline void stable_sort_records(std::vector<Word>& arena, std::size_t width,
   if (n <= 1) return;
   ARBOR_CHECK_MSG(n <= UINT32_MAX,
                   "record count exceeds the 32-bit permutation index");
-  if (width == 1) {
-    // Single-word records: equal words are indistinguishable, so a plain
-    // sort IS the stable sort (this is the word sample sort's path).
-    std::sort(arena.begin(), arena.end());
-    return;
-  }
-  if (width == 2 && key_words == 2) {
-    // Hot path for the Level-1 (key, index) records: packed pairs sort
-    // without index indirection, and a full-record key makes ties
-    // byte-identical, so an unstable sort yields the same sequence. The
-    // scratch is thread-local because a wide cluster calls this once per
-    // simulated machine per round — tens of thousands of tiny sorts that
-    // would otherwise each pay an allocation.
-    static thread_local std::vector<std::pair<Word, Word>> packed;
-    packed.resize(n);
-    for (std::size_t i = 0; i < n; ++i)
-      packed[i] = {arena[2 * i], arena[2 * i + 1]};
-    std::sort(packed.begin(), packed.end());
-    for (std::size_t i = 0; i < n; ++i) {
-      arena[2 * i] = packed[i].first;
-      arena[2 * i + 1] = packed[i].second;
-    }
+  if (key_words == width) {
+    // One scratch arena per thread, sized to the largest arena sorted on
+    // it: a wide cluster sorts once per simulated machine per round, tens
+    // of thousands of ~125-record sorts that would otherwise each pay an
+    // allocation.
+    static thread_local std::vector<Word> scratch;
+    if (width == 1)
+      radix_detail::radix_sort_whole_keys<1>(arena, n, 1, scratch);
+    else if (width == 2)
+      radix_detail::radix_sort_whole_keys<2>(arena, n, 2, scratch);
+    else
+      radix_detail::radix_sort_whole_keys<0>(arena, n, width, scratch);
     return;
   }
   std::vector<std::uint32_t> order(n);
@@ -244,7 +292,8 @@ inline void merge_sorted_runs(std::span<const std::span<const Word>> runs,
     // levels to discover what a sort finds directly. Concatenate in run
     // order and stable-sort, which is the merge's own specification
     // (earliest-run tie-break == concatenation order under a stable
-    // sort), so the output is bit-identical either way.
+    // sort), so the output is bit-identical either way. Whole-key runs
+    // (every hot caller's) take stable_sort_records' radix kernel.
     static thread_local std::vector<Word> pooled;
     std::vector<Word>& dst = out.empty() ? out : pooled;
     dst.clear();
@@ -272,9 +321,9 @@ inline void merge_sorted_runs(std::span<const std::span<const Word>> runs,
     return;
   }
   if (width == 2 && key_words == 2) {
-    // The Level-1 record shape (two-word packed keys): unrolled copies
-    // and an inline two-word compare, mirroring stable_sort_records'
-    // packed fast path so the merge stays ahead of a re-sort.
+    // The Level-1 record shape (two-word whole keys): unrolled copies
+    // and an inline two-word compare, so the merge stays ahead of a
+    // re-sort on runs long enough to skip the cutoff above.
     merge_detail::merge_runs_cascade(
         live.data(), live.size(), total,
         [](const Word* a, const Word* a_end, const Word* b,

@@ -351,7 +351,7 @@ std::size_t sample_sort_tree_fanout(std::size_t machines) {
 }
 
 SampleSortResult sample_sort(Cluster& cluster,
-                             const std::vector<std::vector<Word>>& input,
+                             std::vector<std::vector<Word>> input,
                              std::size_t samples_per_machine) {
   trace::Span stage_span = trace::Tracer::global().span("mpc", "sample_sort");
   const std::size_t machines = cluster.num_machines();
@@ -360,7 +360,7 @@ SampleSortResult sample_sort(Cluster& cluster,
   const std::size_t start_rounds = cluster.rounds_executed();
 
   // Machine-local state lives here (the cluster only moves messages).
-  // The slabs go where the steps run: into the driver's state in
+  // The slabs move to where the steps run: into the driver's state in
   // process, into the RemoteSpec the workers are built from otherwise.
   auto st = std::make_shared<SortState>();
   st->machines = machines;
@@ -372,10 +372,10 @@ SampleSortResult sample_sort(Cluster& cluster,
     engine::RemoteSpec spec;
     spec.name = "mpc.sample_sort";
     spec.scalars = {static_cast<Word>(samples_per_machine)};
-    spec.inputs = input;
+    spec.inputs = std::move(input);
     program.distributable(std::move(spec));
   } else {
-    st->slabs = input;
+    st->slabs = std::move(input);
   }
 
   cluster.run_program(program);

@@ -62,8 +62,10 @@ struct SampleSortResult {
 /// `samples_per_machine` controls splitter quality (default 8); the tree
 /// needs ≥ ⌈√p⌉ samples per machine for its root pool to cover p−1
 /// splitters — fewer still sorts correctly, with coarser buckets.
+/// `input` is taken by value and moved on, as sample_sort_records does:
+/// a caller that moves its slabs in makes no copy of them.
 SampleSortResult sample_sort(Cluster& cluster,
-                             const std::vector<std::vector<Word>>& input,
+                             std::vector<std::vector<Word>> input,
                              std::size_t samples_per_machine = 8);
 
 /// Sort fixed-width multi-word records by their leading key words.

@@ -164,6 +164,76 @@ TEST(Records, WidthOneSortFastPath) {
   EXPECT_EQ(slab, expected);
 }
 
+/// `records` (whole records of `width` words) std::sort-ed by the whole
+/// record, compared lexicographically: the expected output of a whole-key
+/// stable_sort_records.
+std::vector<Word> std_sorted_records(const std::vector<Word>& records,
+                                     std::size_t width) {
+  std::vector<std::size_t> order(records.size() / width);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(), [&](std::size_t lhs, std::size_t rhs) {
+    const Word* a = records.data() + lhs * width;
+    const Word* b = records.data() + rhs * width;
+    return std::lexicographical_compare(a, a + width, b, b + width);
+  });
+  std::vector<Word> sorted;
+  sorted.reserve(records.size());
+  for (const std::size_t r : order)
+    sorted.insert(sorted.end(), records.begin() + r * width,
+                  records.begin() + (r + 1) * width);
+  return sorted;
+}
+
+// Whole-key records (key_words == width) take the radix kernel; its output
+// must equal std::sort's on the empty, one-, two- and three-record arenas,
+// counts around the 256-entry digit table, a large arena, all-equal
+// records (no byte varies, no pass runs), a single varying byte at either
+// end of the key, the extreme words, full-range words (every byte varies,
+// an even pass count), and the Level-1 (key < 62501, spread index)
+// records. For width 1, "word 1 only" degenerates to all-equal; width 3
+// covers the kernel's runtime-width instantiation.
+TEST(Records, WholeKeyRadixMatchesStdSort) {
+  util::SplitRng rng(76);
+  const std::size_t sizes[] = {0, 1, 2, 3, 255, 256, 257, std::size_t{1} << 17};
+  using Gen = Word (*)(util::SplitRng&, std::size_t record, std::size_t word);
+  const std::pair<const char*, Gen> shapes[] = {
+      {"all equal", [](util::SplitRng&, std::size_t, std::size_t) -> Word {
+         return 0x0123456789abcdefULL;
+       }},
+      {"top byte of word 0",
+       [](util::SplitRng& r, std::size_t, std::size_t word) -> Word {
+         return word == 0 ? (r.next_below(256) << 56) | 0x42 : 7;
+       }},
+      {"word 1 only", [](util::SplitRng& r, std::size_t, std::size_t word)
+           -> Word { return word == 0 ? 99 : r.next(); }},
+      {"0 and max", [](util::SplitRng& r, std::size_t, std::size_t) -> Word {
+         return r.next_below(2) == 0 ? 0 : UINT64_MAX;
+       }},
+      {"full range", [](util::SplitRng& r, std::size_t, std::size_t) -> Word {
+         return r.next();
+       }},
+      {"level-1 (key, index)",
+       [](util::SplitRng& r, std::size_t record, std::size_t word) -> Word {
+         return word == 0 ? r.next_below(62501) : record * 125 + 3;
+       }},
+  };
+  for (const std::size_t width : {1, 2, 3}) {
+    for (const auto& [name, gen] : shapes) {
+      for (const std::size_t n : sizes) {
+        std::vector<Word> arena;
+        arena.reserve(n * width);
+        for (std::size_t i = 0; i < n; ++i)
+          for (std::size_t j = 0; j < width; ++j)
+            arena.push_back(gen(rng, i, width == 1 ? 0 : j));
+        const std::vector<Word> expected = std_sorted_records(arena, width);
+        engine::stable_sort_records(arena, width, width);
+        EXPECT_EQ(arena, expected)
+            << "width " << width << ", " << name << ", n " << n;
+      }
+    }
+  }
+}
+
 /// (bucket, first record, record count) of every span for_each_bucket_span
 /// visits, in visiting order.
 std::vector<std::array<std::size_t, 3>> bucket_spans(
@@ -290,14 +360,28 @@ TEST(Records, SendRecordsMatchesPerRecordRouting) {
 // ------------------------------------------------- stable k-way merge
 
 // The contract: merge_sorted_runs == std::stable_sort of the runs'
-// concatenation in run order (engine::stable_sort_records is exactly
-// that). Every test below compares against this reference.
+// concatenation in run order. Every test below compares against this
+// reference, which shares no code with the engine's sorts: a stable sort
+// of record indices under a local lexicographic compare, then a gather.
 std::vector<Word> merge_reference(const std::vector<std::vector<Word>>& runs,
                                   std::size_t width, std::size_t key_words) {
   std::vector<Word> all;
   for (const auto& run : runs) all.insert(all.end(), run.begin(), run.end());
-  engine::stable_sort_records(all, width, key_words);
-  return all;
+  std::vector<std::size_t> order(all.size() / width);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t lhs, std::size_t rhs) {
+                     const Word* a = all.data() + lhs * width;
+                     const Word* b = all.data() + rhs * width;
+                     return std::lexicographical_compare(a, a + key_words, b,
+                                                         b + key_words);
+                   });
+  std::vector<Word> sorted;
+  sorted.reserve(all.size());
+  for (const std::size_t r : order)
+    sorted.insert(sorted.end(), all.begin() + r * width,
+                  all.begin() + (r + 1) * width);
+  return sorted;
 }
 
 std::vector<Word> merge_runs(const std::vector<std::vector<Word>>& runs,
