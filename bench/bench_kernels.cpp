@@ -1,15 +1,17 @@
 // Microbenchmarks (google-benchmark) for the computational kernels:
 // LocalPrune, tree attachment, the full exponentiation step, degeneracy
-// peeling, list coloring, the exact densest-subgraph oracle, and the
-// per-machine record sort under the Level-0 sample sort. These are
-// wall-clock numbers for the simulator itself (the paper's claims are
-// about MPC rounds, covered by E1..E10); they document what a user pays to
-// run the reproduction.
+// peeling, list coloring, the Theorem 1.2 colouring (layering and blocked
+// descent), the exact densest-subgraph oracle, and the per-machine record
+// sort under the Level-0 sample sort. These are wall-clock numbers for the
+// simulator itself (the paper's claims are about MPC rounds, covered by
+// E1..E10); they document what a user pays to run the reproduction.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
 #include <vector>
 
+#include "core/coloring_mpc.hpp"
+#include "core/density_estimate.hpp"
 #include "core/exponentiate.hpp"
 #include "core/local_prune.hpp"
 #include "engine/records.hpp"
@@ -117,6 +119,35 @@ void BM_ListColoring(benchmark::State& state) {
                           static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_ListColoring)->Arg(1 << 10)->Arg(1 << 14);
+
+// core::mpc_color on a relabelled gnm(n, 8n), serial, central Level-1, k
+// supplied so the k-oracle stays out of the loop: the layering plus the
+// blocked colour descent, as raw wall time (the shape of perfbench
+// gnm_dist's colour job).
+void BM_MpcColor(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  util::SplitRng draw(31);
+  util::SplitRng relabel(32);
+  const graph::Graph g =
+      graph::relabel_randomly(graph::gnm(n, 8 * n, draw), relabel);
+  mpc::ClusterConfig cfg =
+      mpc::ClusterConfig::for_problem(g.num_vertices(), g.num_edges(), 0.7);
+  cfg.execution = mpc::ExecutionPolicy::serial();
+  cfg.distributed_level1 = false;
+  core::ColoringParams params;
+  params.k = core::estimate_density_parameter(g);
+  for (auto _ : state) {
+    mpc::RoundLedger ledger(cfg);
+    mpc::MpcContext ctx(cfg, &ledger);
+    benchmark::DoNotOptimize(core::mpc_color(g, params, ctx).colors.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_MpcColor)
+    ->Arg(1 << 14)
+    ->Arg(1 << 16)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_ExactDensestSubgraph(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

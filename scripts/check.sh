@@ -31,41 +31,28 @@
 #                                        # (valid JSON, driver + worker
 #                                        # lanes, spans per phase)
 #   scripts/check.sh --asan              # Address+UB sanitizer stage only:
-#                                        # builds the 'asan' preset and runs
-#                                        # the engine, Level-0 program and
-#                                        # distributed Level-1 sort
-#                                        # (level0_programs_test,
-#                                        # level1_distributed_test: the
-#                                        # placement round's merged runs,
-#                                        # slabs moved into the spec, the
-#                                        # pooled slot's recycled arenas),
-#                                        # net, trace,
-#                                        # checked-execution, graph
-#                                        # (edge-list parser fuzz, dense
-#                                        # induced remap), MPC coloring
-#                                        # (block-local cone views, epoch
-#                                        # marks), partitioning, pipeline,
-#                                        # forest-arena (tree_view,
-#                                        # local_prune, exponentiate,
-#                                        # partial_layering,
-#                                        # property_fuzz: raw
-#                                        # per-vertex offsets into one
-#                                        # shared column buffer, its
-#                                        # growth, branch-free slack
-#                                        # writes, wire spans),
-#                                        # bundle-fetch
-#                                        # (mpc), list-coloring
-#                                        # (local_test: range palettes,
-#                                        # conflict CSR), cone-gauge
+#                                        # builds the 'asan' preset
+#                                        # (address, undefined and
+#                                        # float-cast-overflow, so a huge
+#                                        # double cast to size_t halts) and
+#                                        # runs the engine, Level-0 program,
+#                                        # distributed Level-1 sort, net,
+#                                        # trace, checked-execution and
+#                                        # graph tests, the MPC colouring
+#                                        # (rank-ordered descent, epoch
+#                                        # marks) and its cone gauge
 #                                        # (directed_exponentiation_test:
-#                                        # lane masks, active lists) and
-#                                        # peel-kernel (arboricity,
-#                                        # density_coreness, layering,
-#                                        # orientation_mpc,
-#                                        # orientation_coloring: the core
-#                                        # decomposition's raw pos/vert
-#                                        # swaps, ThresholdPeel's sentinel
-#                                        # arithmetic) tests clean
+#                                        # rows closed out of order, lane
+#                                        # masks, active lists), the
+#                                        # forest-arena tests (tree_view,
+#                                        # local_prune, exponentiate,
+#                                        # partial_layering, property_fuzz),
+#                                        # partitioning, pipeline, mpc,
+#                                        # list colouring (local_test) and
+#                                        # the peel kernels (arboricity,
+#                                        # density_coreness: hostile factors,
+#                                        # layering, orientation_mpc,
+#                                        # orientation_coloring) clean
 #   scripts/check.sh --lint              # style wall only: build and run
 #                                        # tools/arbor_lint over src/ (raw
 #                                        # getenv, unnamed distributable

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <span>
 
 #include "core/cone_gauge.hpp"
 #include "core/density_estimate.hpp"
@@ -22,15 +23,11 @@ constexpr graph::Color kUncolored = 0xffffffffu;
 using util::EpochMarks;
 
 /// Scratch of one colour descent, owned by its color_single_part call and
-/// reused across layers and blocks.
+/// reused across layers and blocks. `targets` and `exclusions` are written
+/// past their in-use length (slack), so their sizes are high-water marks.
 struct DescentScratch {
-  explicit DescentScratch(std::size_t n) : local_id(n) {}
-
-  /// parent id -> id in the current layer (or block, for the gauge)
-  std::vector<graph::VertexId> local_id;
-  std::vector<std::uint64_t> keys;       // coin keys in layer-local ids
   std::vector<graph::EdgeId> offsets;    // same-layer conflict CSR
-  std::vector<graph::VertexId> targets;
+  std::vector<graph::VertexId> targets;  // in layer-local ids
   std::vector<std::size_t> exclusion_offsets;  // higher-layer colours
   std::vector<graph::Color> exclusions;        // inside the palette range
   EpochMarks excluded;  // dedupes one vertex's exclusions
@@ -39,59 +36,83 @@ struct DescentScratch {
 
 struct LayerColoringOutcome {
   std::size_t local_rounds = 0;
+  std::size_t words = 0;  // members plus their neighbour-list lengths
 };
 
-/// Color the vertices of one layer given the committed colors of all
-/// strictly higher layers. Palette: [palette_base, palette_base+C) minus
-/// higher-layer neighbor colors. One pass over the members' neighbours
-/// lays out the same-layer conflict CSR and each member's distinct
-/// in-range higher-layer colours; writes into `colors`.
-LayerColoringOutcome color_one_layer(
-    const graph::Graph& g, const LayerAssignment& layering, Layer j,
-    const std::vector<graph::VertexId>& members, graph::Color palette_base,
-    std::size_t palette_count, const std::vector<std::uint64_t>& global_keys,
-    const util::StatelessCoin& coin, std::size_t trials,
-    std::vector<graph::Color>& colors, DescentScratch& scratch) {
-  LayerColoringOutcome outcome;
-  if (members.empty()) return outcome;
+/// buffer.data() once buffer holds at least `size` elements.
+template <typename T>
+T* room_for(std::vector<T>& buffer, std::size_t size) {
+  if (buffer.size() < size)
+    buffer.resize(std::max(size, 2 * buffer.size()));
+  return buffer.data();
+}
 
-  for (std::size_t i = 0; i < members.size(); ++i)
-    scratch.local_id[members[i]] = static_cast<graph::VertexId>(i);
-  scratch.keys.resize(members.size());
+/// Color layer j, ranks [lo, hi) of `order`, given the committed colors of
+/// all strictly higher layers in `color_by_rank` (every lower rank is still
+/// kUncolored). Palette: [palette_base, palette_base+C) minus higher-layer
+/// neighbor colors. One pass over the members' neighbours, one rank lookup
+/// each, lays out the same-layer conflict CSR (targets t − lo for
+/// lo ≤ t < hi) and each member's distinct in-range higher-layer colours;
+/// in a block, the same pass builds the members' rows of `gauge`'s open
+/// block view (null in the tail). Writes the layer's colours into
+/// color_by_rank.
+LayerColoringOutcome color_one_layer(
+    const graph::Graph& g, const LayerRankOrder& order, Layer j,
+    graph::Color palette_base, std::size_t palette_count,
+    std::span<const std::uint64_t> keys_by_rank,
+    const util::StatelessCoin& coin, std::size_t trials,
+    std::vector<graph::Color>& color_by_rank, DescentScratch& scratch,
+    ConeGauge* gauge) {
+  LayerColoringOutcome outcome;
+  const graph::VertexId lo = order.start[j];
+  const graph::VertexId hi = order.start[j + 1];
+  if (lo == hi) return outcome;
+
   scratch.offsets.assign(1, 0);
-  scratch.targets.clear();
   scratch.exclusion_offsets.assign(1, 0);
-  scratch.exclusions.clear();
-  scratch.excluded.grow_to(palette_count);
-  for (std::size_t i = 0; i < members.size(); ++i) {
-    const graph::VertexId v = members[i];
-    scratch.keys[i] = global_keys[v];
+  scratch.excluded.grow_to(palette_count + 1);  // + mark_below's sink
+  std::size_t num_targets = 0;
+  std::size_t num_exclusions = 0;
+  for (graph::VertexId r = lo; r < hi; ++r) {
+    const auto neighbors = g.neighbors(order.vert[r]);
+    outcome.words += 1 + neighbors.size();
+    // Branch-free: every neighbour writes a slot in each output, and an
+    // output advances only when it keeps the entry. Each has room for a
+    // whole row.
+    graph::VertexId* const targets =
+        room_for(scratch.targets, num_targets + neighbors.size());
+    graph::Color* const exclusions =
+        room_for(scratch.exclusions, num_exclusions + neighbors.size());
     scratch.excluded.next_epoch();
-    for (graph::VertexId w : g.neighbors(v)) {
-      const Layer lw = layering.layer[w];
-      if (lw == j) {
-        scratch.targets.push_back(scratch.local_id[w]);
-      } else if (lw > j && colors[w] != kUncolored) {
-        // A color below palette_base wraps past palette_count; colors
-        // outside the palette cannot shrink it.
-        const graph::Color offset = colors[w] - palette_base;
-        if (offset < palette_count && scratch.excluded.mark(offset))
-          scratch.exclusions.push_back(colors[w]);
-      }
+    if (gauge != nullptr) gauge->open_row(lo, neighbors.size());
+    for (graph::VertexId w : neighbors) {
+      const graph::VertexId t = order.rank[w];
+      targets[num_targets] = t - lo;
+      num_targets += t - lo < hi - lo;
+      // Only higher layers hold colours: kUncolored (every rank below hi)
+      // lies past palette_count from palette_base, and so does a colour
+      // below palette_base. Colours outside the palette cannot shrink it.
+      const graph::Color c = color_by_rank[t];
+      exclusions[num_exclusions] = c;
+      num_exclusions += scratch.excluded.mark_below(c - palette_base,
+                                                    palette_count);
+      if (gauge != nullptr) gauge->forward(t);
     }
-    scratch.offsets.push_back(scratch.targets.size());
-    scratch.exclusion_offsets.push_back(scratch.exclusions.size());
+    scratch.offsets.push_back(num_targets);
+    scratch.exclusion_offsets.push_back(num_exclusions);
+    if (gauge != nullptr) gauge->end_row(r);
   }
 
   const local::ListColoringResult colored = local::list_color(
-      {scratch.offsets, scratch.targets}, scratch.keys,
+      {scratch.offsets, std::span(scratch.targets).first(num_targets)},
+      keys_by_rank.subspan(lo, hi - lo),
       {palette_base, palette_count, scratch.exclusion_offsets,
-       scratch.exclusions},
+       std::span(scratch.exclusions).first(num_exclusions)},
       coin, /*phase_tag=*/j, /*max_rounds=*/trials);
   ARBOR_CHECK_MSG(colored.complete,
                   "layer list-coloring did not converge — raise trials");
-  for (std::size_t i = 0; i < members.size(); ++i)
-    colors[members[i]] = colored.colors[i];
+  std::copy(colored.colors.begin(), colored.colors.end(),
+            color_by_rank.begin() + lo);
   outcome.local_rounds = colored.rounds;
   return outcome;
 }
@@ -107,7 +128,6 @@ MpcColoringResult color_single_part(const graph::Graph& g,
                                     mpc::MpcContext& ctx) {
   MpcColoringResult result;
   const std::size_t n = g.num_vertices();
-  result.colors.assign(n, kUncolored);
   if (n == 0) return result;
 
   // ---- Layering (Lemma 3.15). ----
@@ -130,17 +150,16 @@ MpcColoringResult color_single_part(const graph::Graph& g,
   const util::StatelessCoin coin(params.seed);
   const Layer top = layering.assignment.num_layers;
 
-  // Bucket vertices by layer once; layers are complete, so every vertex
-  // lands in [1, top].
-  std::vector<std::vector<graph::VertexId>> layer_members(top + 1);
-  for (graph::VertexId v = 0; v < n; ++v) {
-    const Layer lv = layering.assignment.layer[v];
-    ARBOR_CHECK(lv >= 1 && lv <= top);
-    layer_members[lv].push_back(v);
-  }
+  // The whole descent runs in rank order (layer, then id): a layer and a
+  // block are rank ranges, and coin keys and colours are stored by rank.
+  const LayerRankOrder order = LayerRankOrder::of(layering.assignment);
+  std::vector<std::uint64_t> keys_by_rank(n);
+  for (graph::VertexId r = 0; r < n; ++r)
+    keys_by_rank[r] = global_keys[order.vert[r]];
+  std::vector<graph::Color> color_by_rank(n, kUncolored);
 
   util::SplitRng sample_rng(params.seed ^ 0x5a3b1e50ULL);
-  DescentScratch scratch(n);
+  DescentScratch scratch;
 
   // ---- Blocked descent with directed exponentiation. ----
   Layer j = top;
@@ -153,25 +172,22 @@ MpcColoringResult color_single_part(const graph::Graph& g,
                               j >= width ? j - width + 1 : 1));
     ++result.blocks;
 
-    // Gather cost: exponentiation along outgoing edges to reach radius R.
-    std::vector<graph::VertexId> block_members;
+    // The block's layer passes, top-down, also lay out its gauge view.
+    const graph::VertexId block_begin = order.start[j_lo];
+    const graph::VertexId block_end = order.start[j + 1];
+    scratch.gauge.begin_block(block_begin, block_end);
     std::size_t block_words = 0;
-    for (Layer layer = j_lo; layer <= j; ++layer) {
-      for (graph::VertexId v : layer_members[layer]) {
-        block_members.push_back(v);
-        block_words += 1 + g.degree(v);
-      }
-    }
     std::size_t block_local_rounds = 0;
     for (Layer layer = j; layer >= j_lo && layer >= 1; --layer) {
       const LayerColoringOutcome outcome = color_one_layer(
-          g, layering.assignment, layer, layer_members[layer], palette_base,
-          palette_count, global_keys, coin, params.trials_per_layer,
-          result.colors, scratch);
+          g, order, layer, palette_base, palette_count, keys_by_rank, coin,
+          params.trials_per_layer, color_by_rank, scratch, &scratch.gauge);
       block_local_rounds += outcome.local_rounds;
+      block_words += outcome.words;
     }
     result.local_rounds_replayed += block_local_rounds;
 
+    // Gather cost: exponentiation along outgoing edges to reach radius R.
     // Influence radius actually realized by the replay: every LOCAL round
     // propagates one hop, plus one hop per layer hand-off.
     const std::size_t radius =
@@ -184,16 +200,15 @@ MpcColoringResult color_single_part(const graph::Graph& g,
                "color.block_gather");
 
     // Cone gauge on a sample of block vertices: the starts are drawn in
-    // order on sample_rng as block-local ids (local id l is
-    // block_members[l]) and gauged together, one bit lane each.
-    if (!block_members.empty()) {
-      scratch.gauge.build(g, layering.assignment.layer, block_members, j,
-                          scratch.local_id);
+    // order on sample_rng as block-local ids (local id l is rank
+    // block_begin + l) and gauged together, one bit lane each.
+    const std::size_t block_size = block_end - block_begin;
+    if (block_size != 0) {
       std::vector<graph::VertexId> starts(
-          std::min(params.cone_sample, block_members.size()));
+          std::min(params.cone_sample, block_size));
       for (graph::VertexId& start : starts)
         start = static_cast<graph::VertexId>(
-            sample_rng.next_below(block_members.size()));
+            sample_rng.next_below(block_size));
       for (std::size_t cone : scratch.gauge.cone_sizes(starts, radius))
         result.max_sampled_cone_nodes =
             std::max(result.max_sampled_cone_nodes, cone);
@@ -206,14 +221,17 @@ MpcColoringResult color_single_part(const graph::Graph& g,
   // ---- Tail: direct LOCAL simulation, one MPC round per LOCAL round. ----
   for (Layer layer = j; layer >= 1; --layer) {
     const LayerColoringOutcome outcome = color_one_layer(
-        g, layering.assignment, layer, layer_members[layer], palette_base,
-        palette_count, global_keys, coin, params.trials_per_layer,
-        result.colors, scratch);
+        g, order, layer, palette_base, palette_count, keys_by_rank, coin,
+        params.trials_per_layer, color_by_rank, scratch, /*gauge=*/nullptr);
     result.tail_mpc_rounds += outcome.local_rounds;
     ctx.charge(outcome.local_rounds, "color.tail");
   }
 
-  for (graph::Color c : result.colors) ARBOR_CHECK(c != kUncolored);
+  result.colors.resize(n);
+  for (graph::VertexId r = 0; r < n; ++r) {
+    ARBOR_CHECK(color_by_rank[r] != kUncolored);
+    result.colors[order.vert[r]] = color_by_rank[r];
+  }
   return result;
 }
 

@@ -31,18 +31,23 @@
 // Cone-size accounting: the influence cone of v is its reachable set along
 // paths with non-decreasing layers inside the block, up to the block's
 // realized radius (LOCAL rounds replayed plus one hop per layer), plus one
-// word per edge into a layer above the block (core/cone_gauge.hpp). Once
-// per block the gauge builds a forward view of the block — each member's
-// non-decreasing-layer neighbours in block-local ids, and its count of
-// neighbours above the block — then measures `cone_sample` sampled cones
-// as one bit-parallel multi-source BFS: each sample owns one bit lane of
-// a uint64 mask per block vertex, every level expands only the vertices
-// some lane reached at the previous level, and samples beyond 64 run in
-// further lane groups. A block costs O(block edges + levels × active
-// edges) per 64 samples. Cones are sampled rather than computed exactly
-// for every vertex because exact cones would cost more than the coloring
-// itself (they overlap, so their total size far exceeds the block's); the
-// sample maximum gauges the local-memory envelope. E10
+// word per edge into a layer above the block (core/cone_gauge.hpp). The
+// descent runs in one rank order — layer ascending, then id — so a layer
+// and a block are each a contiguous rank range, and a block's local ids
+// are its ranks minus its first rank. The layer passes feed the gauge: as
+// a block member's neighbours are read for its conflict row and
+// exclusions, each one at or above the member's layer also goes into the
+// member's forward row of the block view (in-block neighbours as local
+// ids, neighbours above the block as a count), so a block's neighbour
+// lists are read once. The gauge then measures `cone_sample` sampled cones
+// as one bit-parallel multi-source BFS over that view: each sample owns
+// one bit lane of a uint64 mask per block vertex, every level expands only
+// the vertices some lane reached at the previous level, and samples beyond
+// 64 run in further lane groups. A block costs O(levels × active edges)
+// per 64 samples on top of its layer passes. Cones are sampled rather than
+// computed exactly for every vertex because exact cones would cost more
+// than the coloring itself (they overlap, so their total size far exceeds
+// the block's); the sample maximum gauges the local-memory envelope. E10
 // (bench/bench_cone_sizes.cpp) sweeps this.
 #pragma once
 

@@ -21,11 +21,15 @@ CorenessResult approximate_coreness(const graph::Graph& g, double epsilon,
   result.estimate.assign(n, 0);
   if (n == 0) return result;
 
-  const auto rounds_budget = static_cast<std::size_t>(std::ceil(
-                                 rounds_factor *
-                                 std::log2(static_cast<double>(
-                                     std::max<std::size_t>(n, 2))))) +
-                             1;
+  // Finite but huge factors are rejected by name too: their products would
+  // overflow the size_t casts below.
+  const double rounds = std::ceil(
+      rounds_factor *
+      std::log2(static_cast<double>(std::max<std::size_t>(n, 2))));
+  ARBOR_CHECK_MSG(rounds < 0x1p63,
+                  "approximate_coreness: rounds_factor gives a budget of "
+                  ">= 2^63 rounds");
+  const auto rounds_budget = static_cast<std::size_t>(rounds) + 1;
   result.rounds_budget = rounds_budget;
 
   // estimate[v] = 0 until the first guess (≥ 1) whose peel removes v;
@@ -35,6 +39,10 @@ CorenessResult approximate_coreness(const graph::Graph& g, double epsilon,
   double guess_value = 1.0;
   std::size_t previous_guess = 0;
   while (remaining > 0) {
+    // A guess is stored as a 32-bit estimate.
+    ARBOR_CHECK_MSG(guess_value < 0x1p32,
+                    "approximate_coreness: epsilon grows a guess "
+                    "(1+epsilon)^i past 2^32");
     const auto guess = static_cast<std::size_t>(std::ceil(guess_value));
     guess_value *= (1.0 + epsilon);
     if (guess == previous_guess) continue;  // ceil collision at small i
@@ -49,7 +57,10 @@ CorenessResult approximate_coreness(const graph::Graph& g, double epsilon,
         --remaining;
       }
     }
-    ARBOR_CHECK_MSG(guess <= 2 * n, "coreness guesses failed to converge");
+    // A large epsilon may overshoot 2n in the guess that removes the last
+    // vertices; only a guess that leaves some is a failure to converge.
+    ARBOR_CHECK_MSG(remaining == 0 || guess <= 2 * n,
+                    "coreness guesses failed to converge");
   }
 
   // All guesses share the round budget (parallel); global memory pays the

@@ -43,10 +43,14 @@ DensityEstimate estimate_density_mpc(const graph::Graph& g,
     return estimate;
   }
 
-  const auto rounds_budget = static_cast<std::size_t>(std::ceil(
-                                 rounds_factor *
-                                 std::log2(static_cast<double>(n)))) +
-                             1;
+  // Finite but huge factors are rejected by name too: their products would
+  // overflow the size_t casts below.
+  const double rounds =
+      std::ceil(rounds_factor * std::log2(static_cast<double>(n)));
+  ARBOR_CHECK_MSG(rounds < 0x1p63,
+                  "estimate_density_mpc: rounds_factor gives a budget of "
+                  ">= 2^63 rounds");
+  const auto rounds_budget = static_cast<std::size_t>(rounds) + 1;
   estimate.rounds_budget = rounds_budget;
 
   // All guesses run in parallel on disjoint machine groups; the guess with
@@ -56,19 +60,20 @@ DensityEstimate estimate_density_mpc(const graph::Graph& g,
   std::size_t guess = 1;
   for (;; guess *= 2) {
     ++estimate.guesses;
-    const auto threshold = static_cast<std::size_t>(
-        threshold_factor * static_cast<double>(guess));
-    const local::PeelingResult peel =
-        local::peel_by_threshold(g, threshold, rounds_budget);
+    const double threshold = threshold_factor * static_cast<double>(guess);
+    ARBOR_CHECK_MSG(threshold < 0x1p63,
+                    "estimate_density_mpc: threshold_factor gives a peeling "
+                    "threshold >= 2^63");
+    const local::PeelingResult peel = local::peel_by_threshold(
+        g, static_cast<std::size_t>(threshold), rounds_budget);
     if (peel.complete) {
       estimate.smallest_guess = guess;
+      estimate.k = static_cast<std::size_t>(threshold);
       break;
     }
     ARBOR_CHECK_MSG(guess < 2 * n, "density estimate failed to converge");
   }
 
-  estimate.k = static_cast<std::size_t>(
-      threshold_factor * static_cast<double>(estimate.smallest_guess));
   ctx.charge(rounds_budget, "density_estimate");
   ctx.note_global_words((n + 2 * g.num_edges()) * estimate.guesses);
   return estimate;

@@ -37,6 +37,16 @@ class EpochMarks {
     return true;
   }
 
+  /// mark(i) for i < limit, else false, without a branch on either test:
+  /// every i ≥ limit lands on slot `limit`, which must exist.
+  bool mark_below(std::size_t i, std::size_t limit) noexcept {
+    const bool in_range = i < limit;
+    const std::size_t slot = in_range ? i : limit;
+    const bool fresh = in_range & (stamps_[slot] != epoch_);
+    stamps_[slot] = epoch_;
+    return fresh;
+  }
+
  private:
   std::vector<std::uint32_t> stamps_;
   std::uint32_t epoch_ = 0;  // 0 is never current: call next_epoch() first

@@ -157,10 +157,22 @@ TEST(DensityEstimateMpc, RejectsNegativeRoundsFactor) {
   expect_rounds_factor_rejected(-1.0);
 }
 
+TEST(DensityEstimateMpc, RejectsHugeRoundsFactor) {
+  expect_rounds_factor_rejected(1e300);  // ⌈1e300·log2 n⌉ overflows size_t
+}
+
 TEST(DensityEstimateMpc, RejectsInfiniteThresholdFactor) {
   expect_rejected(
       [](const Graph& g, mpc::MpcContext& ctx) {
         estimate_density_mpc(g, ctx, std::numeric_limits<double>::infinity());
+      },
+      "estimate_density_mpc: threshold_factor");
+}
+
+TEST(DensityEstimateMpc, RejectsHugeThresholdFactor) {
+  expect_rejected(
+      [](const Graph& g, mpc::MpcContext& ctx) {
+        estimate_density_mpc(g, ctx, 1e300);
       },
       "estimate_density_mpc: threshold_factor");
 }
@@ -284,6 +296,24 @@ TEST(ApproximateCoreness, RejectsEpsilonThatCannotAdvanceGuesses) {
   expect_coreness_rejected(1e-20, 2.0, "epsilon");  // 1 + 1e-20 == 1
 }
 
+TEST(ApproximateCoreness, RejectsHugeEpsilon) {
+  expect_coreness_rejected(1e300, 2.0, "epsilon");  // guess 2 is 1e300
+}
+
+TEST(ApproximateCoreness, LargeEpsilonOvershootsInOneGuess) {
+  util::SplitRng rng(12);
+  const Graph g = graph::forest_union(300, 2, rng);
+  mpc::RoundLedger ledger(test_config());
+  mpc::MpcContext ctx(test_config(), &ledger);
+  // The second guess, 1e6 + 1, is far past 2n and removes every vertex
+  // left after the first.
+  const CorenessResult result = approximate_coreness(g, 1e6, ctx);
+  EXPECT_EQ(result.guesses, 2u);
+  for (VertexId v = 0; v < g.num_vertices(); ++v)
+    EXPECT_TRUE(result.estimate[v] == 1 || result.estimate[v] == 1000001)
+        << "vertex " << v;
+}
+
 TEST(ApproximateCoreness, RejectsNanRoundsFactor) {
   expect_coreness_rejected(0.5, std::nan(""), "rounds_factor");
 }
@@ -295,6 +325,10 @@ TEST(ApproximateCoreness, RejectsInfiniteRoundsFactor) {
 
 TEST(ApproximateCoreness, RejectsNegativeRoundsFactor) {
   expect_coreness_rejected(0.5, -2.0, "rounds_factor");
+}
+
+TEST(ApproximateCoreness, RejectsHugeRoundsFactor) {
+  expect_coreness_rejected(0.5, 1e300, "rounds_factor");
 }
 
 TEST(ApproximateCoreness, EpsilonControlsGranularity) {

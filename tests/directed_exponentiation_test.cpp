@@ -163,7 +163,10 @@ TEST(DirectedGather, RadiusOneIsNeighborhood) {
 
 // Every lane of the bit-parallel gauge must report
 //   cone(v, R) = |reach(v, R)| + Σ_{u ∈ reach(v, R−1)} above(u),
-// with the reach sets taken from the exact (uncapped) directed gather.
+// with the reach sets taken from the exact (uncapped) directed gather. The
+// gauge's view is built as the colour descent builds it: in the layering's
+// rank order, layer by layer from the top of the block, each member handing
+// over the ranks of all its neighbours.
 TEST(ConeGauge, MatchesDirectedGatherReachSets) {
   util::SplitRng ba_rng(21);
   util::SplitRng gnm_draw(22);
@@ -190,15 +193,33 @@ TEST(ConeGauge, MatchesDirectedGatherReachSets) {
     const std::vector<std::pair<Layer, Layer>> blocks = {
         {1, top}, {1, 1}, {top, top}, {std::max<Layer>(1, top / 3),
                                        std::max<Layer>(1, 2 * top / 3)}};
-    std::vector<VertexId> local_id(g.num_vertices());
+    const LayerRankOrder order = LayerRankOrder::of(ell);
     ConeGauge gauge;
     for (const auto& [lo, hi] : blocks) {
       SCOPED_TRACE("block [" + std::to_string(lo) + ", " +
                    std::to_string(hi) + "]");
-      std::vector<VertexId> members;
-      for (VertexId v = 0; v < g.num_vertices(); ++v)
-        if (ell.layer[v] >= lo && ell.layer[v] <= hi) members.push_back(v);
+      // A block's local ids are its ranks: (layer, id) ascending.
+      const VertexId begin = order.start[lo];
+      const VertexId end = order.start[hi + 1];
+      const std::vector<VertexId> members(order.vert.begin() + begin,
+                                          order.vert.begin() + end);
       ASSERT_FALSE(members.empty());
+      for (std::size_t i = 0; i < members.size(); ++i) {
+        const VertexId v = members[i];
+        ASSERT_GE(ell.layer[v], lo);
+        ASSERT_LE(ell.layer[v], hi);
+        ASSERT_EQ(order.rank[v], begin + i);
+        if (i > 0) {
+          const VertexId u = members[i - 1];
+          ASSERT_TRUE(ell.layer[u] < ell.layer[v] ||
+                      (ell.layer[u] == ell.layer[v] && u < v))
+              << "local ids " << i - 1 << ", " << i;
+        }
+      }
+      EXPECT_EQ(members.size(),
+                static_cast<std::size_t>(std::count_if(
+                    ell.layer.begin(), ell.layer.end(),
+                    [&](Layer l) { return l >= lo && l <= hi; })));
       std::vector<std::size_t> above(g.num_vertices(), 0);
       for (VertexId v : members)
         for (VertexId w : g.neighbors(v)) above[v] += ell.layer[w] > hi;
@@ -215,7 +236,16 @@ TEST(ConeGauge, MatchesDirectedGatherReachSets) {
       start_sets[2] = {
           static_cast<VertexId>(start_rng.next_below(members.size()))};
 
-      gauge.build(g, ell.layer, members, hi, local_id);
+      gauge.begin_block(begin, end);
+      for (Layer layer = hi; layer >= lo; --layer) {
+        for (VertexId r = order.start[layer]; r < order.start[layer + 1];
+             ++r) {
+          const auto neighbors = g.neighbors(order.vert[r]);
+          gauge.open_row(order.start[layer], neighbors.size());
+          for (VertexId w : neighbors) gauge.forward(order.rank[w]);
+          gauge.end_row(r);
+        }
+      }
       std::vector<std::vector<VertexId>> inner;  // reach(·, R−1)
       for (std::size_t radius = 0; radius <= 6; ++radius) {
         SCOPED_TRACE("radius " + std::to_string(radius));
@@ -242,6 +272,46 @@ TEST(ConeGauge, MatchesDirectedGatherReachSets) {
       }
     }
   }
+}
+
+// A clique in one layer, every member a start: all of the block is
+// discovered in the first level, so the branch-free discovered list fills
+// every slot and keeps writing the spare one.
+TEST(ConeGauge, WholeBlockDiscoveredInOneLevel) {
+  graph::GraphBuilder builder(6);
+  for (VertexId u = 0; u < 5; ++u)
+    for (VertexId v = u + 1; v < 5; ++v) builder.add_edge(u, v);
+  builder.add_edge(4, 5);
+  const Graph g = builder.build();
+  LayerAssignment ell;
+  ell.layer = {1, 1, 1, 1, 1, 2};
+  ell.num_layers = 2;
+  const LayerRankOrder order = LayerRankOrder::of(ell);
+  EXPECT_EQ(order.start, (std::vector<VertexId>{0, 0, 5, 6}));
+
+  ConeGauge gauge;
+  gauge.begin_block(order.start[1], order.start[2]);  // layer 1 only
+  for (VertexId r = 0; r < 5; ++r) {
+    const auto neighbors = g.neighbors(order.vert[r]);
+    gauge.open_row(order.start[1], neighbors.size());
+    for (VertexId w : neighbors) gauge.forward(order.rank[w]);
+    gauge.end_row(r);
+  }
+  const std::vector<VertexId> starts = {4, 3, 2, 1, 0};
+  EXPECT_EQ(gauge.cone_sizes(starts, 0),
+            (std::vector<std::size_t>{1, 1, 1, 1, 1}));
+  // Radius 1: the whole clique, plus vertex 4's edge above the block.
+  EXPECT_EQ(gauge.cone_sizes(starts, 1),
+            (std::vector<std::size_t>{6, 5, 5, 5, 5}));
+  EXPECT_EQ(gauge.cone_sizes(starts, 3),
+            (std::vector<std::size_t>{6, 6, 6, 6, 6}));
+}
+
+TEST(LayerRankOrder, RejectsIncompleteLayering) {
+  LayerAssignment ell;
+  ell.layer = {1, kInfiniteLayer, 2};
+  ell.num_layers = 2;
+  EXPECT_THROW(LayerRankOrder::of(ell), InvariantError);
 }
 
 }  // namespace

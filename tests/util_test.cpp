@@ -1,5 +1,5 @@
 // Unit tests for util: RNG determinism and splitting, stateless coins,
-// hashing, statistics helpers.
+// hashing, statistics helpers, epoch marks.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -11,6 +11,7 @@
 
 #include "util/assert.hpp"
 #include "util/env_knob.hpp"
+#include "util/epoch_marks.hpp"
 #include "util/hashing.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -121,6 +122,23 @@ TEST(StatelessCoin, BernoulliMatchesProbability) {
   for (int i = 0; i < trials; ++i)
     heads += coin.bernoulli(0.3, static_cast<std::uint64_t>(i));
   EXPECT_NEAR(static_cast<double>(heads) / trials, 0.3, 0.01);
+}
+
+TEST(EpochMarks, MarkBelowMarksOnlyInRangeSlotsOncePerEpoch) {
+  EpochMarks marks;
+  marks.grow_to(4);  // slots 0..2 plus the sink at 3
+  marks.next_epoch();
+  EXPECT_TRUE(marks.mark_below(1, 3));
+  EXPECT_FALSE(marks.mark_below(1, 3));  // already marked this epoch
+  EXPECT_FALSE(marks.mark_below(3, 3));  // out of range: the sink
+  EXPECT_FALSE(marks.mark_below(0xffffffffu, 3));
+  EXPECT_FALSE(marks.mark_below(3, 3));
+  EXPECT_TRUE(marks.marked(1));
+  EXPECT_FALSE(marks.marked(0));
+  EXPECT_TRUE(marks.mark_below(0, 3));
+  marks.next_epoch();
+  EXPECT_TRUE(marks.mark_below(1, 3));  // a new epoch unmarks everything
+  EXPECT_FALSE(marks.marked(0));
 }
 
 TEST(Accumulator, BasicMoments) {
