@@ -52,7 +52,12 @@
 #                                        # the peel kernels (arboricity,
 #                                        # density_coreness: hostile factors,
 #                                        # layering, orientation_mpc,
-#                                        # orientation_coloring) clean
+#                                        # orientation_coloring), and the
+#                                        # multi-round programs over loopback
+#                                        # and tcp that read inboxes after
+#                                        # the program ends (mpc_embedding,
+#                                        # obs: a dangling inbox span is a
+#                                        # heap-use-after-free) clean
 #   scripts/check.sh --lint              # style wall only: build and run
 #                                        # tools/arbor_lint over src/ (raw
 #                                        # getenv, unnamed distributable
@@ -205,7 +210,8 @@ if [[ "${1:-}" == "--asan" ]]; then
              partial_layering_test property_fuzz_test mpc_test local_test \
              directed_exponentiation_test arboricity_test \
              density_coreness_test layering_test orientation_mpc_test \
-             orientation_coloring_test arbor-worker
+             orientation_coloring_test mpc_embedding_test obs_test \
+             arbor-worker
   # abort_on_error so a worker PROCESS dying on a report fails the driver
   # visibly; detect_leaks stays on (the default) — the wall is the point.
   for t in engine_test level0_programs_test level1_distributed_test \
@@ -215,7 +221,7 @@ if [[ "${1:-}" == "--asan" ]]; then
            partial_layering_test property_fuzz_test mpc_test local_test \
            directed_exponentiation_test arboricity_test \
            density_coreness_test layering_test orientation_mpc_test \
-           orientation_coloring_test; do
+           orientation_coloring_test mpc_embedding_test obs_test; do
     echo "== asan: ${t} =="
     ASAN_OPTIONS="abort_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
       "./build-asan/${t}"

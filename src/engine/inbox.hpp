@@ -1,16 +1,18 @@
-// Flat per-machine inboxes and the views the step functions read them
-// through.
+// Per-machine inboxes and the views the step functions read them through.
 //
-// The engine never materializes a std::vector per message: an Inbox is one
-// Word arena plus an (offset, length) record per message, both reused across
-// rounds (clear() keeps capacity). Step functions and tests access messages
-// through InboxView/MessageView, which read the flat arena and the
-// scheduler's zero-copy ScatterInbox alike — so the same program text runs
-// unchanged over either.
+// An Inbox is a list of message spans plus their total word count. The
+// spans point into storage that outlives the round that reads them: the
+// frozen outbox bank of the round that delivered them (the scheduler), the
+// frames a worker received (src/net/), or the inbox's own `held` arena —
+// for contents that must outlive their source: preloads, a program's final
+// inboxes, and inbox dumps written back at the driver. Delivery records
+// spans and moves no payload word; only hold() and append() copy. Step
+// functions and tests read messages through InboxView/MessageView.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -19,53 +21,79 @@
 
 namespace arbor::engine {
 
-/// One machine's received messages as a flat arena + offset records.
+/// One machine's received messages as spans over storage that outlives
+/// the round reading them.
 struct Inbox {
-  struct Msg {
-    std::size_t offset = 0;
-    std::size_t length = 0;
-  };
-
-  std::vector<Word> words;
-  std::vector<Msg> msgs;
-
-  void clear() noexcept {
-    words.clear();
-    msgs.clear();
-  }
-
-  std::size_t word_count() const noexcept { return words.size(); }
-  std::size_t message_count() const noexcept { return msgs.size(); }
-
-  void append(std::span<const Word> payload) {
-    msgs.push_back({words.size(), payload.size()});
-    words.insert(words.end(), payload.begin(), payload.end());
-  }
-
-  std::span<const Word> message(std::size_t i) const {
-    const Msg& m = msgs[i];
-    return {words.data() + m.offset, m.length};
-  }
-};
-
-/// One machine's received messages as spans into the sender arenas — the
-/// zero-copy inbox the scheduler's delivery produces.
-/// The spans alias the frozen outbox bank of the round that delivered
-/// them, so they stay valid for exactly one round (the banks alternate);
-/// the scheduler materializes them into flat Inboxes at program end, which
-/// is the only point anything outlives the round.
-struct ScatterInbox {
   std::vector<std::span<const Word>> msgs;
   std::size_t words = 0;  ///< total payload words across msgs
+  /// Storage this inbox owns; only spans recorded by hold() and append()
+  /// point into it.
+  std::vector<Word> held;
 
+  // Move-only (declaring the moves deletes the copies): a copy would alias
+  // the source's `held` arena.
+  Inbox() = default;
+  Inbox(Inbox&&) noexcept = default;
+  Inbox& operator=(Inbox&&) noexcept = default;
+
+  /// Drop every message; `held` keeps its capacity.
   void clear() noexcept {
     msgs.clear();
     words = 0;
+    held.clear();
+  }
+
+  /// Record `payload` where it lies; its storage must outlive every read.
+  void refer(std::span<const Word> payload) {
+    msgs.push_back(payload);
+    words += payload.size();
+  }
+
+  /// Copy `payload` into `held` and record it. Growth doubles `held` and
+  /// re-points the spans into it, so a run of appends stays amortized
+  /// linear in the words appended.
+  void append(std::span<const Word> payload) {
+    const std::size_t size = held.size();
+    if (size + payload.size() > held.capacity()) {
+      std::vector<Word> grown;
+      grown.reserve(std::max(2 * held.capacity(), size + payload.size()));
+      grown.assign(held.begin(), held.end());
+      for (std::span<const Word>& msg : msgs)
+        if (in_held(msg))
+          msg = {grown.data() + (msg.data() - held.data()), msg.size()};
+      held.swap(grown);
+    }
+    held.insert(held.end(), payload.begin(), payload.end());
+    refer({held.data() + size, payload.size()});
+  }
+
+  /// Copy every message into `held` (one exact-size copy) and re-point the
+  /// spans there, so the inbox no longer depends on where its messages
+  /// were delivered from.
+  void hold() {
+    std::vector<Word> kept;
+    if (std::none_of(msgs.begin(), msgs.end(),
+                     [this](std::span<const Word> m) { return in_held(m); }))
+      kept.swap(held);  // nothing reads the old contents: reuse capacity
+    kept.clear();
+    kept.reserve(words);
+    for (std::span<const Word>& msg : msgs) {
+      const Word* at = kept.data() + kept.size();
+      kept.insert(kept.end(), msg.begin(), msg.end());
+      msg = {at, msg.size()};
+    }
+    held.swap(kept);
+  }
+
+ private:
+  bool in_held(std::span<const Word> msg) const {
+    const std::less_equal<const Word*> le;
+    return !msg.empty() && le(held.data(), msg.data()) &&
+           le(msg.data() + msg.size(), held.data() + held.size());
   }
 };
 
-/// Read-only view of one message; converts to std::vector<Word> so code
-/// written against the vector-based inboxes keeps compiling.
+/// Read-only view of one message.
 class MessageView {
  public:
   MessageView() = default;
@@ -80,10 +108,6 @@ class MessageView {
   Word back() const { return span_.back(); }
   std::span<const Word> span() const noexcept { return span_; }
 
-  operator std::vector<Word>() const {  // NOLINT(google-explicit-constructor)
-    return {span_.begin(), span_.end()};
-  }
-
   friend bool operator==(const MessageView& a, const std::vector<Word>& b) {
     return std::equal(a.begin(), a.end(), b.begin(), b.end());
   }
@@ -95,34 +119,24 @@ class MessageView {
   std::span<const Word> span_;
 };
 
-/// Read-only view over one machine's inbox, independent of whether the
-/// storage is a flat arena or scatter spans.
+/// Read-only view over one machine's inbox. It reads the Inbox object it
+/// was made from; a delivery swaps the live inboxes with staged ones, so
+/// take a fresh view after running rounds.
 class InboxView {
  public:
-  InboxView() = default;
-  explicit InboxView(const Inbox& flat) : flat_(&flat) {}
-  explicit InboxView(const ScatterInbox& scatter) : scatter_(&scatter) {}
+  explicit InboxView(const Inbox& inbox) : inbox_(&inbox) {}
 
-  std::size_t size() const noexcept {
-    if (flat_) return flat_->message_count();
-    if (scatter_) return scatter_->msgs.size();
-    return 0;
-  }
+  std::size_t size() const noexcept { return inbox_->msgs.size(); }
   bool empty() const noexcept { return size() == 0; }
 
   MessageView operator[](std::size_t i) const {
     ARBOR_DCHECK(i < size());
-    if (flat_) return MessageView(flat_->message(i));
-    return MessageView(scatter_->msgs[i]);
+    return MessageView(inbox_->msgs[i]);
   }
   MessageView front() const { return (*this)[0]; }
 
   /// Total words across all messages.
-  std::size_t total_words() const noexcept {
-    if (flat_) return flat_->word_count();
-    if (scatter_) return scatter_->words;
-    return 0;
-  }
+  std::size_t total_words() const noexcept { return inbox_->words; }
 
   class iterator {
    public:
@@ -156,8 +170,7 @@ class InboxView {
   iterator end() const { return {this, size()}; }
 
  private:
-  const Inbox* flat_ = nullptr;
-  const ScatterInbox* scatter_ = nullptr;
+  const Inbox* inbox_;
 };
 
 }  // namespace arbor::engine

@@ -1,11 +1,12 @@
 // Per-cluster message state: inboxes, and double-buffered outboxes.
 //
-// Inboxes are flat word arenas that reuse storage across rounds. Inside a
-// running program the scheduler's zero-copy delivery replaces them with
-// ScatterInboxes — spans into the outbox bank of the round that sent them —
-// so outboxes come in two banks: each round's compute writes the front
-// bank, and the banks flip at delivery so the next compute writes the
-// other one while the delivered spans stay valid.
+// Inside a running program the scheduler's delivery leaves each inbox as
+// spans into the outbox bank of the round that sent them, so outboxes come
+// in two banks: each round's compute writes the front bank, and the banks
+// flip at delivery so the next compute writes the other one while the
+// delivered spans stay valid. Outside a program every inbox's spans point
+// into its own `held` arena (preloads, and the final inboxes the scheduler
+// holds on every exit path).
 #pragma once
 
 #include <array>
@@ -22,22 +23,13 @@
 namespace arbor::engine {
 
 struct RoundState {
-  explicit RoundState(std::size_t machines) : flat_inboxes(machines) {
+  explicit RoundState(std::size_t machines) : inboxes(machines) {
     for (std::vector<Outbox>& bank : outbox_banks) bank.resize(machines);
   }
 
-  std::size_t num_machines() const noexcept { return outbox_banks[0].size(); }
+  std::size_t num_machines() const noexcept { return inboxes.size(); }
 
-  InboxView inbox(std::size_t m) const {
-    if (scatter_active) return InboxView(scatter_inboxes[m]);
-    return InboxView(flat_inboxes[m]);
-  }
-
-  /// Words currently queued in machine `m`'s inbox.
-  std::size_t inbox_words(std::size_t m) const noexcept {
-    return scatter_active ? scatter_inboxes[m].words
-                          : flat_inboxes[m].word_count();
-  }
+  InboxView inbox(std::size_t m) const { return InboxView(inboxes[m]); }
 
   /// Deliver `payload` into machine `dst`'s inbox outside of any round
   /// (input loading). Preloads count against the same receiver-side word
@@ -45,14 +37,13 @@ struct RoundState {
   /// most `capacity` words, however those words arrived.
   void preload(std::size_t dst, std::span<const Word> payload,
                std::size_t capacity) {
-    const std::size_t queued = inbox_words(dst) + payload.size();
+    const std::size_t queued = inboxes[dst].words + payload.size();
     ARBOR_CHECK_MSG(queued <= capacity,
                     "machine " + std::to_string(dst) +
                         " exceeded receive capacity: " +
                         std::to_string(queued) + " > " +
                         std::to_string(capacity) + " words in preload");
-    ARBOR_DCHECK(!scatter_active);  // programs materialize before returning
-    flat_inboxes[dst].append(payload);
+    inboxes[dst].append(payload);
   }
 
   /// Drop every queued message, keeping arena capacity (Inbox::clear
@@ -61,9 +52,7 @@ struct RoundState {
   /// nor re-ships them as preinbox frames over the net/ transport. After
   /// the first few programs a pooled steady state allocates nothing here.
   void clear_inboxes() noexcept {
-    for (Inbox& inbox : flat_inboxes) inbox.clear();
-    for (ScatterInbox& inbox : scatter_inboxes) inbox.clear();
-    scatter_active = false;
+    for (Inbox& inbox : inboxes) inbox.clear();
   }
 
   /// Outbox bank the current round's compute writes and its delivery reads.
@@ -78,15 +67,7 @@ struct RoundState {
   /// next round's reads, and the other one takes that round's sends.
   void flip() noexcept { front = 1 - front; }
 
-  std::vector<Inbox> flat_inboxes;
-  /// Zero-copy inboxes the scheduler's delivery produces:
-  /// spans into the frozen outbox bank of the round that delivered them.
-  /// `scatter_active` selects which representation inbox(m) reads; the
-  /// scheduler materializes scatter contents into flat_inboxes (and drops
-  /// the flag) before a program returns, so everything outside a running
-  /// program only ever sees the flat representation.
-  std::vector<ScatterInbox> scatter_inboxes;
-  bool scatter_active = false;
+  std::vector<Inbox> inboxes;
   std::array<std::vector<Outbox>, 2> outbox_banks;
   std::size_t front = 0;
 };

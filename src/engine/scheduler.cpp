@@ -30,15 +30,16 @@ ProgramStats Scheduler::run(RoundState& state, std::size_t capacity,
     std::atomic<bool>& flag;
     ~Reset() { flag.store(false, std::memory_order_release); }
   } reset{in_program_};
-  // Zero-copy deliveries leave the final round's inboxes as spans into an
-  // outbox bank; everything outside a running program expects the flat
-  // representation, so materialize on every exit path (including a step
-  // throwing mid-program — the referenced bank is still frozen then).
-  struct Materialize {
-    Scheduler& scheduler;
+  // Deliveries leave the final round's inboxes as spans into an outbox
+  // bank, which the next program's compute overwrites; hold them on every
+  // exit path (including a step throwing mid-program — the referenced bank
+  // is still frozen then).
+  struct Hold {
     RoundState& state;
-    ~Materialize() { scheduler.materialize_scatter(state); }
-  } materialize{*this, state};
+    ~Hold() {
+      for (Inbox& inbox : state.inboxes) inbox.hold();
+    }
+  } hold{state};
 
   std::unique_ptr<check::Monitor> monitor;
   if (policy_.check)
@@ -141,7 +142,7 @@ RoundStats Scheduler::route_and_deliver_direct(RoundState& state,
                                                const std::string& step_name) {
   const std::size_t machines = state.num_machines();
   const std::vector<Outbox>& outboxes = state.front_outboxes();
-  if (scatter_scratch_.size() != machines) scatter_scratch_.resize(machines);
+  if (staging_.size() != machines) staging_.resize(machines);
   RoundStats stats;
 
   // One source-major pass: count per-destination volume AND stage span
@@ -149,7 +150,7 @@ RoundStats Scheduler::route_and_deliver_direct(RoundState& state,
   // order), and no payload word moves. On a cap violation the staged spans
   // are simply discarded and the previous round's inboxes remain current.
   recv_words_.assign(machines, 0);
-  for (ScatterInbox& in : scatter_scratch_) in.clear();
+  for (Inbox& in : staging_) in.clear();
   for (std::size_t src = 0; src < machines; ++src) {
     const Outbox& out = outboxes[src];
     // Sent volume is the sum of message lengths, not the arena size: a
@@ -159,38 +160,19 @@ RoundStats Scheduler::route_and_deliver_direct(RoundState& state,
     for (const Outbox::Msg& msg : out.msgs) {
       sent += msg.length;
       recv_words_[msg.dst] += msg.length;
-      scatter_scratch_[msg.dst].msgs.push_back(
-          {out.words.data() + msg.offset, msg.length});
+      staging_[msg.dst].refer(out.payload(msg));
     }
     stats.max_sent = std::max(stats.max_sent, sent);
   }
   check_receive_caps(capacity, round_index, step_name, stats);
-  for (std::size_t dst = 0; dst < machines; ++dst)
-    scatter_scratch_[dst].words = recv_words_[dst];
 
-  // Commit: the staged bank becomes the live inboxes. The spans alias the
+  // Commit: the staged inboxes become the live ones. The spans alias the
   // current front bank, which flips so the next round's compute writes the
   // other bank and the references stay valid for the round that reads
   // them.
-  state.scatter_inboxes.swap(scatter_scratch_);
-  state.scatter_active = true;
+  state.inboxes.swap(staging_);
   state.flip();
   return stats;
-}
-
-void Scheduler::materialize_scatter(RoundState& state) {
-  if (!state.scatter_active) return;
-  const std::size_t machines = state.num_machines();
-  for (std::size_t m = 0; m < machines; ++m) {
-    Inbox& in = state.flat_inboxes[m];
-    const ScatterInbox& sc = state.scatter_inboxes[m];
-    in.clear();
-    in.words.reserve(sc.words);
-    in.msgs.reserve(sc.msgs.size());
-    for (const std::span<const Word>& span : sc.msgs) in.append(span);
-  }
-  for (ScatterInbox& sc : state.scatter_inboxes) sc.clear();
-  state.scatter_active = false;
 }
 
 }  // namespace arbor::engine

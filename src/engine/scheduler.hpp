@@ -8,17 +8,16 @@
 //             runs the phase through the Monitor instead, single-threaded.
 //   deliver — a zero-copy pass (route_and_deliver_direct) counts the
 //             per-destination volume, validates the receiver-side caps,
-//             and records span references into the frozen outbox bank
-//             (ScatterInbox); the banks flip, and the next compute reads
-//             the spans where they lie — no payload word moves.
+//             and records each Inbox as spans into the frozen outbox bank;
+//             the banks flip, and the next compute reads the spans where
+//             they lie — no payload word moves.
 //
 // Every executor — serial, parallel(k), checked — delivers in the same ONE
 // source-major pass with no routing table; the pool, when there is one,
 // runs only the compute phase. The caps are validated before any inbox
 // mutation, so a violating round leaves the previous round's inboxes
-// current. The final round's spans are materialized into flat inboxes
-// before run() returns, so only the scheduler ever observes the scatter
-// representation.
+// current. Every inbox is held (Inbox::hold) before run() returns, so
+// nothing outside a running program reads a span into an outbox bank.
 //
 // Delivery order is (source machine asc, send order) for every destination
 // under every executor, so inboxes, fingerprints, and ledger totals are
@@ -84,10 +83,6 @@ class Scheduler {
   RoundStats route_and_deliver_direct(RoundState& state, std::size_t capacity,
                                       std::size_t round_index,
                                       const std::string& step_name);
-  /// Copy scatter-delivered spans into the flat inboxes and drop the
-  /// scatter flag; no-op when no round delivered. Runs on every program
-  /// exit path.
-  void materialize_scatter(RoundState& state);
   /// Receiver-side cap over recv_words_, validated once per machine and
   /// naming the offender; folds the largest receive volume into `stats`.
   void check_receive_caps(std::size_t capacity, std::size_t round_index,
@@ -103,10 +98,10 @@ class Scheduler {
 
   // Per-destination receive volume of the round being delivered.
   std::vector<std::size_t> recv_words_;
-  // Staging bank for route_and_deliver_direct: spans are collected here and
-  // swapped into the state only after the caps validate, so a cap violation
-  // leaves the previous round's inboxes untouched.
-  std::vector<ScatterInbox> scatter_scratch_;
+  // Staging inboxes for route_and_deliver_direct: spans are collected here
+  // and swapped into the state only after the caps validate, so a cap
+  // violation leaves the previous round's inboxes untouched.
+  std::vector<Inbox> staging_;
 };
 
 }  // namespace arbor::engine

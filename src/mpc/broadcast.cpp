@@ -74,7 +74,7 @@ engine::RoundProgram make_broadcast_program(
       // not look at the inbox: it may still hold traffic from whatever the
       // cluster ran before this program.
       if (round > 0 && !st->has[m] && !inbox.empty()) {
-        st->holds[m] = inbox.front();
+        st->holds[m].assign(inbox.front().begin(), inbox.front().end());
         st->has[m] = 1;
       }
       if (!st->has[m]) return;
@@ -208,7 +208,7 @@ BroadcastResult broadcast_tree(Cluster& cluster, std::size_t root,
     if (st->has[m]) continue;
     const auto inbox = cluster.inbox(m);
     if (!inbox.empty()) {
-      st->holds[m] = inbox.front();
+      st->holds[m].assign(inbox.front().begin(), inbox.front().end());
       st->has[m] = 1;
     }
   }

@@ -51,8 +51,8 @@ std::string backend_string(const ClusterConfig& config) {
 // to between programs).
 std::size_t arena_high_water(const engine::RoundState& state) {
   std::size_t words = 0;
-  for (const engine::Inbox& inbox : state.flat_inboxes)
-    words += inbox.words.capacity();
+  for (const engine::Inbox& inbox : state.inboxes)
+    words += inbox.held.capacity();
   for (const auto& bank : state.outbox_banks)
     for (const engine::Outbox& outbox : bank) words += outbox.words.capacity();
   return words;

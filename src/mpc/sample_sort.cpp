@@ -212,7 +212,7 @@ engine::RoundProgram make_sort_program(std::shared_ptr<SortState> st,
         ARBOR_CHECK_MSG(!inbox.empty(),
                         "splitter tree: relay " + std::to_string(m) +
                             " missing its splitter packet from the root");
-        const std::vector<Word> packet = inbox.front();
+        const std::span<const Word> packet = inbox.front().span();
         const std::size_t g = tree.group_of(m);
         for (std::size_t dst = tree.group_begin(g);
              dst < tree.group_end(g); ++dst)

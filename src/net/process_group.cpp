@@ -367,24 +367,9 @@ engine::ProgramStats ProcessGroup::run(engine::RoundState& state,
   trace::Span scatter_span = tracer.span("driver", "scatter " + spec.name);
   for (std::size_t w = 0; w < W; ++w) {
     const auto [begin, end] = machine_block(machines, W, w);
-    ProgramFrame frame;
-    frame.first_round = first_round_index;
-    frame.steps = program.steps.size();
-    frame.max_passes = program.max_passes;
-    frame.has_output = spec.has_output;
-    frame.has_vote = spec.has_vote;
-    frame.name = spec.name;
-    frame.scalars = spec.scalars;
-    frame.inputs.resize(end - begin);
-    frame.preinbox.resize(end - begin);
-    for (std::size_t m = begin; m < end; ++m) {
-      if (!spec.inputs.empty()) frame.inputs[m - begin] = spec.inputs[m];
-      const engine::InboxView inbox = state.inbox(m);
-      frame.preinbox[m - begin].reserve(inbox.size());
-      for (const engine::MessageView& msg : inbox)
-        frame.preinbox[m - begin].emplace_back(msg.begin(), msg.end());
-    }
-    send_or_fail(w, FrameType::kProgram, encode_program_frame(frame),
+    send_or_fail(w, FrameType::kProgram,
+                 encode_program_frame(program, first_round_index,
+                                      state.inboxes, begin, end),
                  first_round_index);
   }
   scatter_span.end();
@@ -480,16 +465,8 @@ engine::ProgramStats ProcessGroup::run(engine::RoundState& state,
   const std::vector<Frame> dumps =
       hub_->collect(worker_ids_, FrameType::kInboxDump, oob);
   for (std::size_t w = 0; w < W; ++w) {
-    WireReader reader(dumps[w].payload, "inbox-dump");
     const auto [begin, end] = machine_block(machines, W, w);
-    for (std::size_t m = begin; m < end; ++m) {
-      const std::size_t num_msgs = reader.count();
-      engine::Inbox& inbox = state.flat_inboxes[m];
-      inbox.clear();
-      for (std::size_t i = 0; i < num_msgs; ++i)
-        inbox.append(reader.words(reader.count()));
-    }
-    reader.expect_end();
+    decode_inbox_dump(dumps[w].payload, state.inboxes, begin, end);
   }
 
   // Telemetry last, absorbed in rank order (collect() indexes by source),

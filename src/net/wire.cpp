@@ -177,7 +177,7 @@ void deliver_outbox_msgs(OutboxFrameView& view,
                     "outbox frame payload exceeds its count table for "
                     "machine " +
                         std::to_string(dst));
-    inboxes[dst].append(reader.words(length));
+    inboxes[dst].refer(reader.words(length));
   }
   for (std::size_t i = 0; i < seen.size(); ++i)
     ARBOR_CHECK_MSG(seen[i] == view.dst_words[i],
@@ -187,55 +187,84 @@ void deliver_outbox_msgs(OutboxFrameView& view,
   reader.expect_end();
 }
 
-// -------------------------------------------------- inbox dumps / slabs
+// --------------------------------------------------------- inbox dumps
+
+namespace {
+
+/// One machine's inbox: [num_msgs, {length, words...} * num_msgs], the
+/// layout inbox dumps and program frames share.
+void put_inbox(std::vector<Word>& out, const engine::Inbox& inbox) {
+  out.push_back(static_cast<Word>(inbox.msgs.size()));
+  for (const std::span<const Word> msg : inbox.msgs) {
+    out.push_back(static_cast<Word>(msg.size()));
+    out.insert(out.end(), msg.begin(), msg.end());
+  }
+}
+
+/// Replace `inbox` with the reader's next one, as spans into its payload.
+void read_inbox(WireReader& reader, engine::Inbox& inbox) {
+  inbox.clear();
+  try {
+    const std::size_t num_msgs = reader.count();
+    for (std::size_t i = 0; i < num_msgs; ++i)
+      inbox.refer(reader.words(reader.count()));
+  } catch (...) {
+    inbox.clear();  // no span may outlive a rejected payload
+    throw;
+  }
+}
+
+}  // namespace
 
 std::vector<Word> encode_inbox_dump(std::span<const engine::Inbox> inboxes,
                                     std::size_t begin, std::size_t end) {
+  ARBOR_CHECK(end <= inboxes.size() && begin <= end);
   std::vector<Word> out;
-  for (std::size_t m = begin; m < end; ++m) {
-    const engine::Inbox& box = inboxes[m];
-    out.push_back(static_cast<Word>(box.message_count()));
-    for (std::size_t i = 0; i < box.message_count(); ++i) {
-      const std::span<const Word> msg = box.message(i);
-      out.push_back(static_cast<Word>(msg.size()));
-      out.insert(out.end(), msg.begin(), msg.end());
-    }
-  }
+  for (std::size_t m = begin; m < end; ++m) put_inbox(out, inboxes[m]);
   return out;
 }
 
-std::vector<Word> encode_slab_block(
-    const std::vector<std::vector<Word>>& slabs, std::size_t begin,
-    std::size_t end) {
-  ARBOR_CHECK(end <= slabs.size() && begin <= end);
-  std::vector<Word> out;
+void decode_inbox_dump(std::span<const Word> payload,
+                       std::span<engine::Inbox> inboxes, std::size_t begin,
+                       std::size_t end) {
+  ARBOR_CHECK(end <= inboxes.size() && begin <= end);
+  WireReader reader(payload, "inbox-dump");
   for (std::size_t m = begin; m < end; ++m) {
-    out.push_back(static_cast<Word>(slabs[m].size()));
-    out.insert(out.end(), slabs[m].begin(), slabs[m].end());
+    read_inbox(reader, inboxes[m]);
+    inboxes[m].hold();
   }
-  return out;
+  reader.expect_end();
 }
 
 // ------------------------------------------------------- program frames
 
-std::vector<Word> encode_program_frame(const ProgramFrame& frame) {
-  ARBOR_CHECK(frame.inputs.size() == frame.preinbox.size());
+std::vector<Word> encode_program_frame(const engine::RoundProgram& program,
+                                       std::size_t first_round,
+                                       std::span<const engine::Inbox> inboxes,
+                                       std::size_t begin, std::size_t end) {
+  ARBOR_CHECK(program.remote && end <= inboxes.size() && begin <= end);
+  const engine::RemoteSpec& spec = *program.remote;
+  const auto input = [&spec](std::size_t m) {
+    return spec.inputs.empty() ? std::span<const Word>()
+                               : std::span<const Word>(spec.inputs[m]);
+  };
+  // Size the payload up front, so no growth re-copies it.
+  std::size_t size = 6 + (spec.name.size() + 7) / 8 + spec.scalars.size();
+  for (std::size_t m = begin; m < end; ++m)
+    size += 2 + input(m).size() + inboxes[m].msgs.size() + inboxes[m].words;
   std::vector<Word> out;
-  out.push_back(static_cast<Word>(frame.first_round));
-  out.push_back(static_cast<Word>(frame.steps));
-  out.push_back(static_cast<Word>(frame.max_passes));
-  out.push_back((frame.has_output ? 1u : 0u) | (frame.has_vote ? 2u : 0u));
-  put_str(out, frame.name);
-  out.push_back(static_cast<Word>(frame.scalars.size()));
-  out.insert(out.end(), frame.scalars.begin(), frame.scalars.end());
-  for (std::size_t i = 0; i < frame.inputs.size(); ++i) {
-    out.push_back(static_cast<Word>(frame.inputs[i].size()));
-    out.insert(out.end(), frame.inputs[i].begin(), frame.inputs[i].end());
-    out.push_back(static_cast<Word>(frame.preinbox[i].size()));
-    for (const std::vector<Word>& msg : frame.preinbox[i]) {
-      out.push_back(static_cast<Word>(msg.size()));
-      out.insert(out.end(), msg.begin(), msg.end());
-    }
+  out.reserve(size);
+  out.push_back(static_cast<Word>(first_round));
+  out.push_back(static_cast<Word>(program.steps.size()));
+  out.push_back(static_cast<Word>(program.max_passes));
+  out.push_back((spec.has_output ? 1u : 0u) | (spec.has_vote ? 2u : 0u));
+  put_str(out, spec.name);
+  out.push_back(static_cast<Word>(spec.scalars.size()));
+  out.insert(out.end(), spec.scalars.begin(), spec.scalars.end());
+  for (std::size_t m = begin; m < end; ++m) {
+    out.push_back(static_cast<Word>(input(m).size()));
+    out.insert(out.end(), input(m).begin(), input(m).end());
+    put_inbox(out, inboxes[m]);
   }
   return out;
 }
@@ -257,16 +286,9 @@ ProgramFrame decode_program_frame(std::span<const Word> payload,
   frame.inputs.resize(block_size);
   frame.preinbox.resize(block_size);
   for (std::size_t i = 0; i < block_size; ++i) {
-    const std::size_t input_len = reader.count();
-    const std::span<const Word> input = reader.words(input_len);
+    const std::span<const Word> input = reader.words(reader.count());
     frame.inputs[i].assign(input.begin(), input.end());
-    const std::size_t num_msgs = reader.count();
-    frame.preinbox[i].resize(num_msgs);
-    for (std::size_t j = 0; j < num_msgs; ++j) {
-      const std::size_t len = reader.count();
-      const std::span<const Word> msg = reader.words(len);
-      frame.preinbox[i][j].assign(msg.begin(), msg.end());
-    }
+    read_inbox(reader, frame.preinbox[i]);
   }
   reader.expect_end();
   return frame;

@@ -15,8 +15,8 @@
 // cursors that reject truncated or trailing words by structure name
 // (tests/net_test.cpp fuzzes the round trip). The receiver-side traffic
 // cap is validated from an outbox frame's count table BEFORE any message
-// payload is deserialized into inboxes — a misbehaving sender cannot make
-// a receiver materialize more than its word budget.
+// is delivered (as spans into the received payload) — a misbehaving
+// sender cannot make a receiver take more than its word budget.
 #pragma once
 
 #include <array>
@@ -29,6 +29,7 @@
 
 #include "engine/inbox.hpp"
 #include "engine/outbox.hpp"
+#include "engine/program.hpp"
 #include "engine/types.hpp"
 #include "trace/trace.hpp"
 
@@ -143,30 +144,41 @@ struct OutboxFrameView {
 OutboxFrameView decode_outbox_counts(std::span<const Word> payload,
                                      std::size_t dst_block_size);
 
-/// Phase 2: append the frame's messages into `inboxes` (indexed by global
-/// machine id). Validates per-message destinations against the block and
+/// Phase 2: record the frame's messages into `inboxes` (indexed by global
+/// machine id) as spans into the frame payload, which must outlive every
+/// read of them. Validates per-message destinations against the block and
 /// that the payload matches the count table word for word.
 void deliver_outbox_msgs(OutboxFrameView& view,
                          std::span<engine::Inbox> inboxes,
                          std::size_t dst_begin, std::size_t dst_end);
 
-// -------------------------------------------------- inbox dumps / slabs
+// --------------------------------------------------------- inbox dumps
 
-/// Per-machine inbox contents with message boundaries:
+/// Inboxes of machines [begin, end) with their message boundaries, in the
+/// layout program frames' preinboxes share:
 ///   [{num_msgs, {length, words...} * num_msgs} * block_size]
 std::vector<Word> encode_inbox_dump(std::span<const engine::Inbox> inboxes,
                                     std::size_t begin, std::size_t end);
 
-/// Per-machine word slabs without message structure:
-///   [{length, words...} * block_size]
-std::vector<Word> encode_slab_block(
-    const std::vector<std::vector<Word>>& slabs, std::size_t begin,
-    std::size_t end);
+/// Write an inbox dump back into `inboxes` [begin, end) (indexed by global
+/// machine id). Every inbox is held, so none refers to `payload`.
+void decode_inbox_dump(std::span<const Word> payload,
+                       std::span<engine::Inbox> inboxes, std::size_t begin,
+                       std::size_t end);
 
 // ------------------------------------------------------- program frames
 
-/// The kProgram payload: everything a worker needs to rebuild its share of
-/// a RoundProgram from the registry (src/net/registry.hpp).
+/// The kProgram payload for machines [begin, end): what a worker needs to
+/// rebuild its share of `program` from the registry (src/net/registry.hpp),
+/// then per machine its input slab ([length, words...]) and its inbox (the
+/// inbox-dump layout), copied straight from `program.remote` and `inboxes`
+/// (indexed by global machine id).
+std::vector<Word> encode_program_frame(const engine::RoundProgram& program,
+                                       std::size_t first_round,
+                                       std::span<const engine::Inbox> inboxes,
+                                       std::size_t begin, std::size_t end);
+
+/// A decoded kProgram payload.
 struct ProgramFrame {
   std::size_t first_round = 0;  ///< feeds error text, matches the driver
   std::size_t steps = 0;        ///< cross-checked against the factory's
@@ -177,12 +189,11 @@ struct ProgramFrame {
   std::vector<Word> scalars;
   /// Input slab per machine of the worker's block (block order).
   std::vector<std::vector<Word>> inputs;
-  /// Inbox contents per machine of the block at program start (preloads
-  /// and leftovers from earlier programs), message boundaries preserved.
-  std::vector<std::vector<std::vector<Word>>> preinbox;
+  /// Inbox per machine of the block at program start (preloads and
+  /// leftovers from earlier programs), as spans into the decoded payload.
+  std::vector<engine::Inbox> preinbox;
 };
 
-std::vector<Word> encode_program_frame(const ProgramFrame& frame);
 ProgramFrame decode_program_frame(std::span<const Word> payload,
                                   std::size_t block_size);
 

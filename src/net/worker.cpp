@@ -68,8 +68,7 @@ void worker_log(std::size_t rank, std::string_view text) {
 
 std::uint64_t fingerprint_inbox(const engine::Inbox& inbox) {
   std::uint64_t h = util::mix64(0x6e6574);  // "net"
-  for (std::size_t i = 0; i < inbox.message_count(); ++i) {
-    const std::span<const Word> msg = inbox.message(i);
+  for (const std::span<const Word> msg : inbox.msgs) {
     h = util::hash_combine(h, msg.size());
     for (Word w : msg) h = util::hash_combine(h, w);
   }
@@ -85,6 +84,7 @@ class WorkerRuntime {
         driver_(driver_source(w_.workers)),
         block_(machine_block(w_.machines, w_.workers, w_.rank)),
         inboxes_(w_.machines),
+        staging_(w_.machines),
         outboxes_(w_.machines) {
     for (std::size_t q = 0; q < w_.workers; ++q)
       if (q != w_.rank) peers_.push_back(q);
@@ -191,14 +191,14 @@ class WorkerRuntime {
     peer_payloads.clear();
     const std::int64_t wait_t0 = metrics ? trace::now_ns() : 0;
     trace::Span wait_span = tracer_.span("net", "wait " + step_name);
-    const std::vector<Frame> peer_frames =
+    std::vector<Frame> peer_frames =
         w_.hub->collect(peers_, FrameType::kOutbox, oob());
     wait_span.end();
     const std::int64_t deliver_t0 = metrics ? trace::now_ns() : 0;
     trace::Span deliver_span = tracer_.span("net", "deliver " + step_name);
 
     // Count tables first (source rank ascending), so every receive cap is
-    // checked before any message payload is deserialized.
+    // checked before any message is delivered.
     std::vector<OutboxFrameView> views;
     views.reserve(w_.workers);
     std::size_t peer_index = 0;
@@ -232,10 +232,15 @@ class WorkerRuntime {
       max_received = std::max(max_received, total);
     }
 
+    // Stage spans into this round's frames; swap inboxes and frames in
+    // together once all validated, so a rejected frame changes nothing.
     for (std::size_t m = block_.first; m < block_.second; ++m)
-      inboxes_[m].clear();
+      staging_[m].clear();
     for (OutboxFrameView& view : views)
-      deliver_outbox_msgs(view, inboxes_, block_.first, block_.second);
+      deliver_outbox_msgs(view, staging_, block_.first, block_.second);
+    inboxes_.swap(staging_);
+    self_frame_.swap(self_frame);
+    peer_frames_.swap(peer_frames);
 
     // Sent volume is the sum of message lengths, not the arena size — the
     // same accounting the in-process scheduler's route phase uses, so
@@ -289,11 +294,10 @@ class WorkerRuntime {
                         "\" has no vote function but the driver expects "
                         "pass votes");
 
-    for (std::size_t m = block_.first; m < block_.second; ++m) {
-      inboxes_[m].clear();
-      for (const std::vector<Word>& msg : frame.preinbox[m - block_.first])
-        inboxes_[m].append(msg);
-    }
+    // Spans into the program frame, which serve() keeps alive until this
+    // program returns; the first round's delivery replaces them.
+    for (std::size_t m = block_.first; m < block_.second; ++m)
+      inboxes_[m] = std::move(frame.preinbox[m - block_.first]);
 
     // Checked execution: one Monitor per program, built from the rebuilt
     // program's Ownership declaration. RaceErrors it throws are
@@ -396,7 +400,12 @@ class WorkerRuntime {
   const std::size_t driver_;
   const std::pair<std::size_t, std::size_t> block_;
   std::vector<std::size_t> peers_;
+  // Inboxes are spans into the last delivered round's frames, kept here
+  // until the next round's delivery commits.
   std::vector<engine::Inbox> inboxes_;
+  std::vector<engine::Inbox> staging_;
+  std::vector<Frame> peer_frames_;
+  std::vector<Word> self_frame_;
   std::vector<engine::Outbox> outboxes_;
   std::optional<engine::ThreadPool> pool_;
   /// Runtime-local tracer (NOT the process-global one): loopback runtimes

@@ -5,9 +5,10 @@
 // optionally spread over a thread pool — the same block-partitioned
 // compute the in-process engine runs, just over a slice), exchanges one
 // outbox frame with every peer worker, validates its machines' receive
-// caps from the frames' count tables BEFORE deserializing any payload,
+// caps from the frames' count tables BEFORE delivering any message,
 // delivers in (source machine asc, send order) — the in-process executor's
-// order — and reports the round's traffic stats and per-machine inbox
+// order — as spans into the frames it keeps until the next round's
+// delivery, and reports the round's traffic stats and per-machine inbox
 // fingerprints to the driver, which commits the round (ledger charge) and
 // acks. Pass barriers reduce per-machine votes through the driver; after
 // the final round the worker ships its output slabs and final inboxes

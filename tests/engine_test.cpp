@@ -1,8 +1,8 @@
 // Tests for the parallel execution engine (src/engine/): thread pool
-// semantics, flat inbox/outbox buffers, and — the load-bearing property —
-// that parallel(k) execution is bit-identical to the serial reference
-// executor for every Level-0 program in the tree (delivery order, inbox
-// contents, ledger totals), with the traffic caps enforced exactly under
+// semantics, span inboxes and flat outbox buffers, and — the load-bearing
+// property — that parallel(k) execution is bit-identical to the serial
+// reference executor for every Level-0 program in the tree (delivery order,
+// inbox contents, ledger totals), with the traffic caps enforced exactly under
 // concurrency.
 #include <gtest/gtest.h>
 
@@ -97,47 +97,85 @@ TEST(ThreadPool, PropagatesLowestBlockException) {
   }
 }
 
-// ------------------------------------------------------- flat inbox views
+// ------------------------------------------------------------ inbox spans
 
-TEST(Inbox, FlatAppendAndViews) {
+// One inbox shape: message spans over storage that outlives the round.
+TEST(Inbox, SpansReadInPlaceAndHeldContentsOutliveTheirSource) {
+  // Spans recorded with refer() read the sender's words where they lie.
+  std::vector<Word> arena{4, 5, 6};
   engine::Inbox inbox;
-  inbox.append(std::vector<Word>{1, 2, 3});
-  inbox.append(std::vector<Word>{9});
+  inbox.refer(std::span<const Word>(arena.data(), 2));
+  inbox.refer(std::span<const Word>(arena.data() + 2, 1));
+  inbox.refer({});  // zero-length message
   const engine::InboxView view(inbox);
-  ASSERT_EQ(view.size(), 2u);
+  ASSERT_EQ(view.size(), 3u);
   EXPECT_FALSE(view.empty());
-  EXPECT_EQ(view.total_words(), 4u);
-  EXPECT_EQ(view[0].size(), 3u);
-  EXPECT_EQ(view[0][1], 2u);
-  EXPECT_EQ(view[1][0], 9u);
-  const std::vector<Word> materialized = view.front();
-  EXPECT_EQ(materialized, (std::vector<Word>{1, 2, 3}));
+  EXPECT_EQ(view.total_words(), 3u);
+  EXPECT_EQ(view[0], (std::vector<Word>{4, 5}));
+  EXPECT_EQ(view[1][0], 6u);
+  EXPECT_TRUE(view[2].empty());
+  EXPECT_EQ(view[0].begin(), arena.data());  // no copy
   std::size_t count = 0, words = 0;
   for (const auto& msg : view) {
     ++count;
     words += msg.size();
   }
-  EXPECT_EQ(count, 2u);
-  EXPECT_EQ(words, 4u);
+  EXPECT_EQ(count, 3u);
+  EXPECT_EQ(words, 3u);
+
+  // hold() copies into the inbox's own arena: overwriting the source
+  // leaves the contents intact.
+  inbox.hold();
+  EXPECT_NE(view[0].begin(), arena.data());
+  std::fill(arena.begin(), arena.end(), Word{0xDEAD});
+  EXPECT_EQ(view[0], (std::vector<Word>{4, 5}));
+  EXPECT_EQ(view[1], (std::vector<Word>{6}));
+  EXPECT_TRUE(view[2].empty());
+  EXPECT_EQ(inbox.held.size(), 3u);  // one exact-size copy
+  inbox.hold();  // holding held contents again keeps them
+  EXPECT_EQ(view[0], (std::vector<Word>{4, 5}));
+  EXPECT_EQ(view[1], (std::vector<Word>{6}));
+
+  // Repeated preloads: every append may grow `held`, and the spans of
+  // earlier messages must follow it.
+  std::vector<std::vector<Word>> expected{{4, 5}, {6}, {}};
+  for (Word i = 0; i < 200; ++i) {
+    std::vector<Word> payload(i % 7, i);
+    inbox.append(payload);
+    expected.push_back(std::move(payload));
+  }
+  ASSERT_EQ(view.size(), expected.size());
+  std::size_t total = 0;
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(view[i], expected[i]) << "message " << i;
+    total += expected[i].size();
+  }
+  EXPECT_EQ(view.total_words(), total);
+
+  // Appends after spans into foreign storage keep those spans as they are.
+  const std::vector<Word> foreign{7, 7, 7};
+  inbox.refer(foreign);
+  for (Word i = 0; i < 100; ++i) inbox.append(std::vector<Word>(5, i));
+  EXPECT_EQ(view[expected.size()].begin(), foreign.data());
+
   inbox.clear();
   EXPECT_TRUE(engine::InboxView(inbox).empty());
-}
+  EXPECT_EQ(engine::InboxView(inbox).total_words(), 0u);
 
-// A scatter inbox reads its messages where the sender wrote them.
-TEST(Inbox, ScatterViewReadsSpansInPlace) {
-  const std::vector<Word> arena{4, 5, 6};
-  engine::ScatterInbox scatter;
-  scatter.msgs = {std::span<const Word>(arena.data(), 2),
-                  std::span<const Word>(arena.data() + 2, 1)};
-  scatter.words = 3;
-  const engine::InboxView view(scatter);
-  ASSERT_EQ(view.size(), 2u);
-  EXPECT_EQ(view.total_words(), 3u);
-  EXPECT_EQ(view[0], (std::vector<Word>{4, 5}));
-  EXPECT_EQ(view[1][0], 6u);
-  EXPECT_EQ(view[0].begin(), arena.data());  // no copy
-  scatter.clear();
-  EXPECT_TRUE(engine::InboxView(scatter).empty());
+  // An inbox moved inside a growing vector keeps valid spans: the held
+  // arena moves with it.
+  std::vector<engine::Inbox> inboxes(1);
+  inboxes[0].append(std::vector<Word>{1, 2, 3});
+  inboxes[0].append(std::vector<Word>{9});
+  const Word* before = inboxes[0].msgs[0].data();
+  for (std::size_t i = 0; i < 100; ++i) {
+    inboxes.emplace_back();
+    inboxes.back().append(std::vector<Word>{i});
+  }
+  EXPECT_EQ(inboxes[0].msgs[0].data(), before);
+  EXPECT_EQ(engine::InboxView(inboxes[0])[0], (std::vector<Word>{1, 2, 3}));
+  EXPECT_EQ(engine::InboxView(inboxes[0])[1], (std::vector<Word>{9}));
+  EXPECT_EQ(engine::InboxView(inboxes[100])[0], (std::vector<Word>{99}));
 }
 
 // -------------------------------------------- record slabs & bulk routing
@@ -507,11 +545,37 @@ TEST(Engine, PreloadVisibleInFirstRound) {
   std::vector<Word> seen;
   cluster.run_round([&](std::size_t m, const auto& inbox, Sender&) {
     if (m == 1 && !inbox.empty()) {
-      const std::vector<Word> msg = inbox.front();
-      seen = msg;
+      const std::span<const Word> msg = inbox.front().span();
+      seen.assign(msg.begin(), msg.end());
     }
   });
   EXPECT_EQ(seen, (std::vector<Word>{7, 8}));
+}
+
+// A preload between passes joins the inbox the last round delivered: the
+// next pass reads both, and whatever is queued when the program ends is
+// held together.
+TEST(Engine, PreloadBetweenPassesJoinsTheDeliveredInbox) {
+  Cluster cluster(ClusterConfig{2, 64}, nullptr);
+  std::vector<std::vector<Word>> read_by_0;
+  engine::RoundProgram program;
+  program.barrier([&](std::size_t m, const auto& inbox, Sender& send) {
+    if (m == 0)
+      for (const auto& msg : inbox)
+        read_by_0.emplace_back(msg.begin(), msg.end());
+    send.send(1 - m, {m + 10});
+  });
+  program.repeat_while([&](std::size_t passes) {
+    cluster.preload(0, {passes == 1 ? Word{99} : Word{77}});
+    return passes < 2;
+  });
+  cluster.run_program(program);
+  EXPECT_EQ(read_by_0, (std::vector<std::vector<Word>>{{11}, {99}}));
+  const auto inbox = cluster.inbox(0);
+  ASSERT_EQ(inbox.size(), 2u);
+  EXPECT_EQ(inbox[0], (std::vector<Word>{11}));
+  EXPECT_EQ(inbox[1], (std::vector<Word>{77}));
+  EXPECT_EQ(inbox.total_words(), 2u);
 }
 
 // Checksum of every machine's inbox (message boundaries included).
@@ -935,7 +999,7 @@ TEST(Scheduler, PooledScatterRaceFreeWithRealThreads) {
     const auto b = pooled_state.inbox(m);
     ASSERT_EQ(a.size(), b.size()) << "machine " << m;
     for (std::size_t i = 0; i < a.size(); ++i)
-      EXPECT_TRUE(a[i] == static_cast<std::vector<Word>>(b[i]))
+      EXPECT_TRUE(std::ranges::equal(a[i].span(), b[i].span()))
           << "machine " << m << " message " << i;
   }
 }

@@ -107,14 +107,18 @@ TEST(WireFormat, OutboxFramesRoundTripBitIdentically) {
     const auto expected = reference_delivery(outboxes, machines);
 
     // Carve the machines into worker blocks, ship every (src block, dst
-    // block) pair as one frame, deliver in source-rank order.
+    // block) pair as one frame, deliver in source-rank order. Delivered
+    // messages are spans into the frames, so the frames outlive the reads.
     std::vector<engine::Inbox> inboxes(machines);
+    std::vector<std::vector<Word>> frames;
+    frames.reserve(workers * workers);
     for (std::size_t dst_rank = 0; dst_rank < workers; ++dst_rank) {
       const auto [db, de] = machine_block(machines, workers, dst_rank);
       for (std::size_t src_rank = 0; src_rank < workers; ++src_rank) {
         const auto [sb, se] = machine_block(machines, workers, src_rank);
-        const std::vector<Word> payload = encode_outbox_frame(
-            /*round=*/7, src_rank, outboxes, sb, se, db, de);
+        const std::vector<Word>& payload =
+            frames.emplace_back(encode_outbox_frame(
+                /*round=*/7, src_rank, outboxes, sb, se, db, de));
         OutboxFrameView view = decode_outbox_counts(payload, de - db);
         EXPECT_EQ(view.round, 7u);
         EXPECT_EQ(view.src_rank, src_rank);
@@ -122,51 +126,106 @@ TEST(WireFormat, OutboxFramesRoundTripBitIdentically) {
       }
     }
     for (std::size_t m = 0; m < machines; ++m) {
-      ASSERT_EQ(inboxes[m].message_count(), expected[m].message_count())
+      ASSERT_EQ(inboxes[m].msgs.size(), expected[m].msgs.size())
           << "seed " << seed << " machine " << m;
       EXPECT_EQ(inboxes[m].words, expected[m].words)
           << "seed " << seed << " machine " << m;
-      for (std::size_t i = 0; i < inboxes[m].message_count(); ++i)
-        EXPECT_TRUE(std::ranges::equal(inboxes[m].message(i),
-                                       expected[m].message(i)));
+      for (std::size_t i = 0; i < inboxes[m].msgs.size(); ++i)
+        EXPECT_TRUE(
+            std::ranges::equal(inboxes[m].msgs[i], expected[m].msgs[i]));
     }
   }
+}
+
+/// Message-for-message equality of two inboxes.
+void expect_same_inbox(const engine::Inbox& got, const engine::Inbox& want,
+                       const std::string& where) {
+  ASSERT_EQ(got.msgs.size(), want.msgs.size()) << where;
+  EXPECT_EQ(got.words, want.words) << where;
+  for (std::size_t i = 0; i < got.msgs.size(); ++i)
+    EXPECT_TRUE(std::ranges::equal(got.msgs[i], want.msgs[i]))
+        << where << " message " << i;
+}
+
+/// Random inboxes over `machines`: every third machine has no messages,
+/// and every other machine's first message is zero-length.
+std::vector<engine::Inbox> random_inboxes(util::SplitRng& rng,
+                                          std::size_t machines) {
+  std::vector<engine::Inbox> inboxes(machines);
+  for (std::size_t m = 0; m < machines; ++m) {
+    if (m % 3 == 0) continue;
+    inboxes[m].append({});
+    for (std::size_t i = 0; i < rng.next_below(4); ++i)
+      inboxes[m].append(
+          std::vector<Word>(rng.next_below(4), rng.next_below(1u << 20)));
+  }
+  return inboxes;
 }
 
 TEST(WireFormat, ProgramFramesRoundTrip) {
   for (std::uint64_t seed = 0; seed < 10; ++seed) {
     util::SplitRng rng(seed);
-    ProgramFrame frame;
-    frame.first_round = rng.next_below(100);
-    frame.steps = 1 + rng.next_below(5);
-    frame.max_passes = 1 + rng.next_below(50);
-    frame.has_output = rng.next_below(2) == 1;
-    frame.has_vote = rng.next_below(2) == 1;
-    frame.name = seed % 2 ? "mpc.sample_sort" : "x";
+    const std::size_t first_round = rng.next_below(100);
+    engine::RoundProgram program;
+    program.steps.resize(1 + rng.next_below(5));
+    program.max_passes = 1 + rng.next_below(50);
+    program.remote = std::make_shared<engine::RemoteSpec>();
+    engine::RemoteSpec& spec = *program.remote;
+    spec.has_output = rng.next_below(2) == 1;
+    spec.has_vote = rng.next_below(2) == 1;
+    spec.name = seed % 2 ? "mpc.sample_sort" : "x";
     for (std::size_t i = 0; i < rng.next_below(4); ++i)
-      frame.scalars.push_back(rng.next_below(1u << 30));
-    const std::size_t block = 1 + rng.next_below(4);
-    frame.inputs.resize(block);
-    frame.preinbox.resize(block);
-    for (std::size_t b = 0; b < block; ++b) {
+      spec.scalars.push_back(rng.next_below(1u << 30));
+    const std::size_t machines = 1 + rng.next_below(6);
+    const std::size_t begin = rng.next_below(machines);
+    const std::size_t end = begin + 1 + rng.next_below(machines - begin);
+    // Every third seed runs a program without inputs.
+    spec.inputs.resize(seed % 3 == 0 ? 0 : machines);
+    for (std::vector<Word>& input : spec.inputs)
       for (std::size_t i = 0; i < rng.next_below(6); ++i)
-        frame.inputs[b].push_back(rng.next_below(1u << 20));
-      for (std::size_t i = 0; i < rng.next_below(3); ++i)
-        frame.preinbox[b].push_back(
-            std::vector<Word>(rng.next_below(4), seed));
+        input.push_back(rng.next_below(1u << 20));
+    const std::vector<engine::Inbox> inboxes = random_inboxes(rng, machines);
+
+    const std::vector<Word> payload =
+        encode_program_frame(program, first_round, inboxes, begin, end);
+    const ProgramFrame back = decode_program_frame(payload, end - begin);
+    EXPECT_EQ(back.first_round, first_round);
+    EXPECT_EQ(back.steps, program.steps.size());
+    EXPECT_EQ(back.max_passes, program.max_passes);
+    EXPECT_EQ(back.has_output, spec.has_output);
+    EXPECT_EQ(back.has_vote, spec.has_vote);
+    EXPECT_EQ(back.name, spec.name);
+    EXPECT_EQ(back.scalars, spec.scalars);
+    ASSERT_EQ(back.inputs.size(), end - begin);
+    ASSERT_EQ(back.preinbox.size(), end - begin);
+    for (std::size_t m = begin; m < end; ++m) {
+      const std::string where =
+          "seed " + std::to_string(seed) + " machine " + std::to_string(m);
+      EXPECT_EQ(back.inputs[m - begin],
+                spec.inputs.empty() ? std::vector<Word>{} : spec.inputs[m])
+          << where;
+      expect_same_inbox(back.preinbox[m - begin], inboxes[m], where);
+      // Preinbox messages are spans into the payload, not copies.
+      for (const std::span<const Word> msg : back.preinbox[m - begin].msgs) {
+        if (msg.empty()) continue;
+        EXPECT_TRUE(msg.data() >= payload.data() &&
+                    msg.data() + msg.size() <= payload.data() + payload.size())
+            << where;
+      }
     }
 
-    const std::vector<Word> payload = encode_program_frame(frame);
-    const ProgramFrame back = decode_program_frame(payload, block);
-    EXPECT_EQ(back.first_round, frame.first_round);
-    EXPECT_EQ(back.steps, frame.steps);
-    EXPECT_EQ(back.max_passes, frame.max_passes);
-    EXPECT_EQ(back.has_output, frame.has_output);
-    EXPECT_EQ(back.has_vote, frame.has_vote);
-    EXPECT_EQ(back.name, frame.name);
-    EXPECT_EQ(back.scalars, frame.scalars);
-    EXPECT_EQ(back.inputs, frame.inputs);
-    EXPECT_EQ(back.preinbox, frame.preinbox);
+    // Inbox dumps share the layout; what they write back is held, so it
+    // survives the dump payload being overwritten.
+    std::vector<Word> dump = encode_inbox_dump(inboxes, begin, end);
+    std::vector<engine::Inbox> written(machines);
+    decode_inbox_dump(dump, written, begin, end);
+    std::fill(dump.begin(), dump.end(), Word{0xDEAD});
+    const engine::Inbox untouched;
+    for (std::size_t m = 0; m < machines; ++m)
+      expect_same_inbox(written[m],
+                        m >= begin && m < end ? inboxes[m] : untouched,
+                        "dump seed " + std::to_string(seed) + " machine " +
+                            std::to_string(m));
   }
 }
 
@@ -237,19 +296,47 @@ TEST(WireFormat, TruncatedAndOversizedFramesRejectedByName) {
       "oversized outbox frame");
 
   // Truncated program frames, same treatment.
-  ProgramFrame frame;
-  frame.steps = 2;
-  frame.name = "net.storm";
-  frame.scalars = {3, 4};
-  frame.inputs = {{1, 2, 3}};
-  frame.preinbox = {{{5}, {6, 7}}};
-  const std::vector<Word> program_payload = encode_program_frame(frame);
+  engine::RoundProgram program;
+  program.steps.resize(2);
+  program.remote = std::make_shared<engine::RemoteSpec>();
+  program.remote->name = "net.storm";
+  program.remote->scalars = {3, 4};
+  program.remote->inputs = {{1, 2, 3}};
+  std::vector<engine::Inbox> preinbox(1);
+  preinbox[0].append(std::vector<Word>{5});
+  preinbox[0].append(std::vector<Word>{6, 7});
+  const std::vector<Word> program_payload =
+      encode_program_frame(program, 0, preinbox, 0, 1);
   for (std::size_t cut = 0; cut < program_payload.size(); ++cut) {
     const std::vector<Word> short_payload(program_payload.begin(),
                                           program_payload.begin() + cut);
     expect_rejected([&] { decode_program_frame(short_payload, 1); },
                     "truncated program frame");
   }
+
+  // Truncated inbox dumps: the shared inbox reader names the frame, and a
+  // rejected dump leaves no span into the payload behind.
+  util::SplitRng dump_rng(7);
+  const std::vector<engine::Inbox> dumped = random_inboxes(dump_rng, 5);
+  const std::vector<Word> dump = encode_inbox_dump(dumped, 0, 5);
+  for (std::size_t cut = 0; cut < dump.size(); ++cut) {
+    const std::vector<Word> short_dump(dump.begin(), dump.begin() + cut);
+    std::vector<engine::Inbox> inboxes(5);
+    expect_rejected([&] { decode_inbox_dump(short_dump, inboxes, 0, 5); },
+                    "truncated inbox-dump frame");
+    for (const engine::Inbox& inbox : inboxes)
+      for (const std::span<const Word> msg : inbox.msgs)
+        EXPECT_FALSE(msg.data() >= short_dump.data() &&
+                     msg.data() < short_dump.data() + short_dump.size());
+  }
+  std::vector<Word> long_dump = dump;
+  long_dump.push_back(0xDEAD);
+  expect_rejected(
+      [&] {
+        std::vector<engine::Inbox> inboxes(5);
+        decode_inbox_dump(long_dump, inboxes, 0, 5);
+      },
+      "oversized inbox-dump frame");
 }
 
 TEST(WireFormat, TelemetryFrameRoundTripsAndRejectsDefectsByName) {
