@@ -99,6 +99,58 @@ TEST(ThreadPool, PropagatesLowestBlockException) {
 
 // ------------------------------------------------------------ inbox spans
 
+// append() copies each payload into the inbox's one flat `held` arena;
+// the views read the copies.
+TEST(Inbox, FlatAppendAndViews) {
+  std::vector<Word> source{1, 2, 3};
+  engine::Inbox inbox;
+  inbox.append(source);
+  inbox.append(std::vector<Word>{9});
+  const engine::InboxView view(inbox);
+  ASSERT_EQ(view.size(), 2u);
+  EXPECT_FALSE(view.empty());
+  EXPECT_EQ(view.total_words(), 4u);
+  EXPECT_EQ(view[0].size(), 3u);
+  EXPECT_EQ(view[0][1], 2u);
+  EXPECT_EQ(view[1][0], 9u);
+  EXPECT_EQ(view.front(), (std::vector<Word>{1, 2, 3}));
+  EXPECT_NE(view[0].begin(), source.data());  // a copy
+  EXPECT_EQ(inbox.held, (std::vector<Word>{1, 2, 3, 9}));
+  std::fill(source.begin(), source.end(), Word{0xDEAD});
+  EXPECT_EQ(view[0], (std::vector<Word>{1, 2, 3}));
+  std::size_t count = 0, words = 0;
+  for (const auto& msg : view) {
+    ++count;
+    words += msg.size();
+  }
+  EXPECT_EQ(count, 2u);
+  EXPECT_EQ(words, 4u);
+  inbox.clear();
+  EXPECT_TRUE(engine::InboxView(inbox).empty());
+  EXPECT_EQ(engine::InboxView(inbox).total_words(), 0u);
+}
+
+// refer() records spans over the sender's words: the views read them in
+// place, with no copy.
+TEST(Inbox, ScatterViewReadsSpansInPlace) {
+  const std::vector<Word> arena{4, 5, 6};
+  engine::Inbox inbox;
+  inbox.refer(std::span<const Word>(arena.data(), 2));
+  inbox.refer(std::span<const Word>(arena.data() + 2, 1));
+  inbox.refer({});  // zero-length message
+  const engine::InboxView view(inbox);
+  ASSERT_EQ(view.size(), 3u);
+  EXPECT_EQ(view.total_words(), 3u);
+  EXPECT_EQ(view[0], (std::vector<Word>{4, 5}));
+  EXPECT_EQ(view[1][0], 6u);
+  EXPECT_TRUE(view[2].empty());
+  EXPECT_EQ(view[0].begin(), arena.data());  // no copy
+  EXPECT_EQ(view[1].begin(), arena.data() + 2);
+  EXPECT_TRUE(inbox.held.empty());
+  inbox.clear();
+  EXPECT_TRUE(engine::InboxView(inbox).empty());
+}
+
 // One inbox shape: message spans over storage that outlives the round.
 TEST(Inbox, SpansReadInPlaceAndHeldContentsOutliveTheirSource) {
   // Spans recorded with refer() read the sender's words where they lie.
@@ -109,19 +161,7 @@ TEST(Inbox, SpansReadInPlaceAndHeldContentsOutliveTheirSource) {
   inbox.refer({});  // zero-length message
   const engine::InboxView view(inbox);
   ASSERT_EQ(view.size(), 3u);
-  EXPECT_FALSE(view.empty());
-  EXPECT_EQ(view.total_words(), 3u);
-  EXPECT_EQ(view[0], (std::vector<Word>{4, 5}));
-  EXPECT_EQ(view[1][0], 6u);
-  EXPECT_TRUE(view[2].empty());
   EXPECT_EQ(view[0].begin(), arena.data());  // no copy
-  std::size_t count = 0, words = 0;
-  for (const auto& msg : view) {
-    ++count;
-    words += msg.size();
-  }
-  EXPECT_EQ(count, 3u);
-  EXPECT_EQ(words, 3u);
 
   // hold() copies into the inbox's own arena: overwriting the source
   // leaves the contents intact.
