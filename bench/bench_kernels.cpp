@@ -1,10 +1,11 @@
 // Microbenchmarks (google-benchmark) for the computational kernels:
-// LocalPrune, tree attachment, the full exponentiation step, degeneracy
-// peeling, list coloring, the Theorem 1.2 colouring (layering and blocked
-// descent), the exact densest-subgraph oracle, and the per-machine record
-// sort under the Level-0 sample sort. These are wall-clock numbers for the
-// simulator itself (the paper's claims are about MPC rounds, covered by
-// E1..E10); they document what a user pays to run the reproduction.
+// LocalPrune, tree attachment, the full exponentiation step, the
+// degeneracy peel and the core decomposition, list coloring, the Theorem
+// 1.2 colouring (layering and blocked descent), the exact densest-subgraph
+// oracle, and the per-machine record sort under the Level-0 sample sort.
+// These are wall-clock numbers for the simulator itself (the paper's
+// claims are about MPC rounds, covered by E1..E10); they document what a
+// user pays to run the reproduction.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -16,6 +17,7 @@
 #include "core/local_prune.hpp"
 #include "engine/records.hpp"
 #include "graph/arboricity.hpp"
+#include "graph/coreness.hpp"
 #include "graph/generators.hpp"
 #include "local/list_coloring.hpp"
 #include "mpc/ledger.hpp"
@@ -99,6 +101,21 @@ void BM_Degeneracy(benchmark::State& state) {
                           static_cast<std::int64_t>(g.num_edges()));
 }
 BENCHMARK(BM_Degeneracy)->Arg(1 << 12)->Arg(1 << 16);
+
+// The bin sort behind core numbers and the degeneracy order, on the same
+// graphs as BM_Degeneracy.
+void BM_CoreDecomposition(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const graph::Graph g = bench_graph(n);
+  for (auto _ : state) {
+    const graph::CoreDecomposition cores = graph::core_decomposition(g);
+    benchmark::DoNotOptimize(cores.order.data());
+    benchmark::DoNotOptimize(cores.degeneracy);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(g.num_edges()));
+}
+BENCHMARK(BM_CoreDecomposition)->Arg(1 << 12)->Arg(1 << 16);
 
 void BM_ListColoring(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -41,7 +41,9 @@
 #                                        # graph tests, the MPC colouring
 #                                        # (rank-ordered descent, epoch
 #                                        # marks) and its cone gauge
-#                                        # (directed_exponentiation_test:
+#                                        # (directed_exponentiation_test,
+#                                        # against the test-only exact
+#                                        # gather in its header beside it:
 #                                        # rows closed out of order, lane
 #                                        # masks, active lists), the
 #                                        # forest-arena tests (tree_view,
@@ -49,8 +51,10 @@
 #                                        # partial_layering, property_fuzz),
 #                                        # partitioning, pipeline, mpc,
 #                                        # list colouring (local_test) and
-#                                        # the peel kernels (arboricity,
-#                                        # density_coreness: hostile factors,
+#                                        # the peel kernels (arboricity:
+#                                        # the prefetching level peel and
+#                                        # bin sort; density_coreness:
+#                                        # hostile factors,
 #                                        # layering, orientation_mpc,
 #                                        # orientation_coloring), and the
 #                                        # multi-round programs over loopback

@@ -26,8 +26,8 @@
 // level for up to 64 starts. The 64 cone sizes are bit-sliced counters, so
 // reaching a vertex in many lanes costs a short carry chain, not one
 // increment per lane. Starts beyond 64 run in further lane groups.
-// core/directed_exponentiation's exact reach sets are the cross-check
-// (tests/directed_exponentiation_test.cpp).
+// The exact reach sets of the executable directed gather, which lives with
+// its tests (tests/directed_exponentiation.hpp), are the cross-check.
 #pragma once
 
 #include <cstddef>

@@ -33,7 +33,8 @@
 namespace arbor::core {
 
 /// The paper's k-estimate contract: some k ∈ [λ, 2λ-1] via the degeneracy
-/// oracle, graph::core_decomposition; at least 1. Uncharged.
+/// oracle, graph::degeneracy (a level peel that computes only the scalar;
+/// graph::core_decomposition gives the same value); at least 1. Uncharged.
 std::size_t estimate_density_parameter(const graph::Graph& g);
 
 /// The k front end of Theorems 1.1 and 1.2: `k` itself when nonzero,

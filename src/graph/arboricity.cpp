@@ -100,18 +100,68 @@ DensestSubgraph exact_densest_subgraph(const Graph& g) {
   return result;
 }
 
-std::size_t degeneracy(const Graph& g,
-                       std::vector<VertexId>* elimination_order) {
-  CoreDecomposition cores = core_decomposition(g);
-  if (elimination_order) *elimination_order = std::move(cores.order);
-  return cores.degeneracy;
+std::size_t degeneracy(const Graph& g) {
+  const auto n = static_cast<std::uint32_t>(g.num_vertices());
+  const EdgeId* const offsets = g.offsets().data();
+  const VertexId* const adjacency = g.adjacency().data();
+  // deg[v]: while v is unpeeled, its degree among the unpeeled vertices,
+  // floored at the current level k; a vertex peeled at level j keeps j.
+  std::vector<std::uint32_t> deg(n);
+  std::vector<VertexId> remaining(n);
+  std::uint32_t k = 0xffffffffu;
+  for (VertexId v = 0; v < n; ++v) {
+    deg[v] = static_cast<std::uint32_t>(offsets[v + 1] - offsets[v]);
+    remaining[v] = v;
+    k = std::min(k, deg[v]);
+  }
+  // One slack slot: the drain stores every neighbour at queue[tail] and
+  // only then decides whether to keep it.
+  std::vector<VertexId> queue(n + std::size_t{1});
+  std::size_t live = n;
+  std::uint32_t last_peeled_level = 0;
+  while (live > 0) {
+    // Compact: keep degree > k, seed degree == k, drop the vertices the
+    // last level peeled (degree < k). `next` is the smallest kept degree.
+    std::size_t kept = 0;
+    std::size_t tail = 0;
+    std::uint32_t next = 0xffffffffu;
+    for (std::size_t i = 0; i < live; ++i) {
+      const VertexId v = remaining[i];
+      const std::uint32_t d = deg[v];
+      remaining[kept] = v;
+      kept += d > k;
+      queue[tail] = v;
+      tail += d == k;
+      next = std::min(next, d > k ? d : 0xffffffffu);
+    }
+    live = kept;
+    if (tail == 0) {  // empty level: jump to the smallest remaining degree
+      k = next;
+      continue;
+    }
+    // Drain: the queue only grows, so the rows it will scan are known 8
+    // and 16 steps ahead; fetching them hides the random-access latency.
+    for (std::size_t h = 0; h < tail; ++h) {
+      if (h + 16 < tail) __builtin_prefetch(offsets + queue[h + 16]);
+      if (h + 8 < tail) __builtin_prefetch(adjacency + offsets[queue[h + 8]]);
+      const VertexId v = queue[h];
+      for (EdgeId e = offsets[v]; e < offsets[v + 1]; ++e) {
+        const VertexId u = adjacency[e];
+        const std::uint32_t d = deg[u];
+        queue[tail] = u;
+        tail += d == k + 1;
+        deg[u] = d - (d > k);
+      }
+    }
+    last_peeled_level = k++;
+  }
+  return last_peeled_level;
 }
 
 double peeling_density_lower_bound(const Graph& g) {
   const std::size_t n = g.num_vertices();
   if (n == 0 || g.num_edges() == 0) return 0.0;
-  std::vector<VertexId> order;
-  degeneracy(g, &order);
+  const std::vector<VertexId> order = core_decomposition(g).order;
   // Each suffix of the order (what is left before a removal) is a
   // candidate; a removal takes its edges into the suffix with it.
   std::vector<bool> removed(n, false);

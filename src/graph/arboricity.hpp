@@ -7,9 +7,10 @@
 //  * an EXACT densest-subgraph oracle (Goldberg's min-cut construction,
 //    binary search over a 1/(2n²) density grid — exact because distinct
 //    subgraph densities differ by more than the grid resolution),
-//  * linear-time degeneracy (the bin-sort core decomposition of
-//    graph/coreness.hpp), which sandwiches λ via ⌈α⌉ ≤ λ ≤ degeneracy,
-//  * the classic 2-approximation peeling density along its order.
+//  * linear-time degeneracy (a level peel of its own; the bin-sort core
+//    decomposition of graph/coreness.hpp gives the same value with an
+//    order), which sandwiches λ via ⌈α⌉ ≤ λ ≤ degeneracy,
+//  * the classic 2-approximation peeling density along that order.
 #pragma once
 
 #include <cstdint>
@@ -32,13 +33,14 @@ struct DensestSubgraph {
 DensestSubgraph exact_densest_subgraph(const Graph& g);
 
 /// Degeneracy d(G) = max over subgraphs of the minimum degree, the max of
-/// `core_decomposition(g)`; λ(G) ≤ d(G) ≤ 2λ(G) - 1. `elimination_order`
-/// receives its processing order: core numbers nondecreasing, so v has
-/// ≤ core(v) ≤ d(G) neighbors later (ties in no specified order).
-std::size_t degeneracy(const Graph& g,
-                       std::vector<VertexId>* elimination_order = nullptr);
+/// `core_decomposition(g)`'s core numbers; λ(G) ≤ d(G) ≤ 2λ(G) - 1. The
+/// k-oracle of both theorems, computed by its own O(n + m) kernel: a
+/// level-synchronous peel (the serial skeleton of PKC, Kabir and Madduri)
+/// whose append-only queue prefetches the rows it is about to scan. It
+/// yields no order; callers that need one take `core_decomposition(g)`.
+std::size_t degeneracy(const Graph& g);
 
-/// Density of the best suffix of the degeneracy elimination order — the
+/// Density of the best suffix of `core_decomposition(g).order` — the
 /// classic factor-2 approximation of α(G): one suffix is the max core,
 /// whose min degree d(G) ≥ α(G) gives density ≥ d(G)/2. O(n + m).
 double peeling_density_lower_bound(const Graph& g);

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <unordered_set>
 
-#include "graph/arboricity.hpp"
+#include "graph/coreness.hpp"
 #include "util/assert.hpp"
 
 namespace arbor::graph {
@@ -48,8 +48,7 @@ std::vector<Color> greedy_coloring(const Graph& g,
 }
 
 std::vector<Color> degeneracy_coloring(const Graph& g) {
-  std::vector<VertexId> order;
-  degeneracy(g, &order);
+  std::vector<VertexId> order = core_decomposition(g).order;
   std::reverse(order.begin(), order.end());
   return greedy_coloring(g, order);
 }

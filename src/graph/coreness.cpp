@@ -23,7 +23,11 @@ CoreDecomposition core_decomposition(const Graph& g) {
   std::copy_backward(bin.begin(), bin.end() - 1, bin.end());
   bin[0] = 0;
 
+  const EdgeId* const offsets = g.offsets().data();
+  const VertexId* const adjacency = g.adjacency().data();
   for (std::uint32_t i = 0; i < n; ++i) {
+    if (i + 16 < n) __builtin_prefetch(offsets + vert[i + 16]);
+    if (i + 8 < n) __builtin_prefetch(adjacency + offsets[vert[i + 8]]);
     const VertexId v = vert[i];
     for (VertexId u : g.neighbors(v)) {
       const std::uint32_t du = deg[u];

@@ -1,12 +1,19 @@
 // Exact core decomposition (sequential reference).
 //
 // The coreness of v is the largest c such that v lies in a subgraph of
-// minimum degree ≥ c. `core_decomposition` is the library's one min-degree
-// peel, the Batagelj–Zaversnik bin sort: O(n + m) over flat uint32 degree,
-// position, order and bin-start arrays; a neighbour of higher degree moves
-// to the front of its bin, which shrinks, so nothing is queued twice.
-// `degeneracy` and `exact_coreness` are views of it; it is mpc_orient's
-// k-oracle and the ground truth for core/coreness_mpc.hpp.
+// minimum degree ≥ c. `core_decomposition` is the Batagelj–Zaversnik bin
+// sort: O(n + m) over flat uint32 degree, position, order and bin-start
+// arrays; a neighbour of higher degree moves to the front of its bin,
+// which shrinks, so nothing is queued twice. Each step prefetches the row
+// of the vertex 8 places ahead in the order and the offsets of the one 16
+// ahead; a bin move can still displace them, so the fetch is a guess.
+//
+// It is the one source of core numbers (`exact_coreness` is a view) and
+// of a degeneracy order: the sequential orientation and colouring
+// yardsticks and the peeling density bound read `order`, and
+// core/coreness_mpc.hpp is checked against `core`. It is not the k-oracle:
+// graph::degeneracy (graph/arboricity.hpp) computes the scalar with a
+// kernel of its own, which must agree with `degeneracy` here.
 #pragma once
 
 #include <cstdint>

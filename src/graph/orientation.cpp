@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "graph/arboricity.hpp"
+#include "graph/coreness.hpp"
 #include "util/assert.hpp"
 
 namespace arbor::graph {
@@ -65,8 +65,7 @@ Orientation orient_by_layers(const Graph& g,
 
 Orientation orient_by_degeneracy(const Graph& g) {
   // Positions are distinct layers below 2^32 - 1: the earlier is the tail.
-  std::vector<VertexId> order;
-  degeneracy(g, &order);
+  const std::vector<VertexId> order = core_decomposition(g).order;
   std::vector<std::uint32_t> position(g.num_vertices());
   for (std::size_t i = 0; i < order.size(); ++i)
     position[order[i]] = static_cast<std::uint32_t>(i);

@@ -1,5 +1,6 @@
 #include "net/wire.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 
@@ -114,34 +115,71 @@ std::vector<Word> encode_outbox_frame(std::size_t round, std::size_t src_rank,
                                       std::size_t src_end,
                                       std::size_t dst_begin,
                                       std::size_t dst_end) {
+  const std::array<std::size_t, 2> bounds{dst_begin, dst_end};
+  return std::move(encode_outbox_frames(round, src_rank, outboxes, src_begin,
+                                        src_end, bounds)[0]);
+}
+
+std::vector<std::vector<Word>> encode_outbox_frames(
+    std::size_t round, std::size_t src_rank,
+    std::span<const engine::Outbox> outboxes, std::size_t src_begin,
+    std::size_t src_end, std::span<const std::size_t> dst_bounds) {
   ARBOR_CHECK(src_end <= outboxes.size() && src_begin <= src_end);
-  ARBOR_CHECK(dst_begin <= dst_end);
-  const std::size_t block = dst_end - dst_begin;
+  ARBOR_CHECK(!dst_bounds.empty() &&
+              std::is_sorted(dst_bounds.begin(), dst_bounds.end()));
+  const std::size_t blocks = dst_bounds.size() - 1;
+  const std::size_t lo = dst_bounds.front();
+  const std::size_t hi = dst_bounds.back();
+  // The block holding destination machine dst ∈ [lo, hi).
+  const auto block_of = [&](std::size_t dst) {
+    return static_cast<std::size_t>(
+        std::upper_bound(dst_bounds.begin() + 1, dst_bounds.end(), dst) -
+        (dst_bounds.begin() + 1));
+  };
 
-  std::vector<Word> out;
-  out.push_back(static_cast<Word>(round));
-  out.push_back(static_cast<Word>(src_rank));
-  out.push_back(static_cast<Word>(block));
-  const std::size_t counts_at = out.size();
-  out.resize(counts_at + block, 0);
-  const std::size_t num_msgs_at = out.size();
-  out.push_back(0);
+  // Pass 1: words per destination machine (the count tables) and each
+  // frame's message count and exact size.
+  std::vector<Word> machine_words(hi - lo, 0);
+  std::vector<Word> num_msgs(blocks, 0);
+  std::vector<std::size_t> size(blocks);
+  for (std::size_t b = 0; b < blocks; ++b)
+    size[b] = 4 + (dst_bounds[b + 1] - dst_bounds[b]);
+  for (std::size_t src = src_begin; src < src_end; ++src)
+    for (const engine::Outbox::Msg& msg : outboxes[src].msgs) {
+      if (msg.dst < lo || msg.dst >= hi) continue;
+      const std::size_t b = block_of(msg.dst);
+      machine_words[msg.dst - lo] += static_cast<Word>(msg.length);
+      ++num_msgs[b];
+      size[b] += 2 + msg.length;
+    }
 
-  Word num_msgs = 0;
+  std::vector<std::vector<Word>> frames(blocks);
+  for (std::size_t b = 0; b < blocks; ++b) {
+    std::vector<Word>& out = frames[b];
+    out.reserve(size[b]);
+    out.push_back(static_cast<Word>(round));
+    out.push_back(static_cast<Word>(src_rank));
+    out.push_back(static_cast<Word>(dst_bounds[b + 1] - dst_bounds[b]));
+    out.insert(out.end(), machine_words.begin() + (dst_bounds[b] - lo),
+               machine_words.begin() + (dst_bounds[b + 1] - lo));
+    out.push_back(num_msgs[b]);
+  }
+  // Pass 2: every message into its block's frame, in (source machine asc,
+  // send order).
   for (std::size_t src = src_begin; src < src_end; ++src) {
     const engine::Outbox& box = outboxes[src];
     for (const engine::Outbox::Msg& msg : box.msgs) {
-      if (msg.dst < dst_begin || msg.dst >= dst_end) continue;
-      out[counts_at + (msg.dst - dst_begin)] += static_cast<Word>(msg.length);
+      if (msg.dst < lo || msg.dst >= hi) continue;
+      std::vector<Word>& out = frames[block_of(msg.dst)];
       out.push_back(static_cast<Word>(msg.dst));
       out.push_back(static_cast<Word>(msg.length));
       const std::span<const Word> payload = box.payload(msg);
       out.insert(out.end(), payload.begin(), payload.end());
-      ++num_msgs;
     }
   }
-  out[num_msgs_at] = num_msgs;
-  return out;
+  for (std::size_t b = 0; b < blocks; ++b)
+    ARBOR_CHECK(frames[b].size() == size[b]);
+  return frames;
 }
 
 OutboxFrameView decode_outbox_counts(std::span<const Word> payload,

@@ -132,6 +132,16 @@ std::vector<Word> encode_outbox_frame(std::size_t round, std::size_t src_rank,
                                       std::size_t dst_begin,
                                       std::size_t dst_end);
 
+/// The outbox frames of every destination block at once: frame b covers
+/// [dst_bounds[b], dst_bounds[b+1]) (`dst_bounds` nondecreasing, at least
+/// one entry) and equals encode_outbox_frame's for that block word for
+/// word. One pass over the messages sizes every frame exactly, a second
+/// fills them; messages outside [front, back) are skipped.
+std::vector<std::vector<Word>> encode_outbox_frames(
+    std::size_t round, std::size_t src_rank,
+    std::span<const engine::Outbox> outboxes, std::size_t src_begin,
+    std::size_t src_end, std::span<const std::size_t> dst_bounds);
+
 struct OutboxFrameView {
   std::size_t round = 0;
   std::size_t src_rank = 0;

@@ -86,8 +86,11 @@ class WorkerRuntime {
         inboxes_(w_.machines),
         staging_(w_.machines),
         outboxes_(w_.machines) {
-    for (std::size_t q = 0; q < w_.workers; ++q)
+    for (std::size_t q = 0; q < w_.workers; ++q) {
       if (q != w_.rank) peers_.push_back(q);
+      block_bounds_.push_back(machine_block(w_.machines, w_.workers, q).first);
+    }
+    block_bounds_.push_back(w_.machines);
     if (w_.worker_threads > 1) pool_.emplace(w_.worker_threads);
     tracer_.set_mode(w_.trace);
   }
@@ -156,30 +159,23 @@ class WorkerRuntime {
                                                const std::string& step_name) {
     const bool metrics = tracer_.metrics_on();
     const std::int64_t serialize_t0 = metrics ? trace::now_ns() : 0;
-    std::vector<std::vector<Word>> peer_payloads;
-    std::vector<Word> self_frame;
+    // One frame per worker's block, this worker's own included (rank order).
+    std::vector<std::vector<Word>> frames;
     std::size_t sent_words = 0;
     {
       trace::Span span = tracer_.span("net", "serialize " + step_name);
-      peer_payloads.reserve(peers_.size());
-      for (std::size_t q : peers_) {
-        const auto [qb, qe] = machine_block(w_.machines, w_.workers, q);
-        peer_payloads.push_back(encode_outbox_frame(local_round, w_.rank,
-                                                    outboxes_, block_.first,
-                                                    block_.second, qb, qe));
-        sent_words += peer_payloads.back().size();
-      }
-      self_frame =
-          encode_outbox_frame(local_round, w_.rank, outboxes_, block_.first,
-                              block_.second, block_.first, block_.second);
+      frames = encode_outbox_frames(local_round, w_.rank, outboxes_,
+                                    block_.first, block_.second,
+                                    block_bounds_);
+      for (std::size_t q : peers_) sent_words += frames[q].size();
     }
+    std::vector<Word> self_frame = std::move(frames[w_.rank]);
     const std::int64_t send_t0 = metrics ? trace::now_ns() : 0;
     {
       trace::Span span = tracer_.span("net", "send " + step_name);
-      for (std::size_t i = 0; i < peers_.size(); ++i) {
-        const std::size_t q = peers_[i];
+      for (std::size_t q : peers_) {
         try {
-          w_.hub->send(q, FrameType::kOutbox, peer_payloads[i]);
+          w_.hub->send(q, FrameType::kOutbox, frames[q]);
         } catch (const TransportError& e) {
           // A failed send means the PEER is gone (EPIPE races ahead of the
           // reader thread's closure event) — blame q, not ourselves, so the
@@ -188,7 +184,7 @@ class WorkerRuntime {
         }
       }
     }
-    peer_payloads.clear();
+    frames.clear();
     const std::int64_t wait_t0 = metrics ? trace::now_ns() : 0;
     trace::Span wait_span = tracer_.span("net", "wait " + step_name);
     std::vector<Frame> peer_frames =
@@ -400,6 +396,8 @@ class WorkerRuntime {
   const std::size_t driver_;
   const std::pair<std::size_t, std::size_t> block_;
   std::vector<std::size_t> peers_;
+  // Worker blocks: rank q holds machines [block_bounds_[q], [q + 1]).
+  std::vector<std::size_t> block_bounds_;
   // Inboxes are spans into the last delivered round's frames, kept here
   // until the next round's delivery commits.
   std::vector<engine::Inbox> inboxes_;

@@ -1,6 +1,7 @@
 // Tests for density/arboricity measurement: Dinic max-flow, Goldberg's
-// exact densest subgraph, degeneracy, the Batagelj–Zaversnik core
-// decomposition against a bucket-queue reference, and the sandwich bounds.
+// exact densest subgraph, the level-peel degeneracy, the Batagelj–Zaversnik
+// core decomposition against a bucket-queue reference, and the sandwich
+// bounds.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -132,8 +133,8 @@ TEST(Degeneracy, KnownFamilies) {
 TEST(Degeneracy, EliminationOrderWitnessesBound) {
   util::SplitRng rng(6);
   const Graph g = gnm(200, 800, rng);
-  std::vector<VertexId> order;
-  const std::size_t d = degeneracy(g, &order);
+  const std::vector<VertexId> order = core_decomposition(g).order;
+  const std::size_t d = degeneracy(g);
   ASSERT_EQ(order.size(), g.num_vertices());
   // Every vertex must have ≤ d neighbors later in the order.
   std::vector<std::size_t> pos(g.num_vertices());
@@ -188,16 +189,15 @@ BucketQueueCores bucket_queue_reference(const Graph& g) {
 }
 
 /// Checks core_decomposition(g) against the reference and its order
-/// contract; `exact_coreness` and `degeneracy` must be views of it.
+/// contract; `exact_coreness` must be a view of it and the level-peel
+/// `degeneracy` must agree with the reference.
 void expect_matches_reference(const Graph& g) {
   const BucketQueueCores want = bucket_queue_reference(g);
   const CoreDecomposition got = core_decomposition(g);
   EXPECT_EQ(got.degeneracy, want.degeneracy);
   EXPECT_EQ(got.core, want.core);
   EXPECT_EQ(exact_coreness(g), want.core);
-  std::vector<VertexId> order;
-  EXPECT_EQ(degeneracy(g, &order), want.degeneracy);
-  EXPECT_EQ(order, got.order);
+  EXPECT_EQ(degeneracy(g), want.degeneracy);
 
   const std::size_t n = g.num_vertices();
   ASSERT_EQ(got.order.size(), n);
@@ -260,6 +260,72 @@ TEST(CoreDecomposition, MatchesBucketQueueReference) {
             if (rng.next_below(4) != 0) b.add_edge(u, v);
         expect_matches_reference(b.build());
       }
+    }
+  }
+}
+
+/// The level peel against the bin sort on one graph.
+void expect_level_peel_matches(const Graph& g) {
+  EXPECT_EQ(degeneracy(g), core_decomposition(g).degeneracy);
+}
+
+TEST(Degeneracy, LevelPeelMatchesCoreDecomposition) {
+  {
+    SCOPED_TRACE("n = 0 and edgeless");
+    expect_level_peel_matches(GraphBuilder(0).build());
+    expect_level_peel_matches(GraphBuilder(1).build());
+    expect_level_peel_matches(GraphBuilder(37).build());
+  }
+  {
+    SCOPED_TRACE("small families");
+    expect_level_peel_matches(path(2));
+    expect_level_peel_matches(path(100));
+    expect_level_peel_matches(star(50));
+    expect_level_peel_matches(cycle(30));
+    expect_level_peel_matches(clique(2));
+    expect_level_peel_matches(clique(40));
+    expect_level_peel_matches(grid(9, 13));
+  }
+  {
+    // After the path peels at level 1, levels 2..48 are empty: k must jump
+    // straight to the clique's 49.
+    SCOPED_TRACE("K50 plus a long path");
+    GraphBuilder b(50 + 2000);
+    for (VertexId u = 0; u < 50; ++u)
+      for (VertexId v = u + 1; v < 50; ++v) b.add_edge(u, v);
+    for (VertexId v = 50; v + 1 < 50 + 2000; ++v) b.add_edge(v, v + 1);
+    const Graph g = b.build();
+    EXPECT_EQ(degeneracy(g), 49u);
+    expect_level_peel_matches(g);
+  }
+  util::SplitRng rng(27);
+  {
+    SCOPED_TRACE("generator families");
+    expect_level_peel_matches(planted_clique(3000, 9000, 60, rng));
+    expect_level_peel_matches(slow_peeling_chain(5, 10, rng).graph);
+    expect_level_peel_matches(barabasi_albert(4000, 4, rng));
+    expect_level_peel_matches(
+        relabel_randomly(gnm(4000, 32000, rng), rng));
+  }
+  for (int i = 0; i < 240; ++i) {
+    SCOPED_TRACE("random graph " + std::to_string(i));
+    const std::size_t n = 1 + rng.next_below(300);
+    const std::size_t max_m = n * (n - 1) / 2;
+    switch (i % 4) {
+      case 0:
+        expect_level_peel_matches(
+            gnm(n, std::min(max_m, rng.next_below(6 * n + 1)), rng));
+        break;
+      case 1:
+        expect_level_peel_matches(
+            barabasi_albert(n + 8, 1 + rng.next_below(8), rng));
+        break;
+      case 2:
+        expect_level_peel_matches(planted_clique(
+            n + 40, rng.next_below(2 * n + 1), 2 + rng.next_below(30), rng));
+        break;
+      default:  // sparse: many isolated vertices and short paths
+        expect_level_peel_matches(gnm(n, rng.next_below(n / 2 + 1), rng));
     }
   }
 }

@@ -15,7 +15,7 @@
 #include "util/assert.hpp"
 #include "core/cone_gauge.hpp"
 #include "core/density_estimate.hpp"
-#include "core/directed_exponentiation.hpp"
+#include "directed_exponentiation.hpp"
 #include "core/layering_pipeline.hpp"
 #include "core/orientation_mpc.hpp"
 #include "graph/builder.hpp"

@@ -162,6 +162,72 @@ std::vector<engine::Inbox> random_inboxes(util::SplitRng& rng,
   return inboxes;
 }
 
+/// Per-peer reference encoder: one walk over the block's messages per
+/// destination block, keeping those addressed to it, in the documented
+/// outbox frame layout.
+std::vector<Word> reference_outbox_frame(
+    std::size_t round, std::size_t src_rank,
+    const std::vector<engine::Outbox>& outboxes, std::size_t src_begin,
+    std::size_t src_end, std::size_t dst_begin, std::size_t dst_end) {
+  const std::size_t block = dst_end - dst_begin;
+  std::vector<Word> out{round, src_rank, block};
+  out.resize(3 + block, 0);
+  std::vector<Word> msgs;
+  Word num_msgs = 0;
+  for (std::size_t src = src_begin; src < src_end; ++src)
+    for (const engine::Outbox::Msg& msg : outboxes[src].msgs) {
+      if (msg.dst < dst_begin || msg.dst >= dst_end) continue;
+      out[3 + (msg.dst - dst_begin)] += msg.length;
+      msgs.push_back(msg.dst);
+      msgs.push_back(msg.length);
+      const std::span<const Word> payload = outboxes[src].payload(msg);
+      msgs.insert(msgs.end(), payload.begin(), payload.end());
+      ++num_msgs;
+    }
+  out.push_back(num_msgs);
+  out.insert(out.end(), msgs.begin(), msgs.end());
+  return out;
+}
+
+TEST(WireFormat, AllBlockFramesMatchPerBlockReference) {
+  for (std::uint64_t seed = 0; seed < 40; ++seed) {
+    util::SplitRng rng(seed);
+    const std::size_t machines = 1 + rng.next_below(9);
+    const std::size_t workers = 1 + rng.next_below(5);
+    const std::size_t capacity = 64 + rng.next_below(128);
+    const auto outboxes =
+        random_bank(rng, machines, capacity * machines, seed % 5 == 0);
+    // Every worker's block bounds; workers > machines leaves empty blocks.
+    std::vector<std::size_t> bounds;
+    for (std::size_t q = 0; q < workers; ++q)
+      bounds.push_back(machine_block(machines, workers, q).first);
+    bounds.push_back(machines);
+    for (std::size_t src_rank = 0; src_rank < workers; ++src_rank) {
+      const auto [sb, se] = machine_block(machines, workers, src_rank);
+      const std::vector<std::vector<Word>> frames =
+          encode_outbox_frames(3, src_rank, outboxes, sb, se, bounds);
+      ASSERT_EQ(frames.size(), workers);
+      for (std::size_t q = 0; q < workers; ++q) {
+        const auto [db, de] = machine_block(machines, workers, q);
+        EXPECT_EQ(frames[q], reference_outbox_frame(3, src_rank, outboxes,
+                                                     sb, se, db, de))
+            << "seed " << seed << " src " << src_rank << " dst " << q;
+      }
+    }
+    // A window of the machines: messages outside it are skipped.
+    const std::size_t lo = rng.next_below(machines + 1);
+    const std::size_t hi = lo + rng.next_below(machines - lo + 1);
+    const std::vector<std::size_t> window{lo, (lo + hi) / 2, hi};
+    const std::vector<std::vector<Word>> frames =
+        encode_outbox_frames(0, 0, outboxes, 0, machines, window);
+    ASSERT_EQ(frames.size(), 2u);
+    EXPECT_EQ(frames[0], reference_outbox_frame(0, 0, outboxes, 0, machines,
+                                                lo, (lo + hi) / 2));
+    EXPECT_EQ(frames[1], reference_outbox_frame(0, 0, outboxes, 0, machines,
+                                                (lo + hi) / 2, hi));
+  }
+}
+
 TEST(WireFormat, ProgramFramesRoundTrip) {
   for (std::uint64_t seed = 0; seed < 10; ++seed) {
     util::SplitRng rng(seed);
