@@ -2,7 +2,8 @@
 // LocalPrune, tree attachment, the full exponentiation step, the
 // degeneracy peel and the core decomposition, list coloring, the Theorem
 // 1.2 colouring (layering and blocked descent), the exact densest-subgraph
-// oracle, and the per-machine record sort under the Level-0 sample sort.
+// oracle, the per-machine record sort under the Level-0 sample sort, and
+// the embedded threshold peel.
 // These are wall-clock numbers for the simulator itself (the paper's
 // claims are about MPC rounds, covered by E1..E10); they document what a
 // user pays to run the reproduction.
@@ -20,6 +21,8 @@
 #include "graph/coreness.hpp"
 #include "graph/generators.hpp"
 #include "local/list_coloring.hpp"
+#include "local/mpc_embedding.hpp"
+#include "mpc/cluster.hpp"
 #include "mpc/ledger.hpp"
 #include "util/rng.hpp"
 
@@ -211,6 +214,27 @@ void BM_StableSortRecords(benchmark::State& state) {
                           static_cast<std::int64_t>(slabs * records));
 }
 BENCHMARK(BM_StableSortRecords)->Arg(2)->Arg(1)->Unit(benchmark::kMillisecond);
+
+// local::embedded_threshold_peeling on a relabelled BA(2^17, 4) over 64
+// machines of 2^18 words, threshold 5, serial in-process: the shape of
+// perfbench level0_inproc's peel job (16 one-round passes).
+void BM_EmbeddedPeeling(benchmark::State& state) {
+  util::SplitRng draw(2);
+  util::SplitRng relabel(1);
+  const graph::Graph g = graph::relabel_randomly(
+      graph::barabasi_albert(std::size_t{1} << 17, 4, draw), relabel);
+  mpc::ClusterConfig cfg{64, std::size_t{1} << 18};
+  cfg.execution = mpc::ExecutionPolicy::serial();
+  mpc::Cluster cluster(cfg, nullptr);
+  for (auto _ : state) {
+    cluster.reset_inboxes();
+    benchmark::DoNotOptimize(
+        local::embedded_threshold_peeling(g, 5, cluster, 1000).layer.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(g.num_vertices()));
+}
+BENCHMARK(BM_EmbeddedPeeling)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

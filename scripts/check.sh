@@ -8,9 +8,11 @@
 #                                        # builds the 'tsan' preset and runs
 #                                        # engine_test, level0_programs_test,
 #                                        # level1_distributed_test, net_test,
-#                                        # trace_test, check_test (pooled
+#                                        # trace_test, check_test,
+#                                        # mpc_embedding_test (pooled
 #                                        # compute over zero-copy inbox spans
-#                                        # on a real 4-thread pool AND
+#                                        # on a real 4-thread pool, the
+#                                        # peel's per-thread outboxes AND
 #                                        # pooled-context reuse must be
 #                                        # provably race-free)
 #   scripts/check.sh --mp                # multi-process smoke stage only:
@@ -178,7 +180,7 @@ if [[ "${1:-}" == "--tsan" ]]; then
   cmake --preset tsan "$@"
   cmake --build build-tsan -j"${JOBS}" \
     --target engine_test level0_programs_test level1_distributed_test \
-             net_test trace_test check_test arbor-worker
+             net_test trace_test check_test mpc_embedding_test arbor-worker
   echo "== tsan: engine_test (Scheduler.Pooled*WithRealThreads drive the"
   echo "         pooled compute over zero-copy inbox spans on an"
   echo "         unclamped 4-thread pool) =="
@@ -199,6 +201,9 @@ if [[ "${1:-}" == "--tsan" ]]; then
   echo "== tsan: check_test (checked-mode programs: the Monitor's"
   echo "         owned_span gate and loopback monitors must be race-free) =="
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/check_test
+  echo "== tsan: mpc_embedding_test (the peel step's per-thread outboxes,"
+  echo "         reused across passes and calls under parallel(4)) =="
+  TSAN_OPTIONS="halt_on_error=1" ./build-tsan/mpc_embedding_test
   echo "== tsan: clean =="
   exit 0
 fi

@@ -1,10 +1,14 @@
 #include "local/mpc_embedding.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <memory>
+#include <span>
+#include <string>
 #include <utility>
 
 #include "check/ownership.hpp"
+#include "local/machine_index.hpp"
 #include "net/registry.hpp"
 #include "net/wire.hpp"
 #include "obs/cost_model.hpp"
@@ -24,6 +28,7 @@ struct PeelState {
   std::size_t machines = 0;
   std::size_t per_machine = 0;
   std::size_t threshold = 0;
+  MachineIndex machine_of{0};
   /// Layer the CURRENT pass stamps; advanced at the pass barrier, only
   /// when another pass actually runs.
   std::uint32_t round = 1;
@@ -32,15 +37,30 @@ struct PeelState {
   std::vector<std::vector<graph::VertexId>> peeled_prev;  ///< per machine
   std::vector<std::size_t> peeled_now;                    ///< per machine
 
-  const graph::Graph* graph = nullptr;  ///< driver side
-  std::vector<std::vector<graph::VertexId>> owned_adjacency;  ///< worker
+  /// Adjacency of the hosted vertices [base, base + offsets.size() - 1) as
+  /// one CSR view: the driver points it at the graph's arrays (base 0), a
+  /// worker at the flat slab of its machine block below.
+  graph::VertexId base = 0;
+  std::span<const graph::EdgeId> offsets;
+  std::span<const graph::VertexId> targets;
+  std::vector<graph::EdgeId> slab_offsets;     ///< worker
+  std::vector<graph::VertexId> slab_targets;   ///< worker
 
-  std::span<const graph::VertexId> neighbors(graph::VertexId v) const {
-    return graph ? graph->neighbors(v)
-                 : std::span<const graph::VertexId>(owned_adjacency[v]);
+  void init(std::size_t vertices, std::size_t num_machines,
+            std::size_t peel_threshold) {
+    n = vertices;
+    machines = num_machines;
+    per_machine = (n + machines - 1) / std::max<std::size_t>(machines, 1);
+    machine_of = MachineIndex(per_machine);
+    threshold = peel_threshold;
+    degree.assign(n, 0);
+    layer.assign(n, 0);
+    peeled_prev.resize(machines);
+    peeled_now.assign(machines, 0);
   }
-  std::size_t machine_of(graph::VertexId v) const {
-    return per_machine == 0 ? std::size_t{0} : v / per_machine;
+  std::span<const graph::VertexId> neighbors(graph::VertexId v) const {
+    const std::size_t i = v - base;
+    return {targets.data() + offsets[i], targets.data() + offsets[i + 1]};
   }
   std::pair<graph::VertexId, graph::VertexId> vertex_range(
       std::size_t m) const {
@@ -53,12 +73,18 @@ struct PeelState {
 // RoundProgram repeated until peeling stalls. Each pass, machine m:
 //   1. applies the decrements implied by the PREVIOUS pass — its own
 //      peels' local neighbors, then the remote notifications in its
-//      inbox (both touch only degree/layer slots of m's vertex range);
+//      inbox (both touch only degree/layer slots of m's vertex range
+//      [lo, hi); a notification outside it is rejected by name);
 //   2. scans its range, peels the sub-threshold vertices (marking their
 //      layer at peel time — a vertex peeled this pass is thereby
 //      excluded from decrements next pass, exactly as the imperative
 //      post-round update excluded same-round peels), and notifies the
 //      machines hosting remote neighbors.
+// A pass costs its reads and its messages: "w is hosted here" is the
+// unsigned range test w - lo < hi - lo, the host of a remote neighbour is
+// one multiply-high (MachineIndex), and the per-destination outboxes are
+// per-thread scratch, cleared and not freed between passes (send() copies
+// each payload into the engine's arena).
 // The step is tagged barrier — the canonical case: it reads `round`, a
 // global the continue callback advances at the pass boundary, which the
 // machine-independent contract forbids.
@@ -67,12 +93,17 @@ engine::RoundProgram make_peel_program(std::shared_ptr<PeelState> st) {
   program.barrier("peel.round", [st](std::size_t m, const auto& inbox,
                                      mpc::Sender& send) {
     const std::size_t machines = st->machines;
+    const auto [lo, hi] = st->vertex_range(m);
+    const graph::VertexId hosted = hi - lo;  // w is mine iff w - lo < hosted
+    std::size_t* const degree = st->degree.data();
+    std::uint32_t* const layer = st->layer.data();
+    std::vector<graph::VertexId>& peeled = st->peeled_prev[m];
     // Decrements from the previous pass: local neighbors of my peels...
-    for (graph::VertexId v : st->peeled_prev[m]) {
+    for (graph::VertexId v : peeled) {
       for (graph::VertexId w : st->neighbors(v)) {
-        if (st->machine_of(w) != m || st->layer[w] != 0) continue;
-        ARBOR_CHECK(st->degree[w] > 0);
-        --st->degree[w];
+        if (w - lo >= hosted || layer[w] != 0) continue;
+        ARBOR_CHECK(degree[w] > 0);
+        --degree[w];
       }
     }
     // ...then the remote notifications addressed to my vertices. Pass 1
@@ -82,29 +113,35 @@ engine::RoundProgram make_peel_program(std::shared_ptr<PeelState> st) {
     if (st->round > 1) {
       for (const auto& msg : inbox) {
         for (mpc::Word word : msg) {
+          ARBOR_CHECK_MSG(word - lo < hosted,
+                          "peel notification " + std::to_string(word) +
+                              " is not a vertex of machine " +
+                              std::to_string(m) + " [" + std::to_string(lo) +
+                              ", " + std::to_string(hi) + ")");
           const auto w = static_cast<graph::VertexId>(word);
-          if (st->layer[w] == 0) {
-            ARBOR_CHECK(st->degree[w] > 0);
-            --st->degree[w];
+          if (layer[w] == 0) {
+            ARBOR_CHECK(degree[w] > 0);
+            --degree[w];
           }
         }
       }
     }
     // Peel this pass: scan my vertex range with the settled degrees.
-    st->peeled_prev[m].clear();
-    std::vector<std::vector<mpc::Word>> outgoing(machines);
-    const auto [lo, hi] = st->vertex_range(m);
+    peeled.clear();
+    thread_local std::vector<std::vector<mpc::Word>> outgoing;
+    if (outgoing.size() < machines) outgoing.resize(machines);
+    for (std::size_t dst = 0; dst < machines; ++dst) outgoing[dst].clear();
+    const std::size_t threshold = st->threshold;
+    const std::uint32_t round = st->round;
     for (graph::VertexId v = lo; v < hi; ++v) {
-      if (st->layer[v] != 0 || st->degree[v] > st->threshold) continue;
-      st->layer[v] = st->round;
-      st->peeled_prev[m].push_back(v);
+      if (layer[v] != 0 || degree[v] > threshold) continue;
+      layer[v] = round;
+      peeled.push_back(v);
       // Remote neighbors, bucketed by host machine in adjacency order.
-      for (graph::VertexId w : st->neighbors(v)) {
-        const std::size_t dst = st->machine_of(w);
-        if (dst != m) outgoing[dst].push_back(w);
-      }
+      for (graph::VertexId w : st->neighbors(v))
+        if (w - lo >= hosted) outgoing[st->machine_of(w)].push_back(w);
     }
-    st->peeled_now[m] = st->peeled_prev[m].size();
+    st->peeled_now[m] = peeled.size();
     for (std::size_t dst = 0; dst < machines; ++dst)
       if (!outgoing[dst].empty()) send.send(dst, outgoing[dst]);
   });
@@ -163,16 +200,10 @@ EmbeddedPeelingResult embedded_threshold_peeling(const graph::Graph& g,
   }
 
   auto st = std::make_shared<PeelState>();
-  st->n = n;
-  st->machines = machines;
-  st->per_machine = (n + machines - 1) / std::max<std::size_t>(machines, 1);
-  st->threshold = threshold;
-  st->graph = &g;
-  st->degree.resize(n);
+  st->init(n, machines, threshold);
+  st->offsets = g.offsets();
+  st->targets = g.adjacency();
   for (graph::VertexId v = 0; v < n; ++v) st->degree[v] = g.degree(v);
-  st->layer.assign(n, 0);
-  st->peeled_prev.resize(machines);
-  st->peeled_now.assign(machines, 0);
 
   std::size_t remaining = n;
   bool progressed = true;
@@ -218,12 +249,16 @@ EmbeddedPeelingResult embedded_threshold_peeling(const graph::Graph& g,
     // inputs[m]: adjacency of machine m's vertex range —
     //   [{len, neighbors...} per vertex]
     spec.inputs.resize(machines);
+    const std::span<const graph::EdgeId> offsets = g.offsets();
     for (std::size_t m = 0; m < machines; ++m) {
       const auto [lo, hi] = st->vertex_range(m);
       std::vector<mpc::Word>& input = spec.inputs[m];
+      input.resize((hi - lo) + (offsets[hi] - offsets[lo]));
+      mpc::Word* out = input.data();
       for (graph::VertexId v = lo; v < hi; ++v) {
-        input.push_back(g.degree(v));
-        for (graph::VertexId w : g.neighbors(v)) input.push_back(w);
+        const std::span<const graph::VertexId> row = g.neighbors(v);
+        *out++ = row.size();
+        out = std::copy(row.begin(), row.end(), out);
       }
     }
     spec.has_vote = true;
@@ -253,27 +288,47 @@ EmbeddedPeelingResult embedded_threshold_peeling(const graph::Graph& g,
 void register_embedded_peeling_program(net::Registry& registry) {
   registry.add("local.embedded_peeling", 2,
                [](const net::ProgramInputs& in) {
+    const auto n = static_cast<std::size_t>(in.scalars[0]);
+    ARBOR_CHECK_MSG(n <= std::numeric_limits<graph::VertexId>::max(),
+                    "local.embedded_peeling: n = " + std::to_string(n) +
+                        " exceeds the 32-bit vertex id range");
+    ARBOR_CHECK_MSG(in.inputs.size() == in.block_end - in.block_begin,
+                    "local.embedded_peeling: " +
+                        std::to_string(in.inputs.size()) +
+                        " peel-input slabs for a block of " +
+                        std::to_string(in.block_end - in.block_begin) +
+                        " machines");
     auto st = std::make_shared<PeelState>();
-    st->n = static_cast<std::size_t>(in.scalars[0]);
-    st->threshold = static_cast<std::size_t>(in.scalars[1]);
-    st->machines = in.machines;
-    st->per_machine =
-        (st->n + in.machines - 1) / std::max<std::size_t>(in.machines, 1);
-    st->degree.assign(st->n, 0);
-    st->layer.assign(st->n, 0);
-    st->peeled_prev.resize(in.machines);
-    st->peeled_now.assign(in.machines, 0);
-    st->owned_adjacency.resize(st->n);
+    st->init(n, in.machines, static_cast<std::size_t>(in.scalars[1]));
+    // One flat CSR slab over the block's vertex range [base, end), filled
+    // straight from the inputs: [{len, neighbors...} per vertex].
+    st->base = st->vertex_range(in.block_begin).first;
+    const graph::VertexId end = st->vertex_range(in.block_end).first;
+    std::size_t words = 0;
+    for (const std::vector<mpc::Word>& input : in.inputs) words += input.size();
+    st->slab_offsets.reserve(std::size_t{end - st->base} + 1);
+    st->slab_offsets.push_back(0);
+    st->slab_targets.reserve(words -
+                             std::min<std::size_t>(words, end - st->base));
     for (std::size_t m = in.block_begin; m < in.block_end; ++m) {
       net::WireReader reader(in.inputs[m - in.block_begin], "peel-input");
       const auto [lo, hi] = st->vertex_range(m);
       for (graph::VertexId v = lo; v < hi; ++v) {
         const std::span<const mpc::Word> ws = reader.words(reader.count());
-        st->owned_adjacency[v].assign(ws.begin(), ws.end());
+        for (const mpc::Word w : ws) {
+          ARBOR_CHECK_MSG(w < n, "peel-input neighbour " + std::to_string(w) +
+                                     " of vertex " + std::to_string(v) +
+                                     " is not a vertex id (n = " +
+                                     std::to_string(n) + ")");
+          st->slab_targets.push_back(static_cast<graph::VertexId>(w));
+        }
+        st->slab_offsets.push_back(st->slab_targets.size());
         st->degree[v] = ws.size();
       }
       reader.expect_end();
     }
+    st->offsets = st->slab_offsets;
+    st->targets = st->slab_targets;
     net::WorkerProgram out;
     out.program = make_peel_program(st);
     out.state = st;

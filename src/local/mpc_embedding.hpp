@@ -7,8 +7,13 @@
 // machines, each LOCAL round is exactly one cluster round in which every
 // machine peels its sub-threshold vertices and notifies the machines
 // hosting their neighbors — under the cluster's per-machine traffic caps.
+// A pass costs only its reads and its messages: both sides read adjacency
+// through one CSR view (the graph's arrays on the driver, one flat slab per
+// worker block), and the step allocates nothing once its per-thread
+// outboxes have grown.
 // tests/mpc_embedding_test.cpp checks the result matches the reference
-// peeling bit-for-bit and that the round counts agree.
+// peeling bit-for-bit and that the round counts agree, across machine
+// counts and executors, and that a worker rejects hostile input by name.
 #pragma once
 
 #include <cstdint>
@@ -43,7 +48,10 @@ EmbeddedPeelingResult embedded_threshold_peeling(const graph::Graph& g,
                                                  std::size_t max_rounds);
 
 /// Worker-side factory ("local.embedded_peeling") for the multi-process
-/// backend (net::Registry::builtin() calls this).
+/// backend (net::Registry::builtin() calls this). It rejects by name a
+/// peel-input neighbour word that is not a vertex id (>= n), a truncated
+/// row, and, while running, a notification outside the receiving
+/// machine's vertex range.
 void register_embedded_peeling_program(net::Registry& registry);
 
 }  // namespace arbor::local
