@@ -1,7 +1,8 @@
 // Microbenchmarks (google-benchmark) for the computational kernels:
 // LocalPrune, tree attachment, the full exponentiation step, the
-// degeneracy peel and the core decomposition, list coloring, the Theorem
-// 1.2 colouring (layering and blocked descent), the exact densest-subgraph
+// degeneracy peel and the core decomposition, the layer-rule orientation
+// finalize, list coloring, the Theorem 1.2 colouring (layering and blocked
+// descent), the exact densest-subgraph
 // oracle, the per-machine record sort under the Level-0 sample sort, and
 // the embedded threshold peel.
 // These are wall-clock numbers for the simulator itself (the paper's
@@ -9,17 +10,20 @@
 // user pays to run the reproduction.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
 #include "core/coloring_mpc.hpp"
 #include "core/density_estimate.hpp"
 #include "core/exponentiate.hpp"
+#include "core/layering_pipeline.hpp"
 #include "core/local_prune.hpp"
 #include "engine/records.hpp"
 #include "graph/arboricity.hpp"
 #include "graph/coreness.hpp"
 #include "graph/generators.hpp"
+#include "graph/orientation.hpp"
 #include "local/list_coloring.hpp"
 #include "local/mpc_embedding.hpp"
 #include "mpc/cluster.hpp"
@@ -120,25 +124,69 @@ void BM_CoreDecomposition(benchmark::State& state) {
 }
 BENCHMARK(BM_CoreDecomposition)->Arg(1 << 12)->Arg(1 << 16);
 
+// graph::orient_by_layers, the one-round finalize of Theorem 1.1, on its
+// own layering. Arg 0: relabelled gnm(2^16, 2^19), perfbench gnm_dist's
+// graph; arg 1: BA(2^16, 4), ba_central's. The layering is the single-part
+// complete layering mpc_orient would build, with k from the oracle.
+void BM_OrientByLayers(benchmark::State& state) {
+  util::SplitRng draw(31);
+  util::SplitRng relabel(32);
+  constexpr std::size_t n = std::size_t{1} << 16;
+  const graph::Graph g =
+      state.range(0) == 0
+          ? graph::relabel_randomly(graph::gnm(n, 8 * n, draw), relabel)
+          : graph::barabasi_albert(n, 4, draw);
+  mpc::ClusterConfig cfg =
+      mpc::ClusterConfig::for_problem(g.num_vertices(), g.num_edges(), 0.6);
+  cfg.execution = mpc::ExecutionPolicy::serial();
+  mpc::RoundLedger ledger(cfg);
+  mpc::MpcContext ctx(cfg, &ledger);
+  const core::CompleteLayeringResult layering = core::complete_layering(
+      g,
+      core::PipelineParams::practical(core::estimate_density_parameter(g)),
+      ctx);
+  for (auto _ : state) {
+    const graph::Orientation o =
+        graph::orient_by_layers(g, layering.assignment.layer);
+    benchmark::DoNotOptimize(o.words().data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(g.num_edges()));
+}
+BENCHMARK(BM_OrientByLayers)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+// Arg 1 is the palette size, raised to Δ+1 when smaller: 0 gives the
+// tightest palette (one mask word on these graphs), 130 one of three words.
 void BM_ListColoring(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const graph::Graph g = bench_graph(n);
   std::vector<std::uint64_t> keys(n);
   for (std::size_t v = 0; v < n; ++v) keys[v] = v;
-  // One shared range [0, Δ+1), no exclusions.
+  // One shared range [0, count), no exclusions.
   const std::vector<std::size_t> no_exclusions(n + 1, 0);
-  const local::RangePalettes palettes{0, g.max_degree() + 1, no_exclusions,
-                                      {}};
+  const local::RangePalettes palettes{
+      0,
+      std::max<std::size_t>(g.max_degree() + 1,
+                            static_cast<std::size_t>(state.range(1))),
+      no_exclusions,
+      {}};
   const util::StatelessCoin coin(9);
+  // One scratch and colour array for every call, as the descent keeps them.
+  local::ListColoringScratch scratch;
+  std::vector<graph::Color> colors(n);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(local::list_color(local::ConflictView::of(g),
-                                               keys, palettes, coin,
-                                               state.iterations()));
+    benchmark::DoNotOptimize(
+        local::list_color(local::ConflictView::of(g), keys, palettes, coin,
+                          state.iterations(), 512, scratch, colors)
+            .rounds);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
 }
-BENCHMARK(BM_ListColoring)->Arg(1 << 10)->Arg(1 << 14);
+BENCHMARK(BM_ListColoring)
+    ->Args({1 << 10, 0})
+    ->Args({1 << 14, 0})
+    ->Args({1 << 14, 130});
 
 // core::mpc_color on a relabelled gnm(n, 8n), serial, central Level-1, k
 // supplied so the k-oracle stays out of the loop: the layering plus the

@@ -11,22 +11,18 @@ Be08Result be08_orient(const graph::Graph& g, std::size_t k, double epsilon,
   if (k == 0) k = core::estimate_density_parameter(g);
   const local::PeelingResult peel = local::be08_h_partition(g, k, epsilon);
 
-  Be08Result result{
-      graph::Orientation(g, std::vector<bool>(g.num_edges(), true)),
-      {},
-      peel.rounds, local::be08_threshold(k, epsilon)};
-
   // One MPC round per LOCAL round (the peel predicate is a 1-hop rule).
   ctx.charge(peel.rounds, "be08.peel");
   ctx.note_balanced(2 * g.num_edges() + g.num_vertices());
 
-  result.layering.num_layers = peel.num_layers;
-  result.layering.layer = peel.layer;  // complete: no layer 0 (unpeeled)
+  core::LayerAssignment layering;
+  layering.num_layers = peel.num_layers;
+  layering.layer = peel.layer;  // complete: no layer 0 (unpeeled)
 
-  result.orientation = graph::orient_by_layers(
-      g, result.layering.layer, core::kInfiniteLayer);
+  graph::Orientation orientation = graph::orient_by_layers(g, layering.layer);
   ctx.charge(1, "be08.finalize");
-  return result;
+  return {std::move(orientation), std::move(layering), peel.rounds,
+          local::be08_threshold(k, epsilon)};
 }
 
 }  // namespace arbor::baselines

@@ -47,12 +47,15 @@ Glm19Result glm19_orient(const graph::Graph& g, std::size_t k, double epsilon,
   const auto phase_length = std::max<std::size_t>(
       1, static_cast<std::size_t>(std::round(std::sqrt(log_n))));
 
-  Glm19Result result{
-      graph::Orientation(g, std::vector<bool>(g.num_edges(), true)),
-      {}, 0, 0, phase_length, 0, 0};
+  // Everything but the orientation, which the finalize builds last.
+  core::LayerAssignment layering;
+  std::size_t mpc_rounds = 0;
+  std::size_t phases = 0;
+  std::size_t local_rounds = 0;
+  std::size_t max_sampled_neighborhood = 0;
 
   local::ThresholdPeel peel(g);
-  result.layering.layer.assign(n, core::kInfiniteLayer);
+  layering.layer.assign(n, core::kInfiniteLayer);
   std::uint32_t round = 0;
   util::SplitRng rng(0x61a19ULL);
 
@@ -65,7 +68,7 @@ Glm19Result glm19_orient(const graph::Graph& g, std::size_t k, double epsilon,
       std::min(cap_raw, static_cast<double>(g.max_degree())));
 
   while (peel.remaining() > 0) {
-    ++result.phases;
+    ++phases;
 
     // Memory gauge: sample a few low-degree vertices' balls before running
     // the phase (what one machine would gather).
@@ -75,8 +78,8 @@ Glm19Result glm19_orient(const graph::Graph& g, std::size_t k, double epsilon,
     for (std::size_t i = 0; i < std::min<std::size_t>(16, low.size()); ++i) {
       const graph::VertexId v =
           low[static_cast<std::size_t>(rng.next_below(low.size()))];
-      result.max_sampled_neighborhood = std::max(
-          result.max_sampled_neighborhood,
+      max_sampled_neighborhood = std::max(
+          max_sampled_neighborhood,
           sparsified_ball_size(g, peel, v, degree_cap, phase_length));
     }
 
@@ -84,11 +87,11 @@ Glm19Result glm19_orient(const graph::Graph& g, std::size_t k, double epsilon,
     bool progressed = false;
     for (std::size_t t = 0; t < phase_length && peel.remaining() > 0; ++t) {
       ++round;
-      ++result.local_rounds;
+      ++local_rounds;
       const auto peeled = peel.round(threshold);
       if (peeled.empty()) break;
       progressed = true;
-      for (graph::VertexId v : peeled) result.layering.layer[v] = round;
+      for (graph::VertexId v : peeled) layering.layer[v] = round;
     }
     ARBOR_CHECK_MSG(progressed,
                     "GLM19 peeling stalled: threshold below arboricity?");
@@ -99,17 +102,16 @@ Glm19Result glm19_orient(const graph::Graph& g, std::size_t k, double epsilon,
         1, static_cast<std::size_t>(std::ceil(
                std::log2(static_cast<double>(phase_length + 1)))));
     ctx.charge(gather_rounds, "glm19.phase_gather");
-    result.mpc_rounds += gather_rounds;
+    mpc_rounds += gather_rounds;
   }
 
   ctx.note_balanced(2 * g.num_edges() + n);
 
-  result.layering.num_layers = round;
-  result.orientation =
-      graph::orient_by_layers(g, result.layering.layer, core::kInfiniteLayer);
+  layering.num_layers = round;
+  graph::Orientation orientation = graph::orient_by_layers(g, layering.layer);
   ctx.charge(1, "glm19.finalize");
-  ++result.mpc_rounds;
-  return result;
+  return {std::move(orientation), std::move(layering), mpc_rounds + 1,
+          phases, phase_length, local_rounds, max_sampled_neighborhood};
 }
 
 }  // namespace arbor::baselines

@@ -31,6 +31,7 @@ struct DescentScratch {
   std::vector<std::size_t> exclusion_offsets;  // higher-layer colours
   std::vector<graph::Color> exclusions;        // inside the palette range
   EpochMarks excluded;  // dedupes one vertex's exclusions
+  local::ListColoringScratch coloring;  // palette masks, active list
   ConeGauge gauge;
 };
 
@@ -54,8 +55,8 @@ T* room_for(std::vector<T>& buffer, std::size_t size) {
 /// each, lays out the same-layer conflict CSR (targets t − lo for
 /// lo ≤ t < hi) and each member's distinct in-range higher-layer colours;
 /// in a block, the same pass builds the members' rows of `gauge`'s open
-/// block view (null in the tail). Writes the layer's colours into
-/// color_by_rank.
+/// block view (null in the tail). list_color then writes the layer's
+/// colours straight into color_by_rank, its buffers in `scratch`.
 LayerColoringOutcome color_one_layer(
     const graph::Graph& g, const LayerRankOrder& order, Layer j,
     graph::Color palette_base, std::size_t palette_count,
@@ -103,16 +104,15 @@ LayerColoringOutcome color_one_layer(
     if (gauge != nullptr) gauge->end_row(r);
   }
 
-  const local::ListColoringResult colored = local::list_color(
+  const local::ListColoringRun colored = local::list_color(
       {scratch.offsets, std::span(scratch.targets).first(num_targets)},
       keys_by_rank.subspan(lo, hi - lo),
       {palette_base, palette_count, scratch.exclusion_offsets,
        std::span(scratch.exclusions).first(num_exclusions)},
-      coin, /*phase_tag=*/j, /*max_rounds=*/trials);
+      coin, /*phase_tag=*/j, /*max_rounds=*/trials, scratch.coloring,
+      std::span(color_by_rank).subspan(lo, hi - lo));
   ARBOR_CHECK_MSG(colored.complete,
                   "layer list-coloring did not converge — raise trials");
-  std::copy(colored.colors.begin(), colored.colors.end(),
-            color_by_rank.begin() + lo);
   outcome.local_rounds = colored.rounds;
   return outcome;
 }

@@ -14,8 +14,12 @@
 //     palette slack 2d). One pass over a layer's neighbour lists lays out
 //     its same-layer conflict CSR and, per vertex, the distinct higher-
 //     layer colors inside the palette range; the palette is that range
-//     minus those exclusions (local/list_coloring.hpp), never a stored
-//     list of its 3d colors;
+//     minus those exclusions, never a stored list of its 3d colors.
+//     list_color (local/list_coloring.hpp) folds each vertex's exclusions
+//     once into a ⌈3d/64⌉-word bit mask over the range and clears a
+//     committed colour from its same-layer neighbours' masks; the masks,
+//     its active list and its proposals are scratch the descent keeps
+//     across layers, and colours land straight in the descent's array;
 //  3. MPC speed-up: instead of paying one MPC round per LOCAL round, whole
 //     BLOCKS of layers are colored at once. Each node in a block gathers —
 //     via directed graph exponentiation along non-decreasing-layer edges

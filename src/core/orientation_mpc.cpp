@@ -23,33 +23,27 @@ MpcOrientationResult mpc_orient(const graph::Graph& g,
   const std::size_t k =
       resolve_density_parameter(g, params.k, ctx, "orient.estimate_k");
 
-  MpcOrientationResult result{
-      graph::Orientation(g, std::vector<bool>(g.num_edges(), true)),
-      {}, 1, k, 0, {}};
-
   if (!needs_partition(k, n, params.high_k_factor)) {
     PipelineParams pipeline = params.pipeline;
     pipeline.k = k;
     CompleteLayeringResult layering = complete_layering(g, pipeline, ctx);
-    result.outdegree_bound = layering.outdegree_bound;
-    result.stats = layering.stats;
-
-    result.orientation = graph::orient_by_layers(
-        g, layering.assignment.layer, kInfiniteLayer);
+    graph::Orientation orientation =
+        graph::orient_by_layers(g, layering.assignment.layer);
     ctx.charge(1, "orient.finalize");
-    result.layering = std::move(layering.assignment);
-    return result;
+    return {std::move(orientation), std::move(layering.assignment), 1, k,
+            layering.outdegree_bound, layering.stats};
   }
 
   // ---- Lemma 2.1 path: random edge partition, per-part layering. ----
   util::SplitRng rng(params.seed);
   const std::size_t parts = partition_count(k, n);
-  result.parts = parts;
   EdgePartition partition = random_edge_partition(g, parts, rng);
   ctx.charge(1, "orient.edge_partition");
 
   // Out-degree bounds and escalations add across parts; the other stats
   // take the max.
+  std::size_t outdegree_bound = 0;
+  LayeringRunStats stats;
   std::vector<LayerAssignment> part_layering(parts);
   run_parts_in_parallel(
       partition.parts, ctx,
@@ -58,31 +52,27 @@ MpcOrientationResult mpc_orient(const graph::Graph& g,
         part_pipeline.k = part_k;
         CompleteLayeringResult layering =
             complete_layering(partition.parts[p], part_pipeline, part_ctx);
-        result.outdegree_bound += layering.outdegree_bound;
-        result.stats.phases =
-            std::max(result.stats.phases, layering.stats.phases);
-        result.stats.partial_iterations =
-            std::max(result.stats.partial_iterations,
-                     layering.stats.partial_iterations);
-        result.stats.escalations += layering.stats.escalations;
-        result.stats.fallback_peel_rounds =
-            std::max(result.stats.fallback_peel_rounds,
-                     layering.stats.fallback_peel_rounds);
+        outdegree_bound += layering.outdegree_bound;
+        stats.phases = std::max(stats.phases, layering.stats.phases);
+        stats.partial_iterations = std::max(
+            stats.partial_iterations, layering.stats.partial_iterations);
+        stats.escalations += layering.stats.escalations;
+        stats.fallback_peel_rounds = std::max(
+            stats.fallback_peel_rounds, layering.stats.fallback_peel_rounds);
         part_layering[p] = std::move(layering.assignment);
       });
 
   // Each edge by its own part's layering, with orient_by_layers' rule:
   // toward the higher layer, ties toward v (∞ = kInfiniteLayer is highest).
-  const auto edges = g.edges();
-  std::vector<bool> towards_v(edges.size());
-  for (std::size_t i = 0; i < edges.size(); ++i) {
-    const auto& layering = part_layering[partition.part_of_edge[i]];
-    towards_v[i] = layering.layer[edges[i].u] <= layering.layer[edges[i].v];
-  }
+  graph::Orientation orientation = graph::Orientation::pack(
+      g, [&](std::size_t i, const graph::Edge& e) {
+        const std::vector<Layer>& layer =
+            part_layering[partition.part_of_edge[i]].layer;
+        return layer[e.u] <= layer[e.v];
+      });
   ctx.charge(1, "orient.finalize");
-  result.orientation = graph::Orientation(g, std::move(towards_v));
-  result.layering = std::move(part_layering[0]);
-  return result;
+  return {std::move(orientation), std::move(part_layering[0]), parts, k,
+          outdegree_bound, stats};
 }
 
 }  // namespace arbor::core

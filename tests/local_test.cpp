@@ -274,14 +274,27 @@ std::vector<std::uint64_t> identity_keys(const Graph& g) {
   return keys;
 }
 
+struct ListColoringResult {
+  std::vector<graph::Color> colors;
+  std::size_t rounds = 0;
+  bool complete = false;
+};
+
 ListColoringResult color(const Graph& g,
                          const std::vector<std::uint64_t>& keys,
                          const RangeLists& palettes,
                          const util::StatelessCoin& coin,
                          std::uint64_t phase_tag,
                          std::size_t max_rounds = 512) {
-  return list_color(ConflictView::of(g), keys, palettes.view(), coin,
-                    phase_tag, max_rounds);
+  ListColoringScratch scratch;
+  ListColoringResult result;
+  result.colors.resize(g.num_vertices());
+  const ListColoringRun run =
+      list_color(ConflictView::of(g), keys, palettes.view(), coin, phase_tag,
+                 max_rounds, scratch, result.colors);
+  result.rounds = run.rounds;
+  result.complete = run.complete;
+  return result;
 }
 
 TEST(ListColoring, ProperOnRandomGraph) {
@@ -446,13 +459,13 @@ ListColoringResult reference_list_color(
 
 TEST(ListColoring, MatchesMaterializedReference) {
   util::SplitRng rng(10);
-  for (int trial = 0; trial < 200; ++trial) {
-    SCOPED_TRACE(trial);
-    const std::size_t n = 2 + rng.next_below(60);
-    const std::size_t m = rng.next_below(n * (n - 1) / 2 + 1);
-    const Graph g = graph::gnm(n, std::min<std::size_t>(m, 4 * n), rng);
-    const auto base = static_cast<graph::Color>(rng.next_below(1000));
-    const std::size_t count = g.max_degree() + 1 + rng.next_below(12);
+  // Draws exclusions over [base, base+count), keys, a coin, a phase tag and
+  // a round cap for g, and compares list_color with the reference. Returns
+  // a mask of the 64-colour palette words that hold an in-range exclusion.
+  const auto check = [&rng](const Graph& g, graph::Color base,
+                            std::size_t count) {
+    const std::size_t n = g.num_vertices();
+    std::uint64_t words_hit = 0;
     // Each vertex excludes at most count − (deg+1) distinct colors of the
     // range, some of them repeatedly, plus colors below and above it, so
     // its palette keeps at least deg + 1 colors.
@@ -468,7 +481,7 @@ TEST(ListColoring, MatchesMaterializedReference) {
             excluded[v].push_back(base - 1 -
                                   static_cast<graph::Color>(rng.next_below(5)));
             break;
-          case 1:  // above the range
+          case 1:  // above the range (wraps when it ends at 2^32 − 1)
             excluded[v].push_back(static_cast<graph::Color>(
                 base + count + rng.next_below(5)));
             break;
@@ -477,6 +490,7 @@ TEST(ListColoring, MatchesMaterializedReference) {
             if (!taken[offset] && distinct == budget) break;
             if (!taken[offset]) ++distinct;
             taken[offset] = true;
+            words_hit |= std::uint64_t{1} << (offset / 64);
             excluded[v].push_back(static_cast<graph::Color>(base + offset));
           }
         }
@@ -504,6 +518,39 @@ TEST(ListColoring, MatchesMaterializedReference) {
     EXPECT_EQ(got.colors, want.colors);
     EXPECT_EQ(got.rounds, want.rounds);
     EXPECT_EQ(got.complete, want.complete);
+    return words_hit;
+  };
+
+  for (int trial = 0; trial < 200; ++trial) {
+    SCOPED_TRACE(trial);
+    const std::size_t n = 2 + rng.next_below(60);
+    const std::size_t m = rng.next_below(n * (n - 1) / 2 + 1);
+    const Graph g = graph::gnm(n, std::min<std::size_t>(m, 4 * n), rng);
+    const auto base = static_cast<graph::Color>(rng.next_below(1000));
+    const std::size_t count = g.max_degree() + 1 + rng.next_below(12);
+    check(g, base, count);
+  }
+
+  // Palettes of one, two, three and four words, at and around the word
+  // boundaries. At most count vertices with edge density 1/2 to 0.95 keep
+  // deg + 1 ≤ count with dense rows near it; every other case ends flush
+  // against 2^32 − 1.
+  for (std::size_t count : {63u, 64u, 65u, 128u, 129u, 200u}) {
+    for (int trial = 0; trial < 4; ++trial) {
+      SCOPED_TRACE(::testing::Message() << "count " << count << " trial "
+                                        << trial);
+      const std::size_t n = count / 2 + rng.next_below(count / 2 + 1);
+      const double p = 0.5 + 0.45 * rng.next_double();
+      const Graph g = graph::gnp(n, p, rng);
+      ASSERT_LE(g.max_degree() + 1, count);
+      const auto base =
+          trial % 2 == 0
+              ? static_cast<graph::Color>(0xffffffffu - count -
+                                          rng.next_below(3))
+              : static_cast<graph::Color>(rng.next_below(1000));
+      const std::uint64_t words_hit = check(g, base, count);
+      EXPECT_EQ(words_hit, (std::uint64_t{1} << ((count + 63) / 64)) - 1);
+    }
   }
 }
 

@@ -24,7 +24,7 @@ TEST(Orientation, OutdegreesSumToEdgeCount) {
 
 TEST(Orientation, SizeMismatchRejected) {
   const Graph g = clique(4);
-  EXPECT_THROW(Orientation(g, std::vector<bool>(2, true)),
+  EXPECT_THROW(Orientation(g, std::vector<std::uint64_t>(2, 0)),
                arbor::InvariantError);
 }
 
@@ -54,7 +54,7 @@ TEST(OrientByLayers, RespectsLayerOrder) {
   // edge 1-2 → toward 2.
   const Graph g = path(3);
   const std::vector<std::uint32_t> layers{2, 1, 3};
-  const Orientation o = orient_by_layers(g, layers, 0xffffffffu);
+  const Orientation o = orient_by_layers(g, layers);
   const auto outs = o.out_neighbors(g);
   EXPECT_EQ(outs[1].size(), 2u);  // vertex 1 points both ways (lowest layer)
   EXPECT_EQ(outs[0].size(), 0u);
@@ -64,15 +64,50 @@ TEST(OrientByLayers, RespectsLayerOrder) {
 TEST(OrientByLayers, TieBreaksTowardHigherId) {
   const Graph g = path(2);
   const std::vector<std::uint32_t> layers{5, 5};
-  const Orientation o = orient_by_layers(g, layers, 0xffffffffu);
+  const Orientation o = orient_by_layers(g, layers);
   EXPECT_EQ(o.out_neighbors(g)[0].size(), 1u);  // 0 -> 1
 }
 
 TEST(OrientByLayers, InfinityIsHighest) {
   const Graph g = path(2);
   const std::vector<std::uint32_t> layers{0xffffffffu, 7};
-  const Orientation o = orient_by_layers(g, layers, 0xffffffffu);
+  const Orientation o = orient_by_layers(g, layers);
   EXPECT_EQ(o.out_neighbors(g)[1].size(), 1u);  // finite -> infinite
+}
+
+// The packed writer against the per-edge rule, at edge counts on and
+// around word boundaries, with ∞ layers and ties.
+TEST(OrientByLayers, PackedBitsMatchPerEdgeRule) {
+  util::SplitRng rng(4);
+  for (std::size_t m : {0u, 1u, 63u, 64u, 65u, 4097u}) {
+    SCOPED_TRACE(m);
+    const Graph g = gnm(m < 64 ? 16 : 200, m, rng);
+    ASSERT_EQ(g.num_edges(), m);
+    std::vector<std::uint32_t> layers(g.num_vertices());
+    for (std::uint32_t& l : layers) {
+      const auto draw = static_cast<std::uint32_t>(rng.next_below(4));
+      l = draw == 3 ? 0xffffffffu : draw;
+    }
+    const Orientation o = orient_by_layers(g, layers);
+    ASSERT_EQ(o.num_edges(), m);
+    ASSERT_EQ(o.words().size(), (m + 63) / 64);
+    const auto edges = g.edges();
+    for (std::size_t i = 0; i < m; ++i)
+      EXPECT_EQ(o.oriented_towards_v(i),
+                layers[edges[i].u] <= layers[edges[i].v])
+          << "edge " << i;
+    const auto out = o.outdegrees(g);
+    std::size_t total = 0;
+    for (std::size_t d : out) total += d;
+    EXPECT_EQ(total, m);
+  }
+}
+
+TEST(Orientation, BitsPastLastEdgeRejected) {
+  const Graph g = clique(4);  // 6 edges: bits 6..63 of the word are padding
+  EXPECT_NO_THROW(Orientation(g, std::vector<std::uint64_t>{0x3f}));
+  EXPECT_THROW(Orientation(g, std::vector<std::uint64_t>{0x40}),
+               arbor::InvariantError);
 }
 
 TEST(CheckColoring, DetectsViolation) {
