@@ -7,9 +7,10 @@
 // steps.
 // Every configuration must produce bit-identical inbox fingerprints and
 // identical ledger round/word totals; the bench aborts if any executor
-// disagrees. Two smaller sections follow: the splitter-tree word sort at
-// 64 and 256 machines (ms, rounds, splitter-round traffic peak; aborts
-// unless the output equals std::sort), and a checked-execution-off A/B.
+// disagrees. Two smaller sections follow: the splitter-tree sort of single
+// words (width-1 records) at 64 and 256 machines (ms, rounds,
+// splitter-round traffic peak; aborts unless the output equals
+// std::sort), and a checked-execution-off A/B.
 //
 // Results are also written as machine-readable JSON (default
 // BENCH_engine_scaling.json, override with --json PATH) to seed the perf
@@ -174,9 +175,10 @@ int main(int argc, char** argv) {
               speedup_at_8);
   report.meta("speedup_at_8", speedup_at_8);
 
-  // -------- splitter tree: the word sample sort program at several
-  // cluster widths. The interesting column is the splitter rounds'
-  // per-machine traffic peak (the ledger's per-label peaks): O(√p·s).
+  // -------- splitter tree: the sample sort of single words (width-1
+  // records) at several cluster widths. The interesting column is the
+  // splitter rounds' per-machine traffic peak (the ledger's per-label
+  // peaks): O(√p·s).
   {
     using arbor::mpc::Word;
     const std::size_t samples = 32;
@@ -200,8 +202,8 @@ int main(int argc, char** argv) {
       arbor::mpc::RoundLedger ledger(sort_cfg);
       arbor::mpc::Cluster cluster(sort_cfg, &ledger);
       const auto start = std::chrono::steady_clock::now();
-      const arbor::mpc::SampleSortResult sorted =
-          sample_sort(cluster, word_slabs, samples);
+      const arbor::mpc::RecordSortResult sorted =
+          sample_sort_records(cluster, word_slabs, 1, 1, samples);
       const auto stop = std::chrono::steady_clock::now();
       std::vector<Word> flat;
       for (const auto& slab : sorted.slabs)
@@ -224,14 +226,13 @@ int main(int argc, char** argv) {
       report.row()
           .set("section", "splitter_ab")
           .set("backend", "serial")
-          .set("variant", "tree")
           .set("machines", machines)
           .set("words", total)
           .set("ms", secs * 1e3)
           .set("rounds", sorted.rounds)
           .set("splitter_peak_words", splitter_peak);
     }
-    std::printf("\nsplitter tree (word sort, 256 words/machine):\n");
+    std::printf("\nsplitter tree (single words, 256 words/machine):\n");
     ab.print();
   }
 

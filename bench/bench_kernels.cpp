@@ -231,7 +231,8 @@ BENCHMARK(BM_ExactDensestSubgraph)->Arg(1 << 8)->Arg(1 << 10);
 // machine as the sample sort's data rounds make it. Arg 2: 8000 slabs of
 // 125 (key, index) records, keys below 62501 and indices 125·slab + i —
 // the per-machine sorts of perfbench level0_inproc's 1M-record sort.
-// Arg 1: 256 slabs of 256 30-bit words, bench_engine_scaling's word sort.
+// Arg 1: 256 slabs of 256 30-bit words, bench_engine_scaling's
+// single-word sort (the runtime-width radix kernel).
 // Each iteration refills the slabs from the unsorted inputs (a copy the
 // sort then reads from cache) and sorts every one.
 void BM_StableSortRecords(benchmark::State& state) {

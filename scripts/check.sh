@@ -9,12 +9,15 @@
 #                                        # engine_test, level0_programs_test,
 #                                        # level1_distributed_test, net_test,
 #                                        # trace_test, check_test,
-#                                        # mpc_embedding_test (pooled
-#                                        # compute over zero-copy inbox spans
-#                                        # on a real 4-thread pool, the
-#                                        # peel's per-thread outboxes AND
-#                                        # pooled-context reuse must be
-#                                        # provably race-free)
+#                                        # mpc_embedding_test, obs_test
+#                                        # (pooled compute over zero-copy
+#                                        # inbox spans on a real 4-thread
+#                                        # pool, the peel's per-thread
+#                                        # outboxes, pooled-context reuse
+#                                        # AND the watchdog's monitor thread
+#                                        # reading the driver's program and
+#                                        # round state must be provably
+#                                        # race-free)
 #   scripts/check.sh --mp                # multi-process smoke stage only:
 #                                        # driver + 2 local arbor-worker
 #                                        # processes over loopback TCP run
@@ -180,7 +183,8 @@ if [[ "${1:-}" == "--tsan" ]]; then
   cmake --preset tsan "$@"
   cmake --build build-tsan -j"${JOBS}" \
     --target engine_test level0_programs_test level1_distributed_test \
-             net_test trace_test check_test mpc_embedding_test arbor-worker
+             net_test trace_test check_test mpc_embedding_test obs_test \
+             arbor-worker
   echo "== tsan: engine_test (Scheduler.Pooled*WithRealThreads drive the"
   echo "         pooled compute over zero-copy inbox spans on an"
   echo "         unclamped 4-thread pool) =="
@@ -204,6 +208,9 @@ if [[ "${1:-}" == "--tsan" ]]; then
   echo "== tsan: mpc_embedding_test (the peel step's per-thread outboxes,"
   echo "         reused across passes and calls under parallel(4)) =="
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/mpc_embedding_test
+  echo "== tsan: obs_test (the watchdog's monitor thread reads the"
+  echo "         driver's program and round state while steps run) =="
+  TSAN_OPTIONS="halt_on_error=1" ./build-tsan/obs_test
   echo "== tsan: clean =="
   exit 0
 fi

@@ -98,10 +98,10 @@ inline void radix_sort_whole_keys(std::vector<Word>& arena, std::size_t n,
 
 /// Stable in-place sort of the records in `arena` by their key prefix.
 ///
-/// Whole-key records (`key_words == width`: the word sort's single words
-/// and the Level-1 `(key, index)` pairs) take an LSD radix sort over the
-/// bytes that vary. Equal whole keys are identical records, so its output
-/// is exactly std::sort's, and it is stable by construction. Partial keys
+/// Whole-key records (`key_words == width`: single words, and the Level-1
+/// `(key, index)` pairs) take an LSD radix sort over the bytes that vary.
+/// Equal whole keys are identical records, so its output is exactly
+/// std::sort's, and it is stable by construction. Partial keys
 /// sort a permutation with std::stable_sort and gather once, so records
 /// move exactly one time regardless of width.
 inline void stable_sort_records(std::vector<Word>& arena, std::size_t width,
@@ -117,9 +117,7 @@ inline void stable_sort_records(std::vector<Word>& arena, std::size_t width,
     // of thousands of ~125-record sorts that would otherwise each pay an
     // allocation.
     static thread_local std::vector<Word> scratch;
-    if (width == 1)
-      radix_detail::radix_sort_whole_keys<1>(arena, n, 1, scratch);
-    else if (width == 2)
+    if (width == 2)
       radix_detail::radix_sort_whole_keys<2>(arena, n, 2, scratch);
     else
       radix_detail::radix_sort_whole_keys<0>(arena, n, width, scratch);
@@ -302,22 +300,6 @@ inline void merge_sorted_runs(std::span<const std::span<const Word>> runs,
       dst.insert(dst.end(), run.begin(), run.end());
     stable_sort_records(dst, width, key_words);
     if (&dst != &out) out.insert(out.end(), dst.begin(), dst.end());
-    return;
-  }
-  if (width == 1 && key_words == 1) {
-    // Word runs (the Level-0 word sort): single-word compare and copy.
-    merge_detail::merge_runs_cascade(
-        live.data(), live.size(), total,
-        [](const Word* a, const Word* a_end, const Word* b,
-           const Word* b_end, Word* d) {
-          return merge_detail::merge_two_runs<1>(
-              a, a_end, b, b_end, 1,
-              [](const Word* x, const Word* y) {
-                return *x < *y ? -1 : (*x > *y ? 1 : 0);
-              },
-              d);
-        },
-        out);
     return;
   }
   if (width == 2 && key_words == 2) {

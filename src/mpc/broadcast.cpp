@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
 #include <utility>
 
 #include "check/ownership.hpp"
@@ -223,6 +224,10 @@ ConvergeResult converge_sum(Cluster& cluster, std::size_t root,
                             const std::vector<Word>& per_machine_value,
                             std::size_t fanout) {
   const std::size_t machines = cluster.num_machines();
+  ARBOR_CHECK_MSG(root < machines,
+                  "mpc.converge_sum: root " + std::to_string(root) +
+                      " is outside the " + std::to_string(machines) +
+                      "-machine cluster");
   ARBOR_CHECK(per_machine_value.size() == machines);
   ARBOR_CHECK(fanout >= 2);
   const std::size_t start = cluster.rounds_executed();

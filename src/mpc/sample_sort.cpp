@@ -9,25 +9,22 @@
 #include "engine/records.hpp"
 #include "net/registry.hpp"
 #include "obs/cost_model.hpp"
-#include "trace/trace.hpp"
 #include "util/assert.hpp"
 
 namespace arbor::mpc {
 
 namespace {
 
-// Machine-local state of a sample sort. The word sort is the width-1
-// special case of the record sort, so one state serves both programs. One
-// builder produces the program for both deployments: the driver's
-// in-process run (state over the full input) and a worker's block share
-// (state holds only its machines' slabs) — which is what makes the
-// transport an execution detail rather than a second protocol
-// implementation.
+// Machine-local state of the record sort. One builder produces the
+// program for both deployments: the driver's in-process run (state over
+// the full input) and a worker's block share (state holds only its
+// machines' slabs) — which is what makes the transport an execution
+// detail rather than a second protocol implementation.
 struct SortState {
   /// Machine m's one data arena, reused by every step that holds data:
   /// the input slab (key-sorted by step 1), then m's merged placement run
-  /// (step 6), then — record sorts — m's sorted bucket (step 7), which is
-  /// the sort's output.
+  /// (step 6), then m's sorted bucket (step 7), which is the sort's
+  /// output.
   std::vector<std::vector<Word>> slabs;
   /// Machine m's own group's fine splitter keys, parsed out of the down
   /// packet by the route step and consumed by the placement step
@@ -124,17 +121,16 @@ std::vector<Word> sorted_pool(const engine::InboxView& inbox, std::size_t kw) {
 //         place it on the final bucket machines (own group's fine
 //         splitters), one message per bucket.
 //
-// A seventh, compute-only round (record sorts) key-sorts every bucket.
-// The program also declares its machine-sliced state (check::Ownership)
-// and its per-round bounds (obs::CostModel).
+// A seventh, compute-only round key-sorts every bucket. The program also
+// declares its machine-sliced state (check::Ownership) and its per-round
+// bounds (obs::CostModel).
 //
 // The explicit [n_coarse, n_fine] packet header keeps "no splitters"
 // (machines == 1, all-empty pool) a clean parseable message, and a relay
 // whose children had no samples still scatters/forwards clean headers —
 // the route rounds rely on the packet being present, never on an accident
 // of the protocol.
-engine::RoundProgram make_sort_program(std::shared_ptr<SortState> st,
-                                       bool bucket_sort_round) {
+engine::RoundProgram make_sort_program(std::shared_ptr<SortState> st) {
   const std::size_t machines = st->machines;
   const std::size_t width = st->record_width;
   const std::size_t kw = st->key_words;
@@ -143,10 +139,9 @@ engine::RoundProgram make_sort_program(std::shared_ptr<SortState> st,
   engine::RoundProgram program;
 
   // Round 1 — leaves → relays. Key-sorting slabs[m] in place mutates only
-  // machine-owned state; the sorted slab is reused by the route round (for
-  // the word sort the order of a slab is meaningless anyway). Samples are
-  // clamped to the slab size (no repeated indices); an empty slab sends
-  // nothing — the relay pools whatever arrives.
+  // machine-owned state; the sorted slab is reused by the route round.
+  // Samples are clamped to the slab size (no repeated indices); an empty
+  // slab sends nothing — the relay pools whatever arrives.
   program.independent(
       "sample_sort.tree.up",
       [st, tree, width, kw](std::size_t m, const auto&, Sender& send) {
@@ -287,21 +282,18 @@ engine::RoundProgram make_sort_program(std::shared_ptr<SortState> st,
                              });
       });
 
-  // Round 7 (record sorts only): each bucket machine merges its routed
-  // records into its own arena, slabs[m] (round 6 is done with it) —
-  // inside a round so the engine spreads the final merges across its
-  // workers. The routed messages are contiguous sorted spans of the
-  // spread members' merged runs, so the bucket is their k-way merge in
-  // delivery order. The word sort skips this round: its buckets stay in
-  // the inboxes, where the driver reads them.
-  if (bucket_sort_round)
-    program.independent(
-        "sample_sort.tree.sort",
-        [st, width, kw](std::size_t m, const auto& inbox, Sender&) {
-          std::vector<Word>& bucket = st->slabs[m];
-          bucket.clear();
-          engine::merge_sorted_inbox(inbox, width, kw, bucket);
-        });
+  // Round 7: each bucket machine merges its routed records into its own
+  // arena, slabs[m] (round 6 is done with it) — inside a round so the
+  // engine spreads the final merges across its workers. The routed
+  // messages are contiguous sorted spans of the spread members' merged
+  // runs, so the bucket is their k-way merge in delivery order.
+  program.independent(
+      "sample_sort.tree.sort",
+      [st, width, kw](std::size_t m, const auto& inbox, Sender&) {
+        std::vector<Word>& bucket = st->slabs[m];
+        bucket.clear();
+        engine::merge_sorted_inbox(inbox, width, kw, bucket);
+      });
 
   // Everything the steps mutate is machine-sliced: slabs[m] (sorted in
   // place by the sample round, refilled with the merged run by the
@@ -317,11 +309,10 @@ engine::RoundProgram make_sort_program(std::shared_ptr<SortState> st,
   // closed form of (p, s, key_words) the post-run audit checks against the
   // measured per-label peaks. Route rounds move the data itself and are
   // bounded only by the machine capacity S (kWordsCapacity resolves to S
-  // at audit time); bucket-sort rounds are compute-only and must move
+  // at audit time); the bucket-sort round is compute-only and must move
   // exactly zero words.
   const std::size_t s = st->samples_per_machine;
-  auto cost = std::make_shared<obs::CostModel>(
-      bucket_sort_round ? "mpc.sample_sort_records" : "mpc.sample_sort");
+  auto cost = std::make_shared<obs::CostModel>("mpc.sample_sort_records");
   const std::size_t r = tree.group_size;
   const std::size_t G = tree.groups;
   // Pick/down packet: [n_coarse, n_fine | keys] — at most the G−1 group
@@ -337,9 +328,8 @@ engine::RoundProgram make_sort_program(std::shared_ptr<SortState> st,
               "r*(2+(G+r-2)*kw) (a relay fans its packet to <= r members)");
   cost->bound("sample_sort.tree.route", obs::kWordsCapacity, 2,
               "<= S (the data movement rounds: route + placement)");
-  if (bucket_sort_round)
-    cost->bound("sample_sort.tree.sort", 0, 1,
-                "0 (machine-local bucket sort; moves no words)");
+  cost->bound("sample_sort.tree.sort", 0, 1,
+              "0 (machine-local bucket sort; moves no words)");
   program.costed(std::move(cost));
   return program;
 }
@@ -348,47 +338,6 @@ engine::RoundProgram make_sort_program(std::shared_ptr<SortState> st,
 
 std::size_t sample_sort_tree_fanout(std::size_t machines) {
   return SplitterTree::over(machines).group_size;
-}
-
-SampleSortResult sample_sort(Cluster& cluster,
-                             std::vector<std::vector<Word>> input,
-                             std::size_t samples_per_machine) {
-  trace::Span stage_span = trace::Tracer::global().span("mpc", "sample_sort");
-  const std::size_t machines = cluster.num_machines();
-  ARBOR_CHECK(input.size() == machines);
-  ARBOR_CHECK(samples_per_machine >= 1);
-  const std::size_t start_rounds = cluster.rounds_executed();
-
-  // Machine-local state lives here (the cluster only moves messages).
-  // The slabs move to where the steps run: into the driver's state in
-  // process, into the RemoteSpec the workers are built from otherwise.
-  auto st = std::make_shared<SortState>();
-  st->machines = machines;
-  st->samples_per_machine = samples_per_machine;
-
-  engine::RoundProgram program =
-      make_sort_program(st, /*bucket_sort_round=*/false);
-  if (cluster.distributed()) {
-    engine::RemoteSpec spec;
-    spec.name = "mpc.sample_sort";
-    spec.scalars = {static_cast<Word>(samples_per_machine)};
-    spec.inputs = std::move(input);
-    program.distributable(std::move(spec));
-  } else {
-    st->slabs = std::move(input);
-  }
-
-  cluster.run_program(program);
-
-  // The buckets sit in the inboxes when the program returns — identically
-  // under every backend (the transport syncs final inboxes back).
-  SampleSortResult result;
-  result.slabs.resize(machines);
-  // Route messages are sorted word spans, so each bucket is their merge.
-  for (std::size_t m = 0; m < machines; ++m)
-    engine::merge_sorted_inbox(cluster.inbox(m), 1, 1, result.slabs[m]);
-  result.rounds = cluster.rounds_executed() - start_rounds;
-  return result;
 }
 
 RecordSortResult sample_sort_records(
@@ -412,8 +361,7 @@ RecordSortResult sample_sort_records(
   st->key_words = key_words;
   st->samples_per_machine = samples_per_machine;
 
-  engine::RoundProgram program =
-      make_sort_program(st, /*bucket_sort_round=*/true);
+  engine::RoundProgram program = make_sort_program(st);
   if (cluster.distributed()) {
     engine::RemoteSpec spec;
     spec.name = "mpc.sample_sort_records";
@@ -443,22 +391,6 @@ RecordSortResult sample_sort_records(
 }
 
 void register_sample_sort_programs(net::Registry& registry) {
-  // Scalars: [samples_per_machine].
-  registry.add("mpc.sample_sort", 1, [](const net::ProgramInputs& in) {
-    auto st = std::make_shared<SortState>();
-    st->machines = in.machines;
-    st->samples_per_machine = static_cast<std::size_t>(in.scalars[0]);
-    ARBOR_CHECK_MSG(st->samples_per_machine >= 1,
-                    "mpc.sample_sort needs samples_per_machine >= 1");
-    st->slabs.resize(in.machines);
-    for (std::size_t m = in.block_begin; m < in.block_end; ++m)
-      st->slabs[m] = in.inputs[m - in.block_begin];
-    net::WorkerProgram out;
-    out.program = make_sort_program(st, /*bucket_sort_round=*/false);
-    out.state = st;
-    return out;
-  });
-
   // Scalars: [record_width, key_words, samples_per_machine].
   registry.add("mpc.sample_sort_records", 3,
                [](const net::ProgramInputs& in) {
@@ -479,7 +411,7 @@ void register_sample_sort_programs(net::Registry& registry) {
       engine::record_count(st->slabs[m].size(), st->record_width);
     }
     net::WorkerProgram out;
-    out.program = make_sort_program(st, /*bucket_sort_round=*/true);
+    out.program = make_sort_program(st);
     out.state = st;
     out.output = [st](std::size_t m) { return st->slabs[m]; };
     return out;

@@ -1,13 +1,13 @@
 // A real distributed sample sort executed on the Level-0 cluster.
 //
 // This is the [GSZ11]-style constant-round sort the Level-1 primitives
-// charge for: every machine holds a slab of keys (or fixed-width records);
-// splitters are agreed on, every machine routes its data to the
-// splitter-assigned bucket machine, and buckets sort locally. Exists so
-// the analytic costs are backed by an executable dataflow under the same
-// traffic caps (see tests/level0_programs_test.cpp, which cross-checks the
-// round counts against MpcContext::sort_rounds and grounds the per-round
-// traffic against the model's S-cap).
+// charge for: every machine holds a slab of fixed-width records (single
+// words are width 1); splitters are agreed on, every machine routes its
+// data to the splitter-assigned bucket machine, and buckets sort locally.
+// Exists so the analytic costs are backed by an executable dataflow under
+// the same traffic caps (see tests/level0_programs_test.cpp, which
+// cross-checks the round counts against MpcContext::sort_rounds and
+// grounds the per-round traffic against the model's S-cap).
 //
 // Splitters are agreed on through a ⌈√p⌉-ary splitter relay tree.
 // Machines send clamped, evenly-spaced samples up a height-2 fan-in tree
@@ -19,9 +19,8 @@
 // member of the destination group, then by that group's fine splitters to
 // the final bucket machine. Per-machine send/receive volume of every
 // splitter round is O(√p·s) words (s = samples per machine), so the
-// dataflow fits the model's S-cap at any machine count. Rounds: 6 for the
-// word sort (up, up, pick, down, route, route), 7 for the record sort
-// (+ the compute-only bucket sort).
+// dataflow fits the model's S-cap at any machine count. Rounds: 7 (up, up,
+// pick, down, route, route, and the compute-only bucket sort).
 //
 // Protocol notes:
 //  * samples are clamped to the slab size, so a machine never repeats an
@@ -32,10 +31,8 @@
 //    rely on the message being present, never on an accident of the
 //    protocol. A relay with no children's samples forwards clean headers,
 //    not zero-width frames;
-//  * `sample_sort_records` generalizes the dataflow from single Words to
-//    fixed-width multi-word records ordered by a key prefix (see
-//    src/mpc/README.md for the wire format). `sample_sort` is the
-//    single-word special case, kept for the Level-0 framework tests.
+//  * records are ordered by a key prefix (see src/mpc/README.md for the
+//    wire format); there is one sort program for every width.
 #pragma once
 
 #include <cstddef>
@@ -49,26 +46,7 @@ class Registry;
 
 namespace arbor::mpc {
 
-struct SampleSortResult {
-  /// Sorted keys as held by each machine after the sort (concatenation in
-  /// machine order is globally sorted).
-  std::vector<std::vector<Word>> slabs;
-  std::size_t rounds = 0;  ///< always 6
-};
-
-/// Sort the union of `input[m]` (machine m's initial slab). Every slab and
-/// every bucket must fit in the cluster's per-machine word budget; the
-/// sort fails loudly (capacity check in the cluster) otherwise.
-/// `samples_per_machine` controls splitter quality (default 8); the tree
-/// needs ≥ ⌈√p⌉ samples per machine for its root pool to cover p−1
-/// splitters — fewer still sorts correctly, with coarser buckets.
-/// `input` is taken by value and moved on, as sample_sort_records does:
-/// a caller that moves its slabs in makes no copy of them.
-SampleSortResult sample_sort(Cluster& cluster,
-                             std::vector<std::vector<Word>> input,
-                             std::size_t samples_per_machine = 8);
-
-/// Sort fixed-width multi-word records by their leading key words.
+/// Sort fixed-width records by their leading key words.
 ///
 /// `input[m]` is machine m's initial slab: a flat arena of whole records,
 /// `record_width` words each; the first `key_words` words of a record form
@@ -91,6 +69,12 @@ struct RecordSortResult {
 /// Level-1 sort path) move them in, and the sort moves them on — into its
 /// machine state in process, or into the RemoteSpec a multi-process
 /// backend ships to its workers — so the driver never copies the data.
+/// Every slab and every bucket must fit in the cluster's per-machine word
+/// budget; the sort fails loudly (capacity check in the cluster)
+/// otherwise. `samples_per_machine` controls splitter quality (default
+/// 8); the tree needs ≥ ⌈√p⌉ samples per machine for its root pool to
+/// cover p−1 splitters — fewer still sorts correctly, with coarser
+/// buckets.
 RecordSortResult sample_sort_records(
     Cluster& cluster, std::vector<std::vector<Word>> input,
     std::size_t record_width, std::size_t key_words = 0,
@@ -103,8 +87,8 @@ RecordSortResult sample_sort_records(
 /// s ≥ r keeps the root's thinned pool (G·s keys) ≥ machines−1.
 std::size_t sample_sort_tree_fanout(std::size_t machines);
 
-/// Worker-side factories ("mpc.sample_sort", "mpc.sample_sort_records")
-/// for the multi-process backend (net::Registry::builtin() calls this).
+/// Worker-side factory ("mpc.sample_sort_records") for the multi-process
+/// backend (net::Registry::builtin() calls this).
 void register_sample_sort_programs(net::Registry& registry);
 
 }  // namespace arbor::mpc

@@ -377,7 +377,7 @@ TEST(CheckedMatrix, SampleSortTree) {
   const auto input = random_slabs(8, 48, 221);
   std::vector<std::vector<Word>> reference;
   expect_checked_clean("sample_sort", [&](mpc::Cluster& cluster, bool first) {
-    const mpc::SampleSortResult result = sample_sort(cluster, input);
+    const mpc::RecordSortResult result = sample_sort_records(cluster, input, 1);
     if (first)
       reference = result.slabs;
     else

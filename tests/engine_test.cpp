@@ -232,6 +232,7 @@ std::size_t bucket_of(std::span<const Word> splitters, std::size_t key_words,
   return b;
 }
 
+// Single words take the runtime-width radix kernel, as width 3 does.
 TEST(Records, WidthOneSortFastPath) {
   util::SplitRng rng(71);
   std::vector<Word> slab;
@@ -401,8 +402,7 @@ TEST(Records, PartitionAllDuplicatesAndEmptySplitters) {
 }
 
 // Bulk send_records must enqueue, per destination, exactly the payload the
-// per-record upper_bound rule picks (width-1 records: the word sort's route
-// shape).
+// per-record upper_bound rule picks (width-1 records).
 TEST(Records, SendRecordsMatchesPerRecordRouting) {
   util::SplitRng rng(73);
   constexpr std::size_t kMachines = 8;
@@ -499,6 +499,7 @@ TEST(RecordMerge, DuplicateKeysResolveToEarliestRun) {
                                8, 0, 8, 1, 8, 2}));
 }
 
+// Single-word runs take the runtime-width merge, as width 3 does.
 TEST(RecordMerge, WidthOneFastPathMatchesSort) {
   util::SplitRng rng(74);
   std::vector<std::vector<Word>> runs(5);
@@ -677,14 +678,15 @@ TEST(Engine, SampleSortIdenticalToSerialAcrossSeeds) {
     ClusterConfig serial_cfg{machines, 1024};
     RoundLedger serial_ledger(serial_cfg);
     Cluster serial_cluster(serial_cfg, &serial_ledger);
-    const auto serial_result = mpc::sample_sort(serial_cluster, input);
+    const auto serial_result =
+        mpc::sample_sort_records(serial_cluster, input, 1);
 
     for (const std::size_t threads : {1u, 4u}) {
       ClusterConfig cfg{machines, 1024};
       cfg.execution = ExecutionPolicy::parallel(threads);
       RoundLedger ledger(cfg);
       Cluster cluster(cfg, &ledger);
-      const auto result = mpc::sample_sort(cluster, input);
+      const auto result = mpc::sample_sort_records(cluster, input, 1);
       EXPECT_EQ(result.slabs, serial_result.slabs)
           << "seed " << seed << " threads " << threads;
       EXPECT_EQ(result.rounds, serial_result.rounds);

@@ -17,6 +17,7 @@
 #include "mpc/cluster.hpp"
 #include "mpc/primitives.hpp"
 #include "mpc/sample_sort.hpp"
+#include "net/registry.hpp"
 #include "util/hashing.hpp"
 #include "util/rng.hpp"
 
@@ -45,7 +46,7 @@ TEST(SampleSort, SortsAcrossMachines) {
   const ClusterConfig cfg{8, 512};
   Cluster cluster(cfg, nullptr);
   const auto input = random_slabs(8, 32, 1);
-  const SampleSortResult result = sample_sort(cluster, input);
+  const RecordSortResult result = sample_sort_records(cluster, input, 1);
 
   // Concatenation in machine order must be globally sorted and a
   // permutation of the input.
@@ -60,10 +61,11 @@ TEST(SampleSort, ConstantRounds) {
   const ClusterConfig cfg{16, 1024};
   const auto input = random_slabs(16, 48, 2);
 
-  // 6 communication rounds — up, up, pick, down, route, route.
+  // 7 rounds — up, up, pick, down, route, route, and the compute-only
+  // bucket sort.
   Cluster cluster(cfg, nullptr);
-  const SampleSortResult result = sample_sort(cluster, input);
-  EXPECT_EQ(result.rounds, 6u);
+  const RecordSortResult result = sample_sort_records(cluster, input, 1);
+  EXPECT_EQ(result.rounds, 7u);
 
   // O(1): the Level-1 charge for the same volume charges ⌈log_S N⌉ ≥ 1
   // units; the Level-0 program realizes the constant.
@@ -82,7 +84,7 @@ TEST(SampleSort, HandlesEmptyAndSkewedSlabs) {
   Cluster cluster(cfg, nullptr);
   std::vector<std::vector<Word>> input(4);
   input[2] = {5, 3, 9, 1, 7, 7, 2};  // all data on one machine
-  const SampleSortResult result = sample_sort(cluster, input);
+  const RecordSortResult result = sample_sort_records(cluster, input, 1);
   std::vector<Word> out;
   for (const auto& slab : result.slabs)
     out.insert(out.end(), slab.begin(), slab.end());
@@ -103,7 +105,7 @@ TEST(SampleSort, TinySkewedSlabsClampSamples) {
   input[1] = {7, 7};            // duplicates in a tiny slab
   input[2] = {900, 5, 900};     // skewed values
   input[3] = {};                // empty slab sends an empty sample
-  const SampleSortResult result = sample_sort(cluster, input, 8);
+  const RecordSortResult result = sample_sort_records(cluster, input, 1, 1, 8);
   std::vector<Word> out;
   for (const auto& slab : result.slabs)
     out.insert(out.end(), slab.begin(), slab.end());
@@ -117,19 +119,20 @@ TEST(SampleSort, TinySkewedSlabsClampSamples) {
 TEST(SampleSort, SingleMachine) {
   const ClusterConfig cfg{1, 512};
   Cluster cluster(cfg, nullptr);
-  const SampleSortResult result = sample_sort(cluster, {{9, 2, 7, 2, 5}});
+  const RecordSortResult result =
+      sample_sort_records(cluster, {{9, 2, 7, 2, 5}}, 1);
   ASSERT_EQ(result.slabs.size(), 1u);
   EXPECT_EQ(result.slabs[0], (std::vector<Word>{2, 2, 5, 7, 9}));
-  EXPECT_EQ(result.rounds, 6u);
+  EXPECT_EQ(result.rounds, 7u);
 }
 
 TEST(SampleSort, SingleMachineEmptyInput) {
   const ClusterConfig cfg{1, 64};
   Cluster cluster(cfg, nullptr);
-  const SampleSortResult result = sample_sort(cluster, {{}});
+  const RecordSortResult result = sample_sort_records(cluster, {{}}, 1);
   ASSERT_EQ(result.slabs.size(), 1u);
   EXPECT_TRUE(result.slabs[0].empty());
-  EXPECT_EQ(result.rounds, 6u);
+  EXPECT_EQ(result.rounds, 7u);
 }
 
 // The tree topology's awkward machine counts: p ∈ {1, 2, 3} (trees of
@@ -141,8 +144,8 @@ TEST(SampleSortTree, AwkwardMachineCounts) {
     const ClusterConfig cfg{machines, 4096};
     const auto input = random_slabs(machines, 19, 100 + machines);
     Cluster cluster(cfg, nullptr);
-    const SampleSortResult result = sample_sort(cluster, input);
-    EXPECT_EQ(result.rounds, 6u);
+    const RecordSortResult result = sample_sort_records(cluster, input, 1);
+    EXPECT_EQ(result.rounds, 7u);
     std::vector<Word> out;
     for (const auto& slab : result.slabs)
       out.insert(out.end(), slab.begin(), slab.end());
@@ -165,7 +168,7 @@ TEST(SampleSortTree, EmptySlabsAtRelayRanks) {
     for (int i = 0; i < 23; ++i) input[m].push_back(rng.next_below(1u << 20));
   }
   Cluster cluster(cfg, nullptr);
-  const SampleSortResult result = sample_sort(cluster, input);
+  const RecordSortResult result = sample_sort_records(cluster, input, 1);
   std::vector<Word> out;
   for (const auto& slab : result.slabs)
     out.insert(out.end(), slab.begin(), slab.end());
@@ -177,7 +180,8 @@ TEST(SampleSortTree, EmptySlabsAtRelayRanks) {
     for (int i = 0; i < 23; ++i)
       relays_only[m].push_back(rng.next_below(1u << 20));
   Cluster cluster2(cfg, nullptr);
-  const SampleSortResult result2 = sample_sort(cluster2, relays_only);
+  const RecordSortResult result2 =
+      sample_sort_records(cluster2, relays_only, 1);
   std::vector<Word> out2;
   for (const auto& slab : result2.slabs)
     out2.insert(out2.end(), slab.begin(), slab.end());
@@ -188,7 +192,7 @@ TEST(SampleSort, DuplicateKeysPreserved) {
   const ClusterConfig cfg{4, 512};
   Cluster cluster(cfg, nullptr);
   std::vector<std::vector<Word>> input(4, std::vector<Word>(8, 42));
-  const SampleSortResult result = sample_sort(cluster, input);
+  const RecordSortResult result = sample_sort_records(cluster, input, 1);
   std::size_t total = 0;
   for (const auto& slab : result.slabs) {
     for (Word w : slab) EXPECT_EQ(w, 42u);
@@ -318,7 +322,8 @@ TEST(SampleSortTree, SplitterRoundsStayWithinSqrtPBudget) {
     RoundLedger ledger(cfg);
     Cluster cluster(cfg, &ledger);
     const auto input = random_slabs(machines, 48, machines);
-    const SampleSortResult result = sample_sort(cluster, input, samples);
+    const RecordSortResult result =
+        sample_sort_records(cluster, input, 1, 1, samples);
     std::vector<Word> out;
     for (const auto& slab : result.slabs)
       out.insert(out.end(), slab.begin(), slab.end());
@@ -348,7 +353,7 @@ TEST(SampleSortTree, CapViolationNamesTreeRoundAndMachine) {
   Cluster cluster(cfg, nullptr);
   const auto input = random_slabs(256, 48, 9);
   try {
-    sample_sort(cluster, input, 32);
+    sample_sort_records(cluster, input, 1, 1, 32);
     FAIL() << "expected a receive-cap violation in the splitter rounds";
   } catch (const arbor::InvariantError& e) {
     const std::string what = e.what();
@@ -369,7 +374,7 @@ TEST(SampleSortTree, AdversarialDuplicatesAndSkewAtWideClusters) {
 
   std::vector<std::vector<Word>> dup(machines, std::vector<Word>(24, 42));
   Cluster c1(cfg, nullptr);
-  const SampleSortResult r1 = sample_sort(c1, dup);
+  const RecordSortResult r1 = sample_sort_records(c1, dup, 1);
   std::vector<Word> out1;
   for (const auto& slab : r1.slabs)
     out1.insert(out1.end(), slab.begin(), slab.end());
@@ -381,7 +386,7 @@ TEST(SampleSortTree, AdversarialDuplicatesAndSkewAtWideClusters) {
     for (int i = 0; i < 300; ++i)
       skew[m].push_back(rng.next_below(1u << 30));
   Cluster c2(cfg, nullptr);
-  const SampleSortResult r2 = sample_sort(c2, skew);
+  const RecordSortResult r2 = sample_sort_records(c2, skew, 1);
   std::vector<Word> out2;
   for (const auto& slab : r2.slabs)
     out2.insert(out2.end(), slab.begin(), slab.end());
@@ -405,25 +410,49 @@ TEST(SampleSortTree, AdversarialDuplicatesAndSkewAtWideClusters) {
 }
 
 // The placement round merges a spread member's inbox into one sorted run
-// before routing it, so a bucket machine's final inbox holds at most one
-// message per member of its group: ≤ ⌈√p⌉ = 8 at p = 64. Routing every
-// incoming fragment on its own leaves up to one message per original
-// sender (p of them).
+// before routing it, so a bucket machine's inbox in the bucket-sort round
+// holds at most one message per member of its group: ≤ ⌈√p⌉ = 8 at
+// p = 64. Routing every incoming fragment on its own leaves up to one
+// message per original sender (p of them). The bucket-sort round sends
+// nothing, so the cluster's final inboxes are empty; the test rebuilds the
+// same program through its worker factory and counts the messages that
+// round reads.
 TEST(SampleSortTree, PlacementSendsOneRunPerSpreadMember) {
   const std::size_t machines = 64;
   const ClusterConfig cfg{machines, 4096};
   Cluster cluster(cfg, nullptr);
   const auto input = random_slabs(machines, 200, 64);
-  const SampleSortResult result = sample_sort(cluster, input);
+  const RecordSortResult result = sample_sort_records(cluster, input, 1);
   std::vector<Word> out;
   for (const auto& slab : result.slabs)
     out.insert(out.end(), slab.begin(), slab.end());
   EXPECT_EQ(out, flatten_sorted(input));
 
+  net::ProgramInputs in;
+  in.machines = machines;
+  in.capacity = cfg.words_per_machine;
+  in.block_end = machines;
+  in.scalars = {1, 1, 8};
+  in.inputs = input;
+  net::WorkerProgram rebuilt =
+      net::Registry::builtin().find("mpc.sample_sort_records")(in);
+  engine::ProgramStep& bucket_sort = rebuilt.program.steps.back();
+  ASSERT_EQ(bucket_sort.name, "sample_sort.tree.sort");
+  std::vector<std::size_t> bucket_messages(machines, 0);
+  bucket_sort.fn = [&bucket_messages, fn = bucket_sort.fn](
+                       std::size_t m, const InboxView& inbox, Sender& send) {
+    bucket_messages[m] = inbox.size();
+    fn(m, inbox, send);
+  };
+  Cluster replay(cfg, nullptr);
+  replay.run_program(rebuilt.program);
+
   const std::size_t group = sample_sort_tree_fanout(machines);
   ASSERT_EQ(group, 8u);
-  for (std::size_t m = 0; m < machines; ++m)
-    EXPECT_LE(cluster.inbox(m).size(), group) << "machine " << m;
+  for (std::size_t m = 0; m < machines; ++m) {
+    EXPECT_EQ(rebuilt.output(m), result.slabs[m]) << "machine " << m;
+    EXPECT_LE(bucket_messages[m], group) << "machine " << m;
+  }
 }
 
 TEST(BroadcastTree, AllMachinesReceive) {
@@ -478,6 +507,26 @@ TEST(ConvergeSum, SingleMachine) {
   const ConvergeResult result = converge_sum(cluster, 0, {99}, 2);
   EXPECT_EQ(result.sum, 99u);
   EXPECT_EQ(result.rounds, 0u);
+}
+
+// A root outside the cluster is rejected by name before any round runs:
+// with one machine the tree has no rounds and the sum would read past the
+// end of the values; with four it would run a wrong tree first.
+TEST(ConvergeSum, RejectsRootOutsideTheCluster) {
+  for (const std::size_t machines : {1u, 4u}) {
+    Cluster cluster(ClusterConfig{machines, 64}, nullptr);
+    try {
+      converge_sum(cluster, machines, std::vector<Word>(machines, 1), 2);
+      FAIL() << "expected a rejected root at machines=" << machines;
+    } catch (const arbor::InvariantError& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "mpc.converge_sum: root " + std::to_string(machines) +
+                    " is outside the"),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(cluster.rounds_executed(), 0u) << "machines=" << machines;
+  }
 }
 
 TEST(ConvergeSum, MatchesBroadcastDepth) {
@@ -593,7 +642,7 @@ TEST(DeterminismMatrix, SampleSort) {
   const auto input = random_slabs(8, 48, 21);
   std::vector<std::vector<Word>> reference;
   expect_matrix_identical("sample_sort", [&](Cluster& cluster, bool first) {
-    const SampleSortResult result = sample_sort(cluster, input);
+    const RecordSortResult result = sample_sort_records(cluster, input, 1);
     if (first)
       reference = result.slabs;
     else
@@ -631,7 +680,7 @@ TEST(DeterminismMatrix, WideTreeSampleSort) {
   expect_matrix_identical(
       "sample_sort/tree-wide",
       [&](Cluster& cluster, bool first) {
-        const SampleSortResult result = sample_sort(cluster, input);
+        const RecordSortResult result = sample_sort_records(cluster, input, 1);
         if (first)
           reference = result.slabs;
         else
@@ -724,7 +773,7 @@ TEST(DeterminismMatrix, EmbeddedPeeling) {
 
 // ------------------------------------------ cross-version golden outputs
 //
-// One seed's exact bytes out of the record sort, the word sort, the
+// One seed's exact bytes out of the record sort at widths 3 and 1, the
 // embedded peel and a broadcast, recorded as literals. Every path the
 // programs take (bucket routing, k-way merges, the peel's decrement walk,
 // the broadcast fan-out) must keep emitting these bytes: a refactor that
@@ -775,9 +824,9 @@ TEST(Level0, GoldenOutputsBitIdentical) {
   {
     const ClusterConfig cfg{16, 1024};
     Cluster cluster(cfg, nullptr);
-    const SampleSortResult sorted =
-        sample_sort(cluster, random_slabs(16, 48, 2024));
-    EXPECT_EQ(sorted.rounds, 6u);
+    const RecordSortResult sorted =
+        sample_sort_records(cluster, random_slabs(16, 48, 2024), 1);
+    EXPECT_EQ(sorted.rounds, 7u);
     EXPECT_EQ(golden_hash(sorted.slabs), 14066410507285807204ull);
   }
   {

@@ -239,7 +239,7 @@ TEST(WireFormat, ProgramFramesRoundTrip) {
     engine::RemoteSpec& spec = *program.remote;
     spec.has_output = rng.next_below(2) == 1;
     spec.has_vote = rng.next_below(2) == 1;
-    spec.name = seed % 2 ? "mpc.sample_sort" : "x";
+    spec.name = seed % 2 ? "mpc.sample_sort_records" : "x";
     for (std::size_t i = 0; i < rng.next_below(4); ++i)
       spec.scalars.push_back(rng.next_below(1u << 30));
     const std::size_t machines = 1 + rng.next_below(6);
@@ -589,7 +589,8 @@ TEST(TransportDeterminismMatrix, SampleSort) {
   std::vector<std::vector<Word>> reference;
   expect_transports_identical(
       "sample_sort", [&](mpc::Cluster& cluster, bool first) {
-        const mpc::SampleSortResult result = sample_sort(cluster, input);
+        const mpc::RecordSortResult result =
+            sample_sort_records(cluster, input, 1);
         if (first)
           reference = result.slabs;
         else
@@ -628,8 +629,9 @@ TEST(TransportDeterminismMatrix, WideTreeSampleSort) {
   expect_transports_identical(
       "sample_sort/tree-wide",
       [&](mpc::Cluster& cluster, bool first) {
-        const mpc::SampleSortResult result = sample_sort(cluster, input);
-        EXPECT_EQ(result.rounds, 6u);
+        const mpc::RecordSortResult result =
+            sample_sort_records(cluster, input, 1);
+        EXPECT_EQ(result.rounds, 7u);
         if (first)
           reference = result.slabs;
         else
@@ -793,7 +795,7 @@ TEST(MultiProcessBackend, UnknownProgramNameRejected) {
 
 // A garbled spec fails on the worker by name instead of rebuilding a
 // different program: every builtin factory rejects a scalar vector of the
-// wrong length, and the two sorts reject a zero sample budget (which would
+// wrong length, and the sort rejects a zero sample budget (which would
 // otherwise sort with no splitters and send everything to machine 0).
 TEST(WorkerRegistry, MalformedSpecsRejectedByName) {
   const Registry& registry = Registry::builtin();
@@ -812,8 +814,6 @@ TEST(WorkerRegistry, MalformedSpecsRejectedByName) {
   for (const std::string& name : names)
     expect_rejected([&] { build(name, std::vector<Word>(16, 1)); },
                     name + " expects ");
-  expect_rejected([&] { build("mpc.sample_sort", {0}); },
-                  "mpc.sample_sort needs samples_per_machine >= 1");
   expect_rejected([&] { build("mpc.sample_sort_records", {2, 2, 0}); },
                   "mpc.sample_sort_records needs samples_per_machine >= 1");
 }

@@ -10,6 +10,7 @@
 
 #include <chrono>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -27,6 +28,7 @@
 #include "mpc/ledger.hpp"
 #include "mpc/primitives.hpp"
 #include "mpc/sample_sort.hpp"
+#include "net/registry.hpp"
 #include "net/storm.hpp"
 #include "obs/cost_model.hpp"
 #include "obs/report.hpp"
@@ -85,26 +87,31 @@ void expect_bounded_clean(const std::string& program) {
 
 // Every registered protocol runs with a CostModel whose bounds hold on a
 // real execution — the acceptance criterion behind the lint rule and the
-// verifier's CostModel requirement.
+// verifier's CostModel requirement. The programs run here must be exactly
+// the builtin registry's names outside the deliberately broken check.*
+// self-checks, so a protocol added to or removed from the registry fails
+// this test instead of silently falling out of it.
 TEST(CostModels, AllSixRegisteredProtocolsRunBounded) {
   ReportLog::global().clear();
+  std::set<std::string> ran;
+  const auto bounded_clean = [&ran](const std::string& program) {
+    expect_bounded_clean(program);
+    ran.insert(program);
+  };
 
-  {  // mpc.sample_sort
+  {  // mpc.sample_sort_records, single words and (key, payload) records
     mpc::Cluster cluster(ClusterConfig{8, 8192}, nullptr);
-    sample_sort(cluster, random_slabs(8, 32, 11));
-    expect_bounded_clean("mpc.sample_sort");
-  }
-  {  // mpc.sample_sort_records
-    mpc::Cluster cluster(ClusterConfig{8, 8192}, nullptr);
+    sample_sort_records(cluster, random_slabs(8, 32, 11), 1);
+    bounded_clean("mpc.sample_sort_records");
     sample_sort_records(cluster, random_slabs(8, 32, 13), 2, 1);
-    expect_bounded_clean("mpc.sample_sort_records");
+    bounded_clean("mpc.sample_sort_records");
   }
   {  // mpc.broadcast_tree + mpc.converge_sum
     mpc::Cluster cluster(ClusterConfig{8, 1024}, nullptr);
     mpc::broadcast_tree(cluster, 0, {1, 2, 3}, 2);
-    expect_bounded_clean("mpc.broadcast_tree");
+    bounded_clean("mpc.broadcast_tree");
     mpc::converge_sum(cluster, 0, std::vector<Word>(8, 2), 2);
-    expect_bounded_clean("mpc.converge_sum");
+    bounded_clean("mpc.converge_sum");
   }
   {  // mpc.fetch_bundles
     mpc::Cluster cluster(ClusterConfig{4, 4096}, nullptr);
@@ -116,7 +123,7 @@ TEST(CostModels, AllSixRegisteredProtocolsRunBounded) {
                      static_cast<graph::VertexId>((v + 3) % 8)};
     }
     mpc::fetch_bundles_program(cluster, bundles, requests);
-    expect_bounded_clean("mpc.fetch_bundles");
+    bounded_clean("mpc.fetch_bundles");
   }
   {  // local.embedded_peeling
     util::SplitRng rng(14);
@@ -124,8 +131,19 @@ TEST(CostModels, AllSixRegisteredProtocolsRunBounded) {
     mpc::Cluster cluster(ClusterConfig{8, 1 << 14}, nullptr);
     const auto result = local::embedded_threshold_peeling(g, 6, cluster, 100);
     EXPECT_TRUE(result.complete);
-    expect_bounded_clean("local.embedded_peeling");
+    bounded_clean("local.embedded_peeling");
   }
+  {  // net.storm
+    mpc::Cluster cluster(ClusterConfig{8, 4096}, nullptr);
+    cluster.run_program(
+        net::make_distributable_storm_program(storm_state(8, 16, 12, 9)));
+    bounded_clean("net.storm");
+  }
+
+  std::set<std::string> registered;
+  for (const std::string& name : net::Registry::builtin().names())
+    if (name.rfind("check.", 0) != 0) registered.insert(name);
+  EXPECT_EQ(ran, registered);
 }
 
 // ----------------------------------------------- RunReport determinism
@@ -229,9 +247,11 @@ TEST(Watchdog, FlagsAnArtificiallyStalledStep) {
   dog.configure(aggressive);
   const std::uint64_t before = dog.stalls_flagged();
 
-  // A few fast rounds seed the trailing median, then one step sleeps far
-  // past max(floor, factor x median) so the monitor thread (polling every
-  // ~10 ms) must flag it while it is still running.
+  // A few fast rounds seed the trailing median, then one step stalls until
+  // the monitor thread (polling every ~10 ms) has flagged it, so the flag
+  // must come while the step is still running, however late the monitor is
+  // scheduled. The 10 s deadline only keeps a watchdog that never fires from
+  // hanging the suite; the EXPECT below then fails.
   engine::RoundProgram program;
   for (int r = 0; r < 3; ++r)
     program.independent("obs_test.fast",
@@ -239,13 +259,17 @@ TEST(Watchdog, FlagsAnArtificiallyStalledStep) {
                            engine::Sender& send) {
                           send.send(m, std::vector<Word>{1});
                         });
-  program.independent("obs_test.stall",
-                      [](std::size_t m, const engine::InboxView&,
-                         engine::Sender&) {
-                        if (m == 0)
-                          std::this_thread::sleep_for(
-                              std::chrono::milliseconds(250));
-                      });
+  program.independent(
+      "obs_test.stall",
+      [&dog, before](std::size_t m, const engine::InboxView&,
+                     engine::Sender&) {
+        if (m != 0) return;
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (dog.stalls_flagged() <= before &&
+               std::chrono::steady_clock::now() < deadline)
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      });
   mpc::Cluster cluster(ClusterConfig{2, 64}, nullptr);
   cluster.run_program(program);
 

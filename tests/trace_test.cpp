@@ -139,8 +139,8 @@ SortRun run_sort(ClusterConfig cfg) {
   const std::size_t samples = 8;
   mpc::RoundLedger ledger(cfg);
   mpc::Cluster cluster(cfg, &ledger);
-  const mpc::SampleSortResult sorted = sample_sort(
-      cluster, sort_input(machines, 64), samples);
+  const mpc::RecordSortResult sorted = sample_sort_records(
+      cluster, sort_input(machines, 64), 1, 1, samples);
   SortRun run;
   run.slabs = sorted.slabs;
   run.total_rounds = ledger.total_rounds();
@@ -374,8 +374,8 @@ TEST(TraceTelemetry, TcpWorkersShipSpansAndMetricsMatchingLedger) {
 
   mpc::RoundLedger ledger(cfg);
   mpc::Cluster cluster(cfg, &ledger);
-  const mpc::SampleSortResult sorted =
-      sample_sort(cluster, sort_input(8, 64), 8);
+  const mpc::RecordSortResult sorted =
+      sample_sort_records(cluster, sort_input(8, 64), 1, 1, 8);
   ASSERT_FALSE(sorted.slabs.empty());
 
   // Driver-side counters mirror the ledger charge exactly, label by label.
